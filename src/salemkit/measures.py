@@ -8,7 +8,7 @@ seminorm reports the frequency box it actually scanned.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -318,25 +318,12 @@ def geometric_schedule(params0, stages, factor=8.0):
     Stage radii satisfy r_{t+1} ~ r_t / factor by scaling the candidate
     count: M_t = ceil(M_0 * factor^{lam * t}).
     """
-    from .sampler import ConstructionParams
-
     if stages < 1:
         raise ValueError("need at least one stage")
     out = []
     for t in range(stages):
         M = int(math.ceil(params0.M * factor ** (params0.lam * t)))
-        out.append(
-            ConstructionParams(
-                M=M,
-                lam=params0.lam,
-                seed=params0.seed + t,
-                delta=params0.delta,
-                kappa=params0.kappa,
-                separation_s=params0.separation_s,
-                filter_scale=params0.filter_scale,
-                removal_budget=params0.removal_budget,
-            )
-        )
+        out.append(replace(params0, M=M, seed=params0.seed + t))
     return out
 
 

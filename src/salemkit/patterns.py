@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetError, LayoutError
-from .torus import Cube, cube_distance, double_cube, tdist, wrap
+from .torus import Cube, coord_gap, cube_distance, double_cube, tdist, wrap
 
 __all__ = [
     "RoughPattern",
@@ -59,6 +59,24 @@ def periodize(targets, m, d=None):
     out = targets[..., :, None, :] + shifts[None, :, :]
     new_shape = targets.shape[:-2] + (targets.shape[-2] * m**d, d)
     return wrap(out.reshape(new_shape))
+
+
+def _periodized_gap(v, t, m):
+    """Per-coordinate torus gap from ``v`` to the nearest point of t + Z^d/m.
+
+    The periodized set {t + b/m : b in {0..m-1}^d} + Z^d is the shifted
+    lattice t + Z^d/m, and the nearest lattice value to ``v - t`` in each
+    coordinate is an end of the grid cell of width 1/m that holds it.  Only
+    those two shifts b are formed; each shifted target is wrapped and
+    measured with the same float operations as :func:`periodize` and
+    :func:`coord_gap`, so the gap equals the minimum over all m shifts
+    bit for bit.  A rounding slip in the cell index moves the cell by one
+    but keeps the nearest end inside it.
+    """
+    lo = np.minimum(np.floor(wrap(v - t) * m), m - 1)
+    hi = np.where(lo == m - 1, 0.0, lo + 1.0)
+    gap = coord_gap(v, wrap(t + lo / m))
+    return np.minimum(gap, coord_gap(v, wrap(t + hi / m)))
 
 
 def _check_cubes(cubes, d, n, min_sep_factor=10.0):
@@ -315,7 +333,11 @@ class TranslationalPattern:
         return float(self.a)
 
     def targets(self, prefix):
-        """Periodized target set tilde-T for prefixes (..., d*(n-2))."""
+        """Periodized target set tilde-T for prefixes (..., d*(n-2)).
+
+        Materializes all K*m^d shifted targets per prefix; :meth:`residual`
+        never forms this set, so it serves inspection and tests.
+        """
         prefix = np.asarray(prefix, dtype=float)
         raw = np.asarray(self.T(prefix), dtype=float)
         return periodize(raw, self.period_m, self.d)
@@ -323,22 +345,27 @@ class TranslationalPattern:
     def residual(self, tuples):
         """Distance from x_n - a*x_{n-1} to the periodized target set.
 
-        When the pattern carries its cube layout, the relation is defined
-        on the product of the doubled cubes Q_1 x ... x Q_n only; tuples
-        with a slot outside that product get residual +inf.
+        The periodized set of a raw target t is the lattice t + Z^d/m, so
+        the distance is taken per raw target in closed form (nearest grid
+        shift per coordinate) at O(K) cost per tuple, with the same value
+        as the minimum of :func:`tdist` over the K*m^d points of
+        :meth:`targets`.  An empty target set gives +inf.  When the pattern
+        carries its cube layout, the relation is defined on the product of
+        the doubled cubes Q_1 x ... x Q_n only; tuples with a slot outside
+        that product get residual +inf.
         """
         tuples = np.asarray(tuples, dtype=float)
         dp = self.d * (self.n - 2)
         prefix = tuples[..., :dp]
         xprev = tuples[..., dp : dp + self.d]
         xlast = tuples[..., dp + self.d :]
-        tgt = self.targets(prefix)  # (..., K', d)
+        raw = np.asarray(self.T(prefix), dtype=float)  # (..., K, d)
         v = wrap(xlast - self.a_float * xprev)
-        if tgt.shape[-2] == 0:
+        if raw.shape[-2] == 0:
             # empty target set: nothing to be close to
             return np.full(v.shape[:-1], np.inf)
-        dists = tdist(v[..., None, :], tgt)
-        res = dists.min(axis=-1)
+        gap = _periodized_gap(v[..., None, :], raw, self.period_m)
+        res = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=-1)
         if self._domain is not None:
             mask = _domain_mask(tuples, self._domain, self.d, self.n)
             res = np.where(mask, res, np.inf)

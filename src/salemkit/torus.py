@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "wrap",
+    "coord_gap",
     "tdist",
     "pairwise_tdist",
     "hausdorff_distance",
@@ -24,8 +25,24 @@ __all__ = [
 
 
 def wrap(x):
-    """Reduce coordinates to the fundamental domain [0, 1)."""
-    return np.asarray(x, dtype=float) % 1.0
+    """Reduce coordinates to the fundamental domain [0, 1).
+
+    ``x - floor(x)`` rounds the same real number as ``x % 1.0`` once, so
+    the two agree bit for bit (a tiny negative input gives 1.0 in both);
+    the floor form avoids numpy's slow float remainder.
+    """
+    x = np.asarray(x, dtype=float)
+    return x - np.floor(x)
+
+
+def coord_gap(x, y):
+    """Per-coordinate wrap-around gap ``min_k |x_j - y_j + k|``, k in {-1, 0, 1}.
+
+    Broadcasts like ``x - y``; :func:`tdist` is the Euclidean length of
+    this gap along the last axis.
+    """
+    delta = np.abs(wrap(x) - wrap(y))
+    return np.minimum(delta, 1.0 - delta)
 
 
 def tdist(x, y):
@@ -48,8 +65,7 @@ def tdist(x, y):
         raise ValueError(
             f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}"
         )
-    delta = np.abs(x % 1.0 - y % 1.0)
-    delta = np.minimum(delta, 1.0 - delta)
+    delta = coord_gap(x, y)
     return np.sqrt(np.sum(delta * delta, axis=-1))
 
 
@@ -125,16 +141,14 @@ class Cube:
     def volume(self):
         return self.side ** self.d
 
-    def contains(self, points, pad=0.0):
-        """Boolean mask of points inside the cube grown by ``pad`` per side."""
+    def contains(self, points):
+        """Boolean mask of points inside the cube."""
         pts = np.atleast_2d(wrap(points))
         if pts.shape[1] != self.d:
             raise ValueError("dimension mismatch")
-        # signed offset from corner, wrapped to [0, 1)
-        off = (pts - self.corner[None, :]) % 1.0
-        hi = min(self.side + pad, 1.0)
-        inside = (off < hi) | (off > 1.0 - pad)
-        return inside.all(axis=1)
+        # offset from corner, wrapped to [0, 1)
+        off = wrap(pts - self.corner[None, :])
+        return (off < self.side).all(axis=1)
 
     def sample(self, rng, size):
         """Uniform sample of ``size`` points from the cube."""

@@ -123,6 +123,24 @@ def test_run_experiment_records_errors_per_trial():
     assert "ConstructionFailure" in rep.rows[0]["error"]
 
 
+def test_run_experiment_propagates_programming_errors(monkeypatch):
+    # only the expected failure types become row errors; a bug must surface
+    import salemkit.harness as hm
+
+    def broken_builder(pattern, params):
+        raise TypeError("bug in a builder")
+
+    monkeypatch.setitem(hm._BUILDERS, "translational", broken_builder)
+    cfg = ExperimentConfig(
+        pattern={"id": "ap3", "m": 16},
+        construction={"M": 64, "lam": 0.3, "seed": 0},
+        trials=2,
+        sweep={"C": 4.0},
+    )
+    with pytest.raises(TypeError, match="bug in a builder"):
+        run_experiment(cfg)
+
+
 # ---------------------------------------------------------------- hoeffding
 
 
@@ -148,6 +166,20 @@ def test_hoeffding_no_exceedances_uniform_phases():
     # at t = 4 sqrt(N) the bound is ~1e-3 scale; observed 0
     big_t = [r for r in table if r["t"] >= 4 * math.sqrt(N) - 1e-9]
     assert big_t and big_t[0]["empirical"] == 0.0
+
+
+def test_hoeffding_chunking_matches_one_pass():
+    # 2000 summands -> 500-row chunks; the Philox stream is drawn row by row,
+    # so the chunked sums equal one pass over the whole sample matrix
+    A = np.linspace(0.5, 1.5, 2000)
+    t_grid = [10.0, 30.0, 50.0]
+    table = hoeffding_check(A, t_grid=t_grid, n_samples=1200, seed=4)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(4)))
+    theta = rng.random((1200, len(A)))
+    sums = np.abs((A[None, :] * np.exp(2j * math.pi * theta)).sum(axis=1))
+    assert [row["empirical"] for row in table] == [
+        float((sums >= t).mean()) for t in t_grid
+    ]
 
 
 def test_hoeffding_rejects_tiny_sample_count():
@@ -181,6 +213,28 @@ def test_split_sum_empty_incidence_set():
     assert res["reconstruction_ok"]
     assert all(abs(v) == 0.0 for v in res["mean_H"])
     assert res["tail_pass_rate"] == 1.0
+
+
+def test_split_sum_builds_keep_every_construction_knob(monkeypatch):
+    import salemkit.harness as hm
+
+    seen = []
+    real = hm._BUILDERS["translational"]
+
+    def recording_builder(pattern, params):
+        seen.append(params)
+        return real(pattern, params)
+
+    monkeypatch.setitem(hm._BUILDERS, "translational", recording_builder)
+    p0 = ConstructionParams(
+        M=32, lam=0.3, seed=7, delta=0.5, kappa=0.1, filter_scale=0.01,
+        removal_budget=3.0,
+    )
+    split_sum_check(ap3_pattern(m=16), p0, trials=50, n_xi=3)
+    assert [p.seed for p in seen] == list(range(7, 57))
+    for p in seen:
+        assert (p.M, p.lam, p.delta, p.kappa, p.separation_s) == (32, 0.3, 0.5, 0.1, 0.0)
+        assert p.filter_scale == 0.01 and p.removal_budget == 3.0
 
 
 def test_split_sum_requires_enough_trials():

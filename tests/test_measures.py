@@ -301,6 +301,19 @@ def test_geometric_schedule_radii_decay():
     assert radii[0] / radii[1] == pytest.approx(8.0, rel=0.1)
 
 
+def test_geometric_schedule_keeps_construction_knobs():
+    p0 = ConstructionParams(
+        M=64, lam=0.5, seed=3, delta=0.5, kappa=0.1, separation_s=1e-4,
+        filter_scale=0.02, removal_budget=5.0,
+    )
+    sched = geometric_schedule(p0, 3, factor=4.0)
+    assert [p.seed for p in sched] == [3, 4, 5]
+    assert sched[0].M == 64 and sched[1].M > 64
+    for p in sched:
+        assert (p.lam, p.delta, p.kappa, p.separation_s) == (0.5, 0.5, 0.1, 1e-4)
+        assert p.filter_scale == 0.02 and p.removal_budget == 5.0
+
+
 def test_salem_iterate_empty_pattern_two_stages():
     pat = _empty_pattern()
     sched = geometric_schedule(

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salemkit.errors import BudgetError, LayoutError
 from salemkit.patterns import (
@@ -12,7 +16,8 @@ from salemkit.patterns import (
     periodize,
     violation_scan,
 )
-from salemkit.torus import Cube, tdist
+from salemkit.sampler import incidence_index_set
+from salemkit.torus import Cube, double_cube, tdist, wrap
 
 
 # ---------------------------------------------------------------- helpers
@@ -201,6 +206,138 @@ def test_translational_rejects_zero_a():
         TranslationalPattern(
             d=1, n=3, a=0, period_m=1, T=lambda x: x[..., None, :], lipschitz=1.0
         )
+
+
+def periodized_reference(pattern, tuples):
+    """Residual from the materialized K*m^d targets: min tdist, then the domain."""
+    d, n = pattern.d, pattern.n
+    dp = d * (n - 2)
+    v = wrap(tuples[:, dp + d :] - pattern.a_float * tuples[:, dp : dp + d])
+    tgt = pattern.targets(tuples[:, :dp])
+    if tgt.shape[-2] == 0:
+        return np.full(len(tuples), np.inf)
+    res = tdist(v[:, None, :], tgt).min(axis=-1)
+    if pattern.cubes is not None:
+        for i, c in enumerate(pattern.cubes):
+            inside = double_cube(c).contains(tuples[:, i * d : (i + 1) * d])
+            res = np.where(inside, res, np.inf)
+    return res
+
+
+@st.composite
+def translational_case(draw):
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 3, 8, 9, 12, 16]))
+    K = draw(st.sampled_from([0, 1, 3]))
+    a = draw(
+        st.one_of(
+            st.sampled_from([1, 2, -1, -3]),
+            st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(-5, 3)]),
+        )
+    )
+    shifts = np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=K * d, max_size=K * d))
+    ).reshape(K, d)
+    # coordinates: generic, on the 1/(4m) lattice, or at the 0/1 wrap edges
+    coord = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 4 * m - 1).map(lambda j: j / (4 * m)),
+        st.sampled_from([0.0, 2.0**-60, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0 - 1e-12]),
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=3 * d, max_size=3 * d), min_size=1, max_size=8))
+    tuples = np.array(rows, dtype=float)
+    # plant near-occurrences x3 = a*x2 + t + b/m (+ a float-edge offset)
+    if K and draw(st.booleans()):
+        b = np.array(draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d)))
+        eps = draw(st.sampled_from([0.0, 1e-17, -1e-16, 1e-12, 0.5 / m]))
+        t = -tuples[:, :d] + shifts[0]
+        tuples[:, 2 * d :] = wrap(float(a) * tuples[:, d : 2 * d] + t + b / m + eps)
+    with_cubes = draw(st.booleans())
+    return d, m, a, shifts, tuples, with_cubes
+
+
+@settings(max_examples=300, deadline=None)
+@given(translational_case())
+def test_translational_residual_matches_periodized_targets(case):
+    d, m, a, shifts, tuples, with_cubes = case
+    cubes = None
+    if with_cubes:
+        # small separated cubes; most random tuples fall outside Q_1 x Q_2 x Q_3
+        cubes = [Cube([c] * d, 0.02) for c in (0.05, 0.4, 0.75)]
+    pat = TranslationalPattern(
+        d=d, n=3, a=a, period_m=m,
+        T=lambda x: (-np.asarray(x))[..., None, :] + shifts,
+        lipschitz=1.0, cubes=cubes,
+    )
+    got = pat.residual(tuples)
+    want = periodized_reference(pat, tuples)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15)
+
+
+def test_translational_residual_memory_is_per_raw_target():
+    # materializing 256 shifted targets for 20k d=2 tuples would take one
+    # 20k x 256 x 2 float64 temporary: 82 MB
+    m = 16
+    pat = TranslationalPattern(
+        d=2, n=3, a=2, period_m=m,
+        T=lambda x: (-np.asarray(x))[..., None, :], lipschitz=1.0,
+    )
+    tuples = np.random.default_rng(3).random((20_000, 6))
+    tracemalloc.start()
+    try:
+        pat.residual(tuples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _naive_d2_hits(pattern, pools, margin):
+    """All slot-ordered index triples with residual <= margin, by enumeration."""
+    sizes = [len(p) for p in pools]
+    idx = np.array(list(product(*[range(s) for s in sizes])), dtype=np.int64)
+    flat = np.concatenate([pools[j][idx[:, j]] for j in range(3)], axis=1)
+    return idx[periodized_reference(pattern, flat) <= margin]
+
+
+@pytest.mark.parametrize("with_cubes", [False, True])
+def test_d2_scan_and_incidence_match_naive_enumeration(with_cubes):
+    m = 8
+    side = 1.0 / (4 * m)
+    centers = [np.array([c, c]) for c in (1 / 6, 1 / 2, 5 / 6)]
+    cubes = [Cube(c - side / 2, side) for c in centers] if with_cubes else None
+    pat = TranslationalPattern(
+        d=2, n=3, a=2, period_m=m,
+        T=lambda x: (-np.asarray(x))[..., None, :], lipschitz=1.0, cubes=cubes,
+    )
+    rng = np.random.default_rng(8)
+    # pools inside the doubled cubes, with near-central prefixes so that
+    # planted third points land in Q_3 too
+    pools = [c - side + 2 * side * rng.random((6, 2)) for c in centers]
+    pools[0][:3] = centers[0] + 0.004 * rng.standard_normal((3, 2))
+    pools[1][:3] = centers[1] + 0.004 * rng.standard_normal((3, 2))
+    # exact occurrences; without cubes one is shifted by a grid vector b/m
+    pools[2][0] = wrap(2 * pools[1][0] - pools[0][0])
+    pools[2][1] = wrap(2 * pools[1][1] - pools[0][2] + (0.0 if with_cubes else 3 / m))
+    pools[2][2] = wrap(2 * pools[1][2] - pools[0][1] + 1e-3)
+    points = np.concatenate(pools)
+    for margin in (0.0, 1e-3, 2e-3):
+        # scan: every ordered triple of distinct points, one shared pool
+        want = sorted(
+            tuple(int(v) for v in t)
+            for t in _naive_d2_hits(pat, [points] * 3, margin + 1e-15)
+            if len(set(t)) == 3
+        )
+        tuples, _ = violation_scan(points, pat, margin=margin)
+        assert sorted(tuple(t) for t in tuples) == want
+        assert {(0, 6, 12), (2, 7, 13)} <= set(want)
+        assert ((1, 8, 14) in want) == (margin >= 2e-3)
+        # incidence: one pool per slot, last-slot indices of near-incidences
+        naive = np.unique(_naive_d2_hits(pat, pools, margin)[:, -1])
+        np.testing.assert_array_equal(incidence_index_set(pools, pat, margin), naive)
 
 
 # ---------------------------------------------------------------- scans
