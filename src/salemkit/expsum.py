@@ -14,6 +14,18 @@ Only canonical representatives under xi -> -xi are evaluated (conjugate
 symmetry).  In d >= 2 the lattice is enumerated exhaustively up to
 ``exhaustive_limit`` and deterministically subsampled per annulus beyond
 that; subsampled annuli are marked as such in the report.
+
+Evaluation.  In d = 1 the sweep advances a phase recurrence over
+consecutive frequencies.  In d >= 2, :func:`weighted_exp_sum` splits
+e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
+coordinates (the prefix).  When the frequencies fill at least 1/8 of the
+box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
+the phase tables A[p, prefix] = w_p e(prefix . x'_p) and E[p, l] = e(l x_{p,d})
+and takes S = A^T E by matrix products over blocks of at most
+``_TABLE_ENTRIES`` complex entries, so memory stays bounded at any N.
+Sparser sets, such as the subsampled annuli, take the direct sum with one
+complex exponential per (frequency, point) pair.  Both paths reduce every
+phase modulo 1 before exponentiating; they agree to float rounding.
 """
 
 import math
@@ -33,6 +45,7 @@ __all__ = [
 
 _BLOCK = 4096  # frequencies per recurrence block (fixed: results must not
 # depend on thread count, so blocking is independent of threads)
+_TABLE_ENTRIES = 4_000_000  # complex entries per phase table or product block
 
 
 def weighted_exp_sum(points, weights, xi):
@@ -58,15 +71,71 @@ def weighted_exp_sum(points, weights, xi):
     xi = np.atleast_2d(xi)
     if xi.shape[1] != d:
         raise ValueError("frequency dimension does not match points")
+    out = _separable_sum(points, weights, xi) if d >= 2 else None
+    if out is None:
+        out = _direct_sum(points, weights, xi)
+    out /= N
+    return out[0] if scalar else out
+
+
+def _direct_sum(points, weights, xi):
+    """sum_p w_p e(xi . x_p), one complex exponential per (xi, point) pair."""
+    N = len(points)
     out = np.empty(len(xi), dtype=complex)
-    chunk = max(1, 4_000_000 // max(N, 1))
+    chunk = max(1, _TABLE_ENTRIES // max(N, 1))
     for i in range(0, len(xi), chunk):
         # reduce xi.x modulo 1 before exponentiating; keeps the phase
         # accurate even for very large |xi|
         phase = (xi[i : i + chunk] @ points.T) % 1.0
         out[i : i + chunk] = np.exp(2j * np.pi * phase) @ weights
-    out /= N
-    return out[0] if scalar else out
+    return out
+
+
+def _separable_sum(points, weights, xi):
+    """sum_p w_p e(xi . x_p) through prefix and last-coordinate phase tables.
+
+    Returns None when xi is not integral or fills less than 1/8 of its
+    (distinct prefix) x (last-coordinate range) box; the direct sum is
+    cheaper there.
+    """
+    K = len(xi)
+    if K == 0 or not np.all(np.abs(xi) < 2.0**52) or not np.array_equal(xi, np.round(xi)):
+        return None
+    if xi.shape[1] == 2:
+        prefixes, p_of = np.unique(xi[:, 0], return_inverse=True)
+        prefixes = prefixes[:, None]
+    else:
+        prefixes, p_of = np.unique(xi[:, :-1], axis=0, return_inverse=True)
+    last = xi[:, -1].astype(np.int64)
+    l_min = int(last.min())
+    l_of = last - l_min
+    P, L = len(prefixes), int(l_of.max()) + 1
+    if 8 * K < P * L:
+        return None
+    N = len(points)
+    # block sizes: A is N x pb, E is N x lb, S is pb x lb
+    pb = max(1, min(P, _TABLE_ENTRIES // N))
+    lb = max(1, min(L, _TABLE_ENTRIES // max(N, pb)))
+    n_lb = -(-L // lb)
+    block = (p_of // pb) * n_lb + l_of // lb
+    order = np.argsort(block, kind="stable")
+    bounds = np.searchsorted(block[order], np.arange(-(-P // pb) * n_lb + 1))
+    x_head, x_last = points[:, :-1], points[:, -1]
+    ls = np.arange(l_min, l_min + L, dtype=float)
+    out = np.empty(K, dtype=complex)
+    b = 0
+    for p0 in range(0, P, pb):
+        A = weights[:, None] * np.exp(
+            2j * np.pi * ((x_head @ prefixes[p0 : p0 + pb].T) % 1.0)
+        )
+        for l0 in range(0, L, lb):
+            sel = order[bounds[b] : bounds[b + 1]]
+            b += 1
+            if len(sel) == 0:
+                continue
+            E = np.exp(2j * np.pi * (np.multiply.outer(x_last, ls[l0 : l0 + lb]) % 1.0))
+            out[sel] = (A.T @ E)[p_of[sel] - p0, l_of[sel] - l0]
+    return out
 
 
 def _mags_block_1d(x, a, lo, hi, N):
@@ -111,23 +180,49 @@ def sweep_magnitudes_1d(points, weights, xi_max, threads=1):
 def _canonical_lattice_shell(d, lo, hi):
     """Integer frequencies with lo <= |xi|_2 < hi, one per +-xi pair.
 
-    Canonical representative: first nonzero coordinate positive.
+    Canonical representative: first nonzero coordinate positive.  Rows
+    come in lexicographic order.  The shell is grown one coordinate at a
+    time, each partial row receiving the range of its next coordinate, so
+    memory stays proportional to the output rather than to its (2 hi)^d
+    bounding box.  Squared norms are exact integers in float and are
+    compared with ``lo * lo`` and ``hi * hi`` as floats.
     """
-    r = int(math.ceil(hi))
-    axes = [np.arange(-r, r + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    norm2 = (grid.astype(float) ** 2).sum(axis=1)
-    keep = (norm2 >= lo * lo) & (norm2 < hi * hi)
-    grid = grid[keep]
-    # canonical sign
-    first_nonzero = np.zeros(len(grid), dtype=bool)
-    canon = np.zeros(len(grid), dtype=bool)
+    lo2, hi2 = float(lo) * float(lo), float(hi) * float(hi)
+    rows = np.zeros((1, 0), dtype=np.int64)
     for j in range(d):
-        col = grid[:, j]
-        decide = ~first_nonzero & (col != 0)
-        canon |= decide & (col > 0)
-        first_nonzero |= col != 0
-    return grid[canon]
+        q = (rows.astype(float) ** 2).sum(axis=1)
+        last = j == d - 1
+        b = _least_root_at_least(q, hi2) - 1  # largest |t| with q + t^2 < hi2
+        a = _least_root_at_least(q, lo2) if last else np.zeros_like(b)
+        # the next coordinate t runs over -b..-max(a,1) then a..b; a row
+        # that is still all zero keeps only t >= 0 (t >= 1 in the last
+        # coordinate), which makes its first nonzero coordinate positive
+        zero = ~np.any(rows != 0, axis=1)
+        neg_lo = np.where(zero, 0, -b)
+        neg_n = np.where(zero, 0, np.maximum(b - np.maximum(a, 1) + 1, 0))
+        pos_lo = np.where(zero, np.maximum(a, 1 if last else 0), a)
+        pos_n = np.maximum(b - pos_lo + 1, 0)
+        starts = np.stack([neg_lo, pos_lo], axis=1).reshape(-1)
+        counts = np.stack([neg_n, pos_n], axis=1).reshape(-1)
+        seg_begin = np.cumsum(counts) - counts
+        t = np.repeat(starts - seg_begin, counts) + np.arange(counts.sum())
+        rows = np.column_stack([np.repeat(rows, neg_n + pos_n, axis=0), t])
+    return rows
+
+
+def _least_root_at_least(q, bound2):
+    """Least integer t >= 0 with q + t*t >= bound2, per entry of q (int64).
+
+    ``q`` holds exact integers in float; the float square root is only a
+    first guess, settled by the same float comparison the shell uses.
+    """
+    t = np.ceil(np.sqrt(np.maximum(bound2 - q, 0.0)))
+    while True:
+        down = (t > 0) & (q + (t - 1) ** 2 >= bound2)
+        up = q + t * t < bound2
+        if not (down.any() or up.any()):
+            return t.astype(np.int64)
+        t = t - down + up
 
 
 def _subsample_annulus(d, lo, hi, count, salt=0):
@@ -369,7 +464,7 @@ def calibrate_constant(
     return float(np.percentile(values, percentile)), values
 
 
-def config_annulus_sups(points, weights, j_list, per_annulus=256, xi_cap=None):
+def config_annulus_sups(points, weights, j_list, per_annulus=256):
     """Per-annulus sup of |S(xi)| for a point configuration.
 
     Exhaustive for annuli with at most ``per_annulus`` canonical
@@ -381,8 +476,6 @@ def config_annulus_sups(points, weights, j_list, per_annulus=256, xi_cap=None):
     out = {}
     for j in j_list:
         lo, hi = float(2**j), float(2 ** (j + 1))
-        if xi_cap is not None and lo > xi_cap:
-            break
         if d == 1:
             n_canon = int(hi - lo)
             if n_canon <= per_annulus:

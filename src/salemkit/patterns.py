@@ -31,6 +31,9 @@ __all__ = [
 
 # Cap on exact enumeration work before a scan refuses to run.
 DEFAULT_SCAN_BUDGET = 200_000_000
+# index tuples per chunk of the brute-force enumerations (scan and
+# incidence); a chunk of 250k d=2 triples takes about 30 MB of temporaries
+BRUTE_CHUNK = 250_000
 
 
 def periodize(targets, m, d=None):
@@ -403,7 +406,7 @@ def _scan_brute(points, pattern, margin, separation_s, budget):
     resid = []
     # chunked cartesian product over index tuples, so peak memory stays
     # bounded even when N^n approaches the evaluation budget
-    chunk = 2_000_000
+    chunk = BRUTE_CHUNK
     total = N**n
     for start in range(0, total, chunk):
         flat = np.arange(start, min(start + chunk, total), dtype=np.int64)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConstructionFailure, LayoutError
-from .patterns import RoughPattern, SurfacePattern, TranslationalPattern
+from .patterns import BRUTE_CHUNK, RoughPattern, SurfacePattern, TranslationalPattern
 from .torus import double_cube, load_points, load_sidecar, save_points, save_sidecar, wrap
 
 __all__ = [
@@ -244,7 +244,7 @@ def incidence_index_set(strata, pattern, threshold, budget=INCIDENCE_BUDGET):
     return _incidence_brute(strata, pattern, threshold, budget)
 
 
-def _incidence_brute(strata, pattern, threshold, budget, chunk=2_000_000):
+def _incidence_brute(strata, pattern, threshold, budget, chunk=BRUTE_CHUNK):
     """Reference path: cross-product enumeration over the pools, chunked
     so peak memory stays bounded regardless of the product size."""
     n = pattern.n

@@ -1,11 +1,16 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from salemkit import expsum
 from salemkit.expsum import (
     _canonical_lattice_shell,
+    _direct_sum,
+    _separable_sum,
+    _subsample_annulus,
     calibrate_constant,
     config_annulus_sups,
     sweep,
@@ -27,6 +32,17 @@ def oracle_exp_sum(points, weights, xi):
         for p, w in zip(points, weights)
     )
     return complex(re, im) / N
+
+
+def loop_exp_sum(points, weights, xi):
+    """Reference: one complex exponential per point, accumulated point by point."""
+    points = np.atleast_2d(points)
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    weights = np.ones(len(points)) if weights is None else weights
+    acc = np.zeros(len(xi), dtype=complex)
+    for p, w in zip(points, weights):
+        acc += w * np.exp(2j * np.pi * ((xi @ p) % 1.0))
+    return acc / len(points)
 
 
 def test_exp_sum_matches_fsum_oracle():
@@ -118,6 +134,38 @@ def test_sweep_verdict_monotone_in_C():
     assert viol == sorted(viol, reverse=True)
 
 
+def _bounding_box_shell(d, lo, hi):
+    """The shell as first written: mask the full (2r+1)^d box."""
+    r = int(math.ceil(hi))
+    axes = [np.arange(-r, r + 1)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    norm2 = (grid.astype(float) ** 2).sum(axis=1)
+    grid = grid[(norm2 >= lo * lo) & (norm2 < hi * hi)]
+    first_nonzero = np.zeros(len(grid), dtype=bool)
+    canon = np.zeros(len(grid), dtype=bool)
+    for j in range(d):
+        col = grid[:, j]
+        canon |= ~first_nonzero & (col > 0)
+        first_nonzero |= col != 0
+    return grid[canon]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_canonical_shell_equals_bounding_box_enumeration(d):
+    pairs = [
+        (0.0, 1.0), (0.0, 3.5), (1.0, 2.0), (2.0, 4.0), (3.7, 9.2),
+        (5.0, 5.0), (6.0, 4.0), (0.5, 0.9), (16.0, 32.0), (31.9, 40.3),
+        (math.sqrt(50), math.sqrt(51)),
+    ]
+    if d < 3:
+        pairs += [(128.0, 256.0), (256.0, 335.0)]
+    for lo, hi in pairs:
+        got = _canonical_lattice_shell(d, lo, hi)
+        want = _bounding_box_shell(d, lo, hi)
+        assert got.dtype == want.dtype and got.shape == want.shape, (lo, hi)
+        assert np.array_equal(got, want), (lo, hi)
+
+
 def test_canonical_shell_counts_and_symmetry():
     # d=2, annulus 2 <= |xi| < 4: count against a plain double loop
     shell = _canonical_lattice_shell(2, 2.0, 4.0)
@@ -134,14 +182,90 @@ def test_d2_sweep_exhaustive_agreement_with_subsample_off():
     pts = rng.random((64, 2))
     ws = rng.random(64)
     # j <= 8 exhaustive: config_annulus_sups with a huge per-annulus budget
-    # must agree with brute-force enumeration
+    # must agree with a point-by-point evaluation of the whole shell
     sups = config_annulus_sups(pts, ws, j_list=range(3, 6), per_annulus=10**6)
     for j in range(3, 6):
         xi = _canonical_lattice_shell(2, float(2**j), float(2 ** (j + 1)))
-        brute = float(np.abs(weighted_exp_sum(pts, ws, xi)).max())
+        brute = float(np.abs(loop_exp_sum(pts, ws, xi)).max())
         sup, n_eval, sampled = sups[j]
-        assert not sampled
+        assert not sampled and n_eval == len(xi)
         assert sup == pytest.approx(brute, abs=1e-12)
+
+
+def _frequency_cases():
+    shell2 = _canonical_lattice_shell(2, 16.0, 32.0)
+    return {
+        "d2 dense shell": (2, shell2),
+        "d2 strided shell": (2, shell2[::3]),
+        "d2 negative last coordinates": (2, -shell2[shell2[:, 1] > 0]),
+        "d3 shell": (3, _canonical_lattice_shell(3, 4.0, 8.0)),
+        "d2 single frequency": (2, np.array([[5, -7]])),
+        "d2 subsample": (2, _subsample_annulus(2, 4096.0, 8192.0, 512, salt=12)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_frequency_cases()))
+@pytest.mark.parametrize("weighted", [True, False])
+def test_exp_sum_matches_point_loop(case, weighted):
+    d, xi = _frequency_cases()[case]
+    rng = np.random.default_rng(10)
+    pts = rng.random((97, d))
+    ws = rng.random(97) + 0.5 if weighted else None
+    got = weighted_exp_sum(pts, ws, xi)
+    np.testing.assert_allclose(got, loop_exp_sum(pts, ws, xi), rtol=0, atol=1e-12)
+    w = np.ones(97) if ws is None else ws
+    if case == "d2 subsample":
+        # too sparse for the phase tables: stays on the direct path
+        assert _separable_sum(pts, w, xi.astype(float)) is None
+        assert np.array_equal(got, _direct_sum(pts, w, xi.astype(float)) / 97)
+    else:
+        assert _separable_sum(pts, w, xi.astype(float)) is not None
+
+
+def test_exp_sum_blocks_agree_with_point_loop(monkeypatch):
+    # tables of at most 600 entries force several prefix and last-coordinate
+    # blocks, some of them empty
+    monkeypatch.setattr(expsum, "_TABLE_ENTRIES", 600)
+    rng = np.random.default_rng(11)
+    for d, lo, hi in ((2, 20.0, 40.0), (3, 5.0, 9.0)):
+        pts = rng.random((50, d))
+        ws = rng.random(50)
+        xi = _canonical_lattice_shell(d, lo, hi)
+        got = weighted_exp_sum(pts, ws, xi)
+        np.testing.assert_allclose(got, loop_exp_sum(pts, ws, xi), rtol=0, atol=1e-12)
+
+
+def test_exp_sum_d2_shell_memory_is_blocked():
+    # d=2 shell 256 <= |xi| < 512 (309k frequencies) at N=1024.  One
+    # unblocked N x K phase table would take 1024 * 309k * 16 B = 5 GB; the
+    # direct sum in 4M-entry chunks peaks at about 160 MB, the phase tables
+    # (A: N x 512, E: N x 1023, S: 512 x 1023) with their temporaries at
+    # about 65 MB.
+    rng = np.random.default_rng(12)
+    pts = rng.random((1024, 2))
+    ws = rng.random(1024)
+    xi = _canonical_lattice_shell(2, 256.0, 512.0)
+    tracemalloc.start()
+    try:
+        weighted_exp_sum(pts, ws, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_d2_sweep_is_deterministic_across_reruns_and_threads():
+    rng = np.random.default_rng(13)
+    pts = rng.random((120, 2))
+    ws = rng.random(120) * 2
+    runs = [
+        sweep(pts, ws, lam=0.9, C=1.0, threads=t).to_dict() for t in (1, 1, 2)
+    ]
+    assert runs[0] == runs[1]
+    # the report records its thread count; everything else must match
+    for r in runs:
+        r["notes"].pop("threads")
+    assert runs[0] == runs[2]
 
 
 def test_uniform_points_show_sqrt_cancellation():

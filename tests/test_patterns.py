@@ -340,6 +340,30 @@ def test_d2_scan_and_incidence_match_naive_enumeration(with_cubes):
         np.testing.assert_array_equal(incidence_index_set(pools, pat, margin), naive)
 
 
+def test_d2_brute_paths_do_not_depend_on_chunk_size(monkeypatch):
+    from salemkit import patterns
+    from salemkit.sampler import _incidence_brute
+
+    pat = TranslationalPattern(
+        d=2, n=3, a=2, period_m=8,
+        T=lambda x: (-np.asarray(x))[..., None, :], lipschitz=1.0,
+    )
+    rng = np.random.default_rng(9)
+    points = rng.random((24, 2))
+    pools = [rng.random((11, 2)) for _ in range(3)]
+    runs = []
+    for chunk in (7, 1000, 10**6):
+        monkeypatch.setattr(patterns, "BRUTE_CHUNK", chunk)
+        tuples, resid = violation_scan(points, pat, margin=0.03)
+        hits = _incidence_brute(pools, pat, 0.03, 10**9, chunk=chunk)
+        runs.append((tuples, resid, hits))
+    assert len(runs[0][0]) > 10 and len(runs[0][2]) > 0
+    for tuples, resid, hits in runs[1:]:
+        assert np.array_equal(tuples, runs[0][0])
+        assert np.array_equal(resid, runs[0][1])
+        assert np.array_equal(hits, runs[0][2])
+
+
 # ---------------------------------------------------------------- scans
 
 
