@@ -28,7 +28,8 @@ from .harness import (
     run_experiment,
     split_sum_check,
 )
-from .sampler import ConstructionParams, WeightedConfiguration
+from .sampler import BUILDERS, ConstructionParams, WeightedConfiguration
+from .torus import json_default
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,30 +45,8 @@ def _load_json(path):
 def _write_json(path, payload):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_default)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
-
-
-def _default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _builder_for(pattern):
-    from .sampler import build_rough, build_surface, build_translational
-
-    return {
-        "rough": build_rough,
-        "surface": build_surface,
-        "translational": build_translational,
-    }[pattern.kind]
 
 
 def cmd_build(args):
@@ -77,7 +56,7 @@ def cmd_build(args):
     if args.seed is not None:
         cons["seed"] = args.seed
     params = ConstructionParams(**cons)
-    config = _builder_for(pattern)(pattern, params)
+    config = BUILDERS[pattern.kind](pattern, params)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "configuration.csv")
@@ -174,7 +153,7 @@ def cmd_montecarlo(args):
     cfg = ExperimentConfig.from_dict(data)
     report = run_experiment(cfg, threads=args.threads)
     agg = report.aggregate
-    print(json.dumps(agg, indent=2, sort_keys=True, default=_default))
+    print(json.dumps(agg, indent=2, sort_keys=True, default=json_default))
     ok = (
         agg["failed_trials"] == 0
         and agg.get("sweep_pass_rate", 1.0) >= 0.9
@@ -232,7 +211,7 @@ def cmd_demo(args):
             and report.aggregate.get("scan_violations_total", 0) == 0
             and report.aggregate.get("sweep_pass_rate", 0.0) >= 0.9
         )
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=_default))
+        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
         return EXIT_PASS if ok else EXIT_FAIL
     if args.which == "linear-eq":
         report = demo_linear_equations(
@@ -244,7 +223,7 @@ def cmd_demo(args):
             out_dir=out,
         )
         viol = sum(r["scan_violations"] for r in report.rows)
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=_default))
+        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
         return EXIT_PASS if viol == 0 else EXIT_FAIL
     if args.which == "isosceles-parabola":
         report = demo_isosceles(
@@ -256,7 +235,7 @@ def cmd_demo(args):
             out_dir=out,
         )
         ok = all(r["gap_positive"] for r in report.rows)
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=_default))
+        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
         return EXIT_PASS if ok else EXIT_FAIL
     raise ValueError(f"unknown demo {args.which!r}")
 

@@ -23,18 +23,20 @@ from .patterns import (
     SurfacePattern,
     TranslationalPattern,
     violation_scan,
+    window_cover,
+    window_probe,
 )
+from .sampler import BUILDERS as _BUILDERS
 from .sampler import (
     ConstructionParams,
     WeightedConfiguration,
     _stream,
     build_rough,
     build_surface,
-    build_translational,
     derive_radius,
     incidence_index_set,
 )
-from .torus import Cube, double_cube
+from .torus import Cube, double_cube, json_default
 
 SCHEMA_VERSION = 1
 
@@ -205,7 +207,7 @@ class TrialReport:
                 fh,
                 indent=2,
                 sort_keys=True,
-                default=_jsonable,
+                default=json_default,
             )
             fh.write("\n")
         cols = sorted({k for r in self.rows for k in r})
@@ -221,28 +223,11 @@ class TrialReport:
             data = json.load(fh)
         rep = cls(rows=data["rows"], aggregate=data["aggregate"], meta=data["meta"])
         recomputed = _aggregate(rep.rows)
-        if json.dumps(recomputed, sort_keys=True, default=_jsonable) != json.dumps(
-            rep.aggregate, sort_keys=True, default=_jsonable
+        if json.dumps(recomputed, sort_keys=True, default=json_default) != json.dumps(
+            rep.aggregate, sort_keys=True, default=json_default
         ):
             raise ValueError("aggregate does not match its per-trial rows")
         return rep
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-_BUILDERS = {
-    "rough": build_rough,
-    "surface": build_surface,
-    "translational": build_translational,
-}
 
 
 # failures a trial may legitimately end in; anything else propagates
@@ -545,16 +530,14 @@ def _normalized_coeff_vectors(n, coeff_bound):
     return out
 
 
-def _linear_hit_last_indices(x, vectors, s_set, margin):
-    """Indices k3 completing m1 x_i + m2 x_j + m3 x_k = s (mod 1) within margin.
+def _linear_windows(xs, vectors, s_set, margin):
+    """Windows of sorted ``xs`` completing m1 x_i + m2 x_j + m3 x_k = s (mod 1).
 
-    Exact enumeration over ordered distinct index triples for every
-    coefficient vector, via sorted probing of the solved last coordinate.
+    Yields ``(i, j, lo, hi)`` per (vector, s, branch): the distinct
+    positions i != j in ``xs`` of a pair and the range ``xs[lo:hi]`` of
+    every window that holds a point within margin/|m3| of its solved x_k.
     """
-    N = len(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    removed = np.zeros(N, dtype=bool)
+    N = len(xs)
     ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     distinct = (ii != jj).reshape(-1)
     pair_i = ii.reshape(-1)[distinct]
@@ -562,43 +545,38 @@ def _linear_hit_last_indices(x, vectors, s_set, margin):
     for m1, m2, m3 in vectors:
         for s in s_set:
             # x_k solves m3 x = s - m1 x_i - m2 x_j (mod 1): |m3| branches
-            base = (s - m1 * x[pair_i] - m2 * x[pair_j]) / m3
+            base = (s - m1 * xs[pair_i] - m2 * xs[pair_j]) / m3
             for branch in range(abs(m3)):
                 tgt = (base + branch / m3) % 1.0
-                eff = margin / abs(m3)
-                for shift in (0.0, -1.0, 1.0):
-                    lo = np.searchsorted(xs, tgt + shift - eff, side="left")
-                    hi = np.searchsorted(xs, tgt + shift + eff, side="right")
-                    for b in np.nonzero(hi > lo)[0]:
-                        for k in order[lo[b] : hi[b]]:
-                            if k != pair_i[b] and k != pair_j[b]:
-                                removed[k] = True
-    return np.nonzero(removed)[0]
+                qi, lo, hi = window_probe(xs, tgt, margin / abs(m3), 1.0)
+                yield pair_i[qi], pair_j[qi], lo, hi
+
+
+def _linear_hit_last_indices(x, vectors, s_set, margin):
+    """Indices k completing m1 x_i + m2 x_j + m3 x_k = s (mod 1) within margin.
+
+    Exact enumeration over ordered distinct index triples for every
+    coefficient vector: a point is hit when more windows hold it than
+    belong to pairs it is part of.
+    """
+    N = len(x)
+    order = np.argsort(x, kind="stable")
+    cover = np.zeros(N, dtype=np.int64)
+    own = np.zeros(N, dtype=np.int64)
+    for i, j, lo, hi in _linear_windows(x[order], vectors, s_set, margin):
+        cover += window_cover(lo, hi, N)
+        for k in (i, j):
+            own += np.bincount(k[(lo <= k) & (k < hi)], minlength=N)
+    return np.sort(order[cover > own])
 
 
 def _count_linear_violations(x, vectors, s_set, margin):
     """Number of ordered distinct triples solving a covered equation."""
-    N = len(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
     count = 0
-    ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    distinct = (ii != jj).reshape(-1)
-    pair_i = ii.reshape(-1)[distinct]
-    pair_j = jj.reshape(-1)[distinct]
-    for m1, m2, m3 in vectors:
-        for s in s_set:
-            base = (s - m1 * x[pair_i] - m2 * x[pair_j]) / m3
-            for branch in range(abs(m3)):
-                tgt = (base + branch / m3) % 1.0
-                eff = margin / abs(m3)
-                for shift in (0.0, -1.0, 1.0):
-                    lo = np.searchsorted(xs, tgt + shift - eff, side="left")
-                    hi = np.searchsorted(xs, tgt + shift + eff, side="right")
-                    for b in np.nonzero(hi > lo)[0]:
-                        for k in order[lo[b] : hi[b]]:
-                            if k != pair_i[b] and k != pair_j[b]:
-                                count += 1
+    for i, j, lo, hi in _linear_windows(np.sort(x), vectors, s_set, margin):
+        count += int((hi - lo).sum())
+        for k in (i, j):
+            count -= int(np.count_nonzero((lo <= k) & (k < hi)))
     return count
 
 

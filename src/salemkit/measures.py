@@ -327,7 +327,7 @@ def geometric_schedule(params0, stages, factor=8.0):
     return out
 
 
-def _restrict_to_support(config, mu, seed):
+def _restrict_to_support(config, mu):
     """Drop configuration points outside supp(mu); renormalize weights."""
     G, d = mu.G, mu.d
     cells = np.floor(config.points * G).astype(np.int64) % G
@@ -363,14 +363,10 @@ def salem_iterate(pattern, schedule, G, gamma, builder=None, sweep_C=3.0, delta0
     exponential-sum sweep report, and seminorm diagnostics.
     """
     from .expsum import sweep
-    from .sampler import build_rough, build_surface, build_translational, derive_radius
+    from .sampler import BUILDERS, derive_radius
 
     if builder is None:
-        builder = {
-            "rough": build_rough,
-            "surface": build_surface,
-            "translational": build_translational,
-        }[pattern.kind]
+        builder = BUILDERS[pattern.kind]
     radii = [derive_radius(p.M, p.lam) for p in schedule]
     if any(r1 >= r0 for r0, r1 in zip(radii, radii[1:])):
         raise ValueError("schedule radii must be strictly decreasing")
@@ -379,7 +375,7 @@ def salem_iterate(pattern, schedule, G, gamma, builder=None, sweep_C=3.0, delta0
     for t, params in enumerate(schedule):
         try:
             raw = builder(pattern, params)
-            config = _restrict_to_support(raw, mu, params.seed)
+            config = _restrict_to_support(raw, mu)
         except ConstructionFailure as exc:
             raise ConstructionFailure(f"stage {t}: {exc}") from exc
         mu_next, diag = perturb(mu, config, gamma)

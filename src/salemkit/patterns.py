@@ -27,6 +27,7 @@ __all__ = [
     "TranslationalPattern",
     "periodize",
     "violation_scan",
+    "window_probe",
 ]
 
 # Cap on exact enumeration work before a scan refuses to run.
@@ -34,6 +35,9 @@ DEFAULT_SCAN_BUDGET = 200_000_000
 # index tuples per chunk of the brute-force enumerations (scan and
 # incidence); a chunk of 250k d=2 triples takes about 30 MB of temporaries
 BRUTE_CHUNK = 250_000
+# absolute slack of the exact scans: a tuple is a violation at margin eta
+# when its residual is <= eta + SCAN_TOL
+SCAN_TOL = 1e-15
 
 
 def periodize(targets, m, d=None):
@@ -206,7 +210,7 @@ class RoughPattern:
             np.clip(gap, 0.0, None, out=gap)
             dist = np.sqrt(np.sum(gap * gap, axis=1))
             hit = np.zeros(len(points), dtype=bool)
-            hit[occupied] = dist <= threshold + 1e-15
+            hit[occupied] = dist <= threshold + SCAN_TOL
             out |= hit
         return out
 
@@ -424,7 +428,7 @@ def _scan_brute(points, pattern, margin, separation_s, budget):
             rvals = np.where(ok, 0.0, np.inf)
         else:
             rvals = pattern.residual(tuples)
-            ok = rvals <= margin + 1e-15
+            ok = rvals <= margin + SCAN_TOL
         for k in np.nonzero(ok)[0]:
             if _pairwise_sep_ok(points, idx[k], separation_s):
                 hits.append(tuple(int(v) for v in idx[k]))
@@ -432,11 +436,93 @@ def _scan_brute(points, pattern, margin, separation_s, budget):
     return np.asarray(hits, dtype=np.int64).reshape(len(hits), n), np.asarray(resid)
 
 
+# ----------------------------------------------------------- window probe
+
+# occupancy bitmap of window_probe: at most 1024 buckets per probed point
+# and 2**24 in all (16 MB of bools)
+_PROBE_BUCKETS_PER_POINT = 1024
+_PROBE_MAX_BUCKETS = 2**24
+
+
+def window_probe(xs, q, tau, period):
+    """Windows ``[q + shift - tau, q + shift + tau]`` of sorted ``xs`` that
+    hold a point, for shift in (0, -period, +period).
+
+    ``xs`` and the queries ``q`` are folded into [0, period].  Returns
+    ``(qi, lo, hi)``, shift by shift: the query index and the
+    ``searchsorted`` range (left at the lower end, right at the upper end)
+    of every nonempty window.  Queries whose +-2-bucket neighbourhood,
+    taken modulo the bucket count, is empty in an occupancy bitmap of
+    ``xs`` are dropped first: buckets are at least 2*tau wide, so a window
+    with a point is at most one bucket off and the second absorbs the
+    rounding of the keys.  The filter never changes a comparison.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    q = np.asarray(q, dtype=float).reshape(-1)
+    limit = period / (2.0 * tau) if tau > 0 else np.inf
+    nb = max(1, int(min(limit, _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)))
+    scale = nb / period
+    kx = np.floor(xs * scale).astype(np.int64)
+    mark = np.zeros(nb, dtype=bool)
+    for off in (-2, -1, 0, 1, 2):
+        mark[(kx + off) % nb] = True
+    sel = np.flatnonzero(mark[np.floor(q * scale).astype(np.int64) % nb])
+    qs = q[sel]
+    out = []
+    for shift in (0.0, -period, period):
+        lo = np.searchsorted(xs, qs + shift - tau, side="left")
+        hi = np.searchsorted(xs, qs + shift + tau, side="right")
+        hit = np.flatnonzero(hi > lo)
+        out.append((sel[hit], lo[hit], hi[hit]))
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def slot_product(slots):
+    """Row-major tuples of the product of the index arrays ``slots``; a
+    single empty tuple when there are none."""
+    sizes = [len(s) for s in slots]
+    grid = np.indices(sizes).reshape(len(sizes), int(np.prod(sizes))).T
+    for j, s in enumerate(slots):
+        grid[:, j] = s[grid[:, j]]
+    return grid
+
+
+def window_cover(lo, hi, size):
+    """Number of ranges ``[lo, hi)`` that cover each of ``size`` positions."""
+    edges = np.bincount(lo, minlength=size + 1) - np.bincount(hi, minlength=size + 1)
+    return np.cumsum(edges[:size])
+
+
+def _scan_windows(points, pattern, eps, separation_s, heads, last, windows, hits):
+    """Recheck windowed candidates with the exact residual into ``hits``.
+
+    ``heads(b)`` is the index tuple before the last slot of query b and
+    ``last`` maps sorted positions of the last slot to point indices.
+    """
+    for b, lo, hi in zip(*windows):
+        for k in last[lo:hi]:
+            idx_tuple = heads(b) + (int(k),)
+            r = float(pattern.residual(points[list(idx_tuple), 0][None, :])[0])
+            if r <= eps and _pairwise_sep_ok(points, idx_tuple, separation_s):
+                hits[idx_tuple] = r
+
+
+def _hit_arrays(hits, n):
+    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
+    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
+
+
+def _probe_halfwidth(eps, period):
+    """``eps`` plus a few ulps of the probed values: the recheck is exact, so
+    the window may be wider, but must hold every point it could accept."""
+    return eps + 8.0 * np.spacing(period + eps)
+
+
 def _scan_translational_1d(points, pattern, margin, separation_s, budget):
     """Fast path for d = 1 translational patterns with integer a.
 
     Folds the relation modulo the periodization grid 1/m, so each
-    (x_{n-1}, x_n) pair costs one sorted lookup per raw target.
+    (x_{n-1}, x_n) pair costs one window probe per raw target.
     """
     n = pattern.n
     x = points[:, 0]
@@ -457,78 +543,34 @@ def _scan_translational_1d(points, pattern, margin, separation_s, budget):
     dp = n - 2
     if N**dp * N > budget:
         raise BudgetError("translational scan over budget")
-    if dp == 0:
-        prefix_idx = np.zeros((1, 0), dtype=np.int64)
-        raw = np.asarray(pattern.T(np.zeros((1, 0))), dtype=float)
-        raw = raw.reshape(1, -1)
-    elif dp == 1:
-        prefix_idx = slot_idx[0][:, None]
-        raw = np.asarray(
-            pattern.T(x[slot_idx[0]][:, None]), dtype=float
-        ).reshape(len(slot_idx[0]), -1)
-    else:
-        grid = np.indices([len(s) for s in slot_idx[:dp]]).reshape(dp, -1).T
-        prefix_idx = np.stack(
-            [slot_idx[j][grid[:, j]] for j in range(dp)], axis=1
-        )
-        raw = np.asarray(
-            pattern.T(x[prefix_idx].reshape(len(prefix_idx), dp)), dtype=float
-        ).reshape(len(prefix_idx), -1)
+    prefix_idx = slot_product(slot_idx[:dp])
+    raw = np.asarray(pattern.T(x[prefix_idx]), dtype=float).reshape(len(prefix_idx), -1)
     K = raw.shape[1]
     period = 1.0 / m
-    eps = margin + 1e-15
+    eps = margin + SCAN_TOL
     prev_idx = slot_idx[n - 2]
     xprev = x[prev_idx]
     last_idx = slot_idx[n - 1]
     xfold = wrap(x[last_idx]) % period
     order = np.argsort(xfold, kind="stable")
     xs = xfold[order]
-    # three period-images of the sorted residues, so a +-eps window around
-    # any folded value in [0, period) always lands inside the probe array
-    xs_ext = np.concatenate([xs - period, xs, xs + period])
-    orig = last_idx[order]
-    ord_ext = np.concatenate([orig, orig, orig])
-    # quantized occupancy bitmap for the cheap first-stage filter: bucket
-    # width h >= 2 eps, so a true hit perturbs the key by at most one
-    # bucket, and the marked +-2 neighborhood absorbs float rounding of
-    # the key computation; survivors get the exact window test below
-    h = max(2.0 * eps, period / 2.0**26)
-    nb = max(1, int(np.ceil(period / h)))
-    kx = np.minimum((xs / h).astype(np.int64), nb - 1)
-    mark = np.zeros(nb, dtype=bool)
-    for off in (-2, -1, 0, 1, 2):
-        mark[(kx + off) % nb] = True
     hits = {}
-    P = len(prefix_idx)
     Np = len(prev_idx)
     chunk = max(1, 8_000_000 // max(Np * K, 1))
-    for p0 in range(0, P, chunk):
+    for p0 in range(0, len(prefix_idx), chunk):
         pr_idx = prefix_idx[p0 : p0 + chunk]
-        pr_raw = raw[p0 : p0 + chunk]  # (B, K)
         # base values a*x_{n-1} + t for every (prefix, k_{n-1}, target),
         # folded modulo the periodization grid
-        base = a * xprev[None, :, None] + pr_raw[:, None, :]  # (B, Np, K)
+        base = a * xprev[None, :, None] + raw[p0 : p0 + chunk][:, None, :]
         q = (wrap(base) % period).reshape(-1)
-        qk = np.minimum((q / h).astype(np.int64), nb - 1)
-        cand = np.nonzero(mark[qk])[0]
-        if len(cand) == 0:
-            continue
-        lo = np.searchsorted(xs_ext, q[cand] - eps, side="left")
-        hi = np.searchsorted(xs_ext, q[cand] + eps, side="right")
-        for ci in np.nonzero(hi > lo)[0]:
-            flat = int(cand[ci])
-            b, rem = divmod(flat, Np * K)
-            k_prev_pos, _t = divmod(rem, K)
-            k_prev = int(prev_idx[k_prev_pos])
-            for c in range(lo[ci], hi[ci]):
-                k_last = int(ord_ext[c])
-                idx_tuple = tuple(int(v) for v in pr_idx[b]) + (k_prev, k_last)
-                flatpt = x[list(idx_tuple)]
-                r = float(pattern.residual(flatpt[None, :])[0])
-                if r <= eps and _pairwise_sep_ok(points, idx_tuple, separation_s):
-                    hits[idx_tuple] = r
-    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
-    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
+
+        def heads(flat):
+            b, rem = divmod(int(flat), Np * K)
+            return tuple(int(v) for v in pr_idx[b]) + (int(prev_idx[rem // K]),)
+
+        windows = window_probe(xs, q, _probe_halfwidth(eps, period), period)
+        _scan_windows(points, pattern, eps, separation_s, heads, last_idx[order], windows, hits)
+    return _hit_arrays(hits, n)
 
 
 def _scan_surface_1d(points, pattern, margin, separation_s, budget):
@@ -544,42 +586,24 @@ def _scan_surface_1d(points, pattern, margin, separation_s, budget):
     if any(len(s) == 0 for s in slot_idx):
         return np.empty((0, n), dtype=np.int64), np.empty(0)
     last_idx = slot_idx[n - 1]
-    order = np.argsort(x[last_idx], kind="stable")
-    xs = x[last_idx][order]
-    orig = last_idx[order]
-    NL = len(xs)
+    xlast = wrap(x[last_idx])
+    order = np.argsort(xlast, kind="stable")
+    xs = xlast[order]
+    eps = margin + SCAN_TOL
     hits = {}
-    grid = np.indices([len(s) for s in slot_idx[: n - 1]]).reshape(n - 1, -1).T
-    idx = np.stack(
-        [slot_idx[j][grid[:, j]] for j in range(n - 1)], axis=1
-    )
+    idx = slot_product(slot_idx[: n - 1])
     chunk = 2_000_000
     for p0 in range(0, len(idx), chunk):
         pr = idx[p0 : p0 + chunk]
         tgt = np.asarray(
             pattern.f(x[pr].reshape(len(pr), n - 1)), dtype=float
         ).reshape(-1)
-        tgt = wrap(tgt)
-        lo = np.searchsorted(xs, tgt - margin - 1e-15, side="left")
-        hi = np.searchsorted(xs, tgt + margin + 1e-15, side="right")
-        wlo = np.searchsorted(xs, tgt - margin - 1e-15 + 1.0, side="left")
-        whi = np.searchsorted(xs, tgt + margin + 1e-15 - 1.0, side="right")
-        interesting = (hi > lo) | (wlo < NL) | (whi > 0)
-        for b in np.nonzero(interesting)[0]:
-            cands = list(range(lo[b], hi[b]))
-            cands += list(range(wlo[b], NL))
-            cands += list(range(0, whi[b]))
-            for c in set(cands):
-                k_last = int(orig[c])
-                idx_tuple = tuple(int(v) for v in pr[b]) + (k_last,)
-                flatpt = x[list(idx_tuple)]
-                r = float(pattern.residual(flatpt[None, :])[0])
-                if r <= margin + 1e-15 and _pairwise_sep_ok(
-                    points, idx_tuple, separation_s
-                ):
-                    hits[idx_tuple] = r
-    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
-    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
+        windows = window_probe(xs, wrap(tgt), _probe_halfwidth(eps, 1.0), 1.0)
+        _scan_windows(
+            points, pattern, eps, separation_s,
+            lambda b: tuple(int(v) for v in pr[b]), last_idx[order], windows, hits,
+        )
+    return _hit_arrays(hits, n)
 
 
 def violation_scan(

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConstructionFailure, LayoutError
-from .patterns import BRUTE_CHUNK, RoughPattern, SurfacePattern, TranslationalPattern
+from .patterns import (
+    BRUTE_CHUNK,
+    RoughPattern,
+    SurfacePattern,
+    TranslationalPattern,
+    slot_product,
+    window_cover,
+    window_probe,
+)
 from .torus import double_cube, load_points, load_sidecar, save_points, save_sidecar, wrap
 
 __all__ = [
@@ -31,6 +39,7 @@ __all__ = [
     "build_rough",
     "build_surface",
     "build_translational",
+    "BUILDERS",
 ]
 
 INCIDENCE_BUDGET = 300_000_000
@@ -411,31 +420,34 @@ def _sample_psi0(rng, cubes, count, d):
     return out
 
 
-def _surface_incidence_1d(strata_pts, xlast, f, tau):
-    """Index set of stratum-n points within tau of f(prefix) for some prefix."""
-    M = len(xlast)
+def _window_index_set(xlast, queries, tau, period):
+    """Indices of ``xlast`` in a window of :func:`window_probe` around some
+    query; ``queries`` yields chunks of folded queries."""
     order = np.argsort(xlast, kind="stable")
     xs = xlast[order]
+    cover = np.zeros(len(xs), dtype=np.int64)
+    for q in queries:
+        _, lo, hi = window_probe(xs, q, tau, period)
+        cover += window_cover(lo, hi, len(xs))
+    return np.sort(order[cover > 0])
+
+
+def _surface_incidence_1d(strata_pts, xlast, f, tau):
+    """Index set of stratum-n points within tau of f(prefix) for some prefix."""
     pools = [p.reshape(-1) for p in strata_pts]
     shapes = [len(p) for p in pools]
-    total = int(np.prod([float(s) for s in shapes]))
-    if total > INCIDENCE_BUDGET:
+    if np.prod([float(s) for s in shapes]) > INCIDENCE_BUDGET:
         raise BudgetError("surface incidence enumeration over budget")
-    idx = np.indices(shapes).reshape(len(shapes), -1).T
-    removed = np.zeros(M, dtype=bool)
+    idx = slot_product([np.arange(s) for s in shapes])
     chunk = 2_000_000
-    for p0 in range(0, len(idx), chunk):
-        pr = idx[p0 : p0 + chunk]
-        args = np.stack(
-            [pools[j][pr[:, j]] for j in range(len(pools))], axis=1
-        )
-        tgt = wrap(np.asarray(f(args), dtype=float).reshape(-1))
-        for shift in (0.0, -1.0, 1.0):
-            lo = np.searchsorted(xs, tgt + shift - tau, side="left")
-            hi = np.searchsorted(xs, tgt + shift + tau, side="right")
-            for b in np.nonzero(hi > lo)[0]:
-                removed[order[lo[b] : hi[b]]] = True
-    return np.nonzero(removed)[0]
+
+    def targets():
+        for p0 in range(0, len(idx), chunk):
+            pr = idx[p0 : p0 + chunk]
+            args = np.stack([pools[j][pr[:, j]] for j in range(len(pools))], axis=1)
+            yield wrap(np.asarray(f(args), dtype=float).reshape(-1))
+
+    return _window_index_set(xlast, targets(), tau, 1.0)
 
 
 def build_surface(pattern, params):
@@ -542,33 +554,22 @@ def _translational_incidence_1d(prefix_pools, xprev, xlast, pattern, tau):
     """Removal set for d=1: fold the relation modulo the periodization grid."""
     a = pattern.a_float
     period = 1.0 / pattern.period_m
-    M = len(xlast)
-    fol = (wrap(xlast) % period).reshape(-1)
-    order = np.argsort(fol, kind="stable")
-    xs = fol[order]
-    if prefix_pools:
-        shapes = [len(p) for p in prefix_pools]
-        idx = np.indices(shapes).reshape(len(shapes), -1).T
-        args = np.stack(
-            [prefix_pools[j][idx[:, j], 0] for j in range(len(prefix_pools))], axis=1
-        )
-    else:
-        args = np.zeros((1, 0))
+    idx = slot_product([np.arange(len(p)) for p in prefix_pools])
+    args = np.concatenate(
+        [np.zeros((len(idx), 0))] + [p[idx[:, j]] for j, p in enumerate(prefix_pools)],
+        axis=1,
+    )
     raw = np.asarray(pattern.T(args), dtype=float).reshape(len(args), -1)
     K = raw.shape[1]
     if len(args) * len(xprev) * K > INCIDENCE_BUDGET:
         raise BudgetError("translational incidence over budget")
-    removed = np.zeros(M, dtype=bool)
     chunk = max(1, 4_000_000 // max(len(xprev) * K, 1))
-    for p0 in range(0, len(raw), chunk):
-        base = a * xprev[None, :, 0, None] + raw[p0 : p0 + chunk][:, None, :]
-        q = (wrap(base) % period).reshape(-1)
-        for shift in (0.0, -period, period):
-            lo = np.searchsorted(xs, q + shift - tau, side="left")
-            hi = np.searchsorted(xs, q + shift + tau, side="right")
-            for b in np.nonzero(hi > lo)[0]:
-                removed[order[lo[b] : hi[b]]] = True
-    return np.nonzero(removed)[0]
+    # a*x_{n-1} + t for every (prefix, x_{n-1}, target), folded like x_n
+    queries = (
+        wrap(a * xprev[None, :, 0, None] + raw[p0 : p0 + chunk][:, None, :]) % period
+        for p0 in range(0, len(raw), chunk)
+    )
+    return _window_index_set(wrap(xlast) % period, queries, tau, period)
 
 
 def build_translational(pattern, params):
@@ -667,3 +668,11 @@ def build_translational(pattern, params):
             "weight_scale": scale,
         },
     )
+
+
+# one builder per pattern kind
+BUILDERS = {
+    "rough": build_rough,
+    "surface": build_surface,
+    "translational": build_translational,
+}

@@ -21,6 +21,7 @@ __all__ = [
     "cube_distance",
     "save_points",
     "load_points",
+    "json_default",
 ]
 
 
@@ -143,7 +144,10 @@ class Cube:
 
     def contains(self, points):
         """Boolean mask of points inside the cube."""
-        pts = np.atleast_2d(wrap(points))
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # wrap is the identity on [0, 1), bit for bit
+        if not (pts.size == 0 or (pts.min() >= 0.0 and pts.max() < 1.0)):
+            pts = wrap(pts)
         if pts.shape[1] != self.d:
             raise ValueError("dimension mismatch")
         # offset from corner, wrapped to [0, 1)
@@ -213,7 +217,7 @@ def load_points(path):
 def save_sidecar(path, payload):
     """Write a JSON sidecar next to a data file (``path + '.json'``)."""
     with open(f"{path}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
 
 
@@ -225,11 +229,14 @@ def load_sidecar(path):
         return json.load(fh)
 
 
-def _json_default(obj):
+def json_default(obj):
+    """``json.dump`` fallback for numpy scalars and arrays and complex numbers."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
     raise TypeError(f"not JSON serializable: {type(obj)!r}")

@@ -272,6 +272,66 @@ def test_demo_linear_equations_planted_violation_is_caught():
     assert _count_linear_violations(x2, vecs, (0.0,), 1e-12) == 0
 
 
+def naive_linear_hits(x, vectors, s_set, margin):
+    """Hit set and count of the linear-equation windows, by triple loop.
+
+    Every ordered distinct (i, j, k), vector, s, branch and wrap shift is
+    tried with the windows' own float expressions; k is in a window when
+    tgt + shift - eff <= x_k <= tgt + shift + eff.
+    """
+    N = len(x)
+    hit = np.zeros(N, dtype=bool)
+    count = 0
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                if len({i, j, k}) < 3:
+                    continue
+                for m1, m2, m3 in vectors:
+                    eff = margin / abs(m3)
+                    for s in s_set:
+                        base = (s - m1 * x[i] - m2 * x[j]) / m3
+                        for branch in range(abs(m3)):
+                            tgt = (base + branch / m3) % 1.0
+                            for shift in (0.0, -1.0, 1.0):
+                                if tgt + shift - eff <= x[k] <= tgt + shift + eff:
+                                    hit[k] = True
+                                    count += 1
+    return np.nonzero(hit)[0], count
+
+
+def _linear_oracle_points(N, seed):
+    x = np.random.default_rng(seed).random(N)
+    # dyadic solutions of 1*x1 - 2*x2 + 1*x3 = 0 and points at the fold
+    x[:6] = [1 / 8, 2 / 8, 3 / 8, 0.0, float(np.nextafter(1.0, 0.0)), 7 / 8]
+    # x[8] just off the x_k that x1 + x2 + x3 = 0 solves from (x[6], x[7])
+    x[8] = ((0.0 - x[6] - x[7]) / 1 + 0 / 1) % 1.0 + 2.0**-20
+    return x
+
+
+@pytest.mark.parametrize("edge", [None, "at", "below", "above"])
+@pytest.mark.parametrize("N,bound,s_set", [(40, 1, (0.0, 0.25)), (14, 2, (0.0,))])
+def test_linear_windows_match_naive_triple_loop(N, bound, s_set, edge):
+    from salemkit.harness import _count_linear_violations, _linear_hit_last_indices
+
+    x = _linear_oracle_points(N, seed=N)
+    vectors = _normalized_coeff_vectors(3, bound)
+    margin = 0.0
+    if edge is not None:
+        # margins whose window upper end tgt + margin is exactly x[8], the
+        # float below it or the float above it (both differences are exact)
+        tgt = ((0.0 - x[6] - x[7]) / 1 + 0 / 1) % 1.0
+        end = {"at": x[8], "below": np.nextafter(x[8], 0.0), "above": np.nextafter(x[8], 1.0)}
+        margin = float(end[edge] - tgt)
+        assert tgt + margin == end[edge]
+    want_hit, want_count = naive_linear_hits(x, vectors, s_set, margin)
+    np.testing.assert_array_equal(_linear_hit_last_indices(x, vectors, s_set, margin), want_hit)
+    assert _count_linear_violations(x, vectors, s_set, margin) == want_count
+    if edge is None:
+        # the planted dyadic progression is found at margin 0
+        assert want_count > 0 and {0, 2} <= set(want_hit)
+
+
 def test_demo_linear_equations_monotone_in_coeff_bound():
     removed = []
     for bound in (1, 2):

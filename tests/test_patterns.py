@@ -15,6 +15,7 @@ from salemkit.patterns import (
     TranslationalPattern,
     periodize,
     violation_scan,
+    window_probe,
 )
 from salemkit.sampler import incidence_index_set
 from salemkit.torus import Cube, double_cube, tdist, wrap
@@ -465,3 +466,81 @@ def test_scan_symmetric_pattern_reports_all_orderings():
         checked = perm in hits
         # only the two arithmetic-progression orderings qualify
         assert checked == (perm in {(0, 1, 2), (2, 1, 0)})
+
+
+# ------------------------------------------------------------ window probe
+
+
+def unfiltered_probe(xs, q, tau, period):
+    """The three shifted searchsorted lookups over every query, no filter."""
+    parts = []
+    for shift in (0.0, -period, period):
+        lo = np.searchsorted(xs, q + shift - tau, side="left")
+        hi = np.searchsorted(xs, q + shift + tau, side="right")
+        hit = np.flatnonzero(hi > lo)
+        parts.append((hit, lo[hit], hi[hit]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+@st.composite
+def probe_case(draw):
+    period = draw(st.sampled_from([1.0, 1.0 / 16, 1.0 / 3, 0.1]))
+    below = float(np.nextafter(period, 0.0))
+    point = st.one_of(
+        st.floats(0.0, period, exclude_max=True),
+        st.sampled_from([0.0, below, period / 2]),
+    )
+    xs = draw(st.lists(point, max_size=12))
+    # duplicate points
+    xs += draw(st.lists(st.sampled_from(xs), max_size=3)) if xs else []
+    xs = np.sort(np.array(xs, dtype=float))
+    nb_cap = min(1024 * len(xs), 2**24)
+    tau = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, period),
+            # bucket width exactly 2*tau, or the bucket cap binding
+            st.integers(1, 64).map(lambda k: period / (2 * k)),
+            st.just(period / (2 * max(nb_cap, 1))),
+            st.sampled_from([1e-12, 1e-10, period / 2]),
+        )
+    )
+    # queries at the fold edges, at the window ends around a point (one
+    # ulp either side, with and without a period shift) and at random
+    edges = [0.0, period, below, period / 2]
+    if period == 1.0:
+        edges.append(-1e-20 % 1.0)  # tiny negatives fold to 1.0
+    q = draw(st.lists(st.floats(0.0, period), max_size=10))
+    q += draw(st.lists(st.sampled_from(edges), max_size=4))
+    for x in xs[: draw(st.integers(0, len(xs)))]:
+        for shift in (0.0, -period, period):
+            for side in (-1.0, 1.0):
+                v = x + shift + side * tau
+                step = draw(st.sampled_from([0.0, -np.inf, np.inf]))
+                v = float(np.nextafter(v, step)) if step else v
+                if 0.0 <= v <= period:
+                    q.append(v)
+    return xs, np.array(q, dtype=float), tau, period
+
+
+@settings(max_examples=400, deadline=None)
+@given(probe_case())
+def test_window_probe_matches_unfiltered_lookup(case):
+    xs, q, tau, period = case
+    got = window_probe(xs, q, tau, period)
+    want = unfiltered_probe(xs, q, tau, period)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_window_probe_wraps_across_the_fold():
+    period = 1.0 / 16
+    xs = np.array([0.0, period / 2, float(np.nextafter(period, 0.0))])
+    # a query at the period meets the point at 0 through the -period shift
+    qi, lo, hi = window_probe(xs, np.array([period, 1e-3]), 1e-12, period)
+    assert {(int(i), int(a), int(b)) for i, a, b in zip(qi, lo, hi)} == {
+        (0, 2, 3),
+        (0, 0, 1),
+    }
+    for part in window_probe(np.empty(0), np.ones(3), 0.1, 1.0):
+        assert part.dtype == np.int64 and len(part) == 0

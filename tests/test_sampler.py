@@ -15,7 +15,7 @@ from salemkit.sampler import (
     build_translational,
     derive_radius,
 )
-from salemkit.torus import Cube, tdist
+from salemkit.torus import Cube, tdist, wrap
 
 
 def ap3_pattern(m=16):
@@ -314,6 +314,41 @@ def test_incidence_index_set_matches_naive_enumeration():
         pool = rng.random((10, 1))
         got = incidence_index_set([pool], pat_r, 0.03)
         assert list(got) == naive_incidence([pool], pat_r, 0.03)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("m,a", [(1, 2), (3, 1), (8, -1), (16, 2)])
+def test_translational_incidence_1d_matches_brute(n, m, a):
+    from salemkit.sampler import INCIDENCE_BUDGET, _incidence_brute, _translational_incidence_1d
+
+    shifts = np.array([1 / 8, 3 / 8])[:, None]  # two raw targets
+
+    def T(x):
+        x = np.asarray(x)
+        if n == 2:
+            return np.broadcast_to(shifts, x.shape[:-1] + (2, 1))
+        return (x[..., 0] - 2 * x[..., 1])[..., None, None] + shifts
+
+    pat = TranslationalPattern(d=1, n=n, a=a, period_m=m, T=T, lipschitz=3.0)
+    rng = np.random.default_rng(10 * n + m)
+    size = 24 if n == 2 else 9
+    for trial in range(4):
+        pools = [rng.random((size, 1)) for _ in range(n)]
+        if m in (1, 8, 16):
+            # dyadic pools with planted exact occurrences: every float
+            # operation of both paths is exact, so tau = 0 must find them
+            pools = [np.floor(p * 64) / 64 for p in pools]
+            prefix = np.concatenate([np.empty((3, 0))] + [p[:3] for p in pools[: n - 2]], axis=1)
+            t = np.asarray(T(prefix))[:, trial % 2, :]
+            pools[-1][:3] = wrap(a * pools[-2][:3] + t + (trial % m) / m)
+        for tau in (0.0, 1e-3, 0.03):
+            got = _translational_incidence_1d(
+                pools[: n - 2], pools[n - 2], pools[n - 1].reshape(-1), pat, tau
+            )
+            want = _incidence_brute(pools, pat, tau, INCIDENCE_BUDGET)
+            np.testing.assert_array_equal(got, want)
+            if m != 3 and tau == 0.0:
+                assert {0, 1, 2} <= set(got.tolist())
 
 
 # -------------------------------------------------------------- determinism

@@ -118,6 +118,27 @@ def test_cube_basic_and_doubling():
     assert big.side == 1.0
 
 
+def test_cube_contains_equals_two_wrap_mask():
+    # contains skips wrapping inputs that already lie in [0, 1); the mask
+    # must equal wrap-then-wrap-the-offset on every kind of input
+    def two_wrap(cube, pts):
+        off = wrap(wrap(np.atleast_2d(pts)) - cube.corner[None, :])
+        return (off < cube.side).all(axis=1)
+
+    rng = np.random.default_rng(31)
+    ulp0, ulp1 = 5e-324, float(np.nextafter(1.0, 0.0))
+    edges = np.array([0.0, -0.0, ulp0, -ulp0, ulp1, 1.0, -1e-20, 1.0 + 2**-52, -0.5, 2.25])
+    for corner, side in (([0.9, 0.9], 0.2), ([0.0, 0.5], 0.25), ([ulp1, 0.1], 0.1)):
+        c = Cube(corner, side)
+        for pts in (
+            rng.random((500, 2)),
+            rng.uniform(-3.0, 3.0, (500, 2)),
+            np.array(np.meshgrid(edges, edges)).reshape(2, -1).T,
+            c.corner[None, :] + np.array([[0.0, 0.0], [side, side], [-ulp0, 0.0]]),
+        ):
+            np.testing.assert_array_equal(c.contains(pts), two_wrap(c, pts))
+
+
 def test_cube_distance_wraparound():
     c1 = Cube([0.05], 0.1)
     c2 = Cube([0.85], 0.1)
