@@ -101,11 +101,10 @@ def _separable_sum(points, weights, xi):
     K = len(xi)
     if K == 0 or not np.all(np.abs(xi) < 2.0**52) or not np.array_equal(xi, np.round(xi)):
         return None
-    if xi.shape[1] == 2:
-        prefixes, p_of = np.unique(xi[:, 0], return_inverse=True)
-        prefixes = prefixes[:, None]
-    else:
-        prefixes, p_of = np.unique(xi[:, :-1], axis=0, return_inverse=True)
+    groups = _prefix_groups(xi[:, :-1])
+    if groups is None:
+        return None
+    prefixes, p_of = groups
     last = xi[:, -1].astype(np.int64)
     l_min = int(last.min())
     l_of = last - l_min
@@ -136,6 +135,29 @@ def _separable_sum(points, weights, xi):
             E = np.exp(2j * np.pi * (np.multiply.outer(x_last, ls[l0 : l0 + lb]) % 1.0))
             out[sel] = (A.T @ E)[p_of[sel] - p0, l_of[sel] - l0]
     return out
+
+
+def _prefix_groups(head):
+    """Distinct rows of the integral block ``head`` in lexicographic order
+    and the row index of each, as ``np.unique(head, axis=0,
+    return_inverse=True)`` gives them, through one mixed-radix int64 key
+    per row over the offsets from the column minima.  None when the key
+    does not fit in int64.
+    """
+    lo = head.min(axis=0)
+    radix = [int(v) + 1 for v in head.max(axis=0) - lo]
+    if math.prod(radix) >= 2**63:
+        return None
+    digits = (head - lo).astype(np.int64)
+    key = digits[:, 0]
+    for j in range(1, head.shape[1]):
+        key = key * radix[j] + digits[:, j]
+    keys, p_of = np.unique(key, return_inverse=True)
+    cols = []
+    for r in radix[:0:-1]:
+        keys, col = np.divmod(keys, r)
+        cols.append(col)
+    return lo + np.stack([keys] + cols[::-1], axis=1), p_of
 
 
 def _mags_block_1d(x, a, lo, hi, N):

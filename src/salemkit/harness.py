@@ -26,17 +26,16 @@ from .patterns import (
     window_cover,
     window_probe,
 )
-from .sampler import BUILDERS as _BUILDERS
 from .sampler import (
+    BUILDERS,
     ConstructionParams,
     WeightedConfiguration,
     _stream,
     build_rough,
     build_surface,
     derive_radius,
-    incidence_index_set,
 )
-from .torus import Cube, double_cube, json_default
+from .torus import Cube, json_default
 
 SCHEMA_VERSION = 1
 
@@ -245,7 +244,7 @@ def run_experiment(cfg, threads=1):
     half the trials fail; any other exception is a bug and propagates.
     """
     pattern = make_pattern(cfg.pattern)
-    builder = _BUILDERS[pattern.kind]
+    builder = BUILDERS[pattern.kind]
     sweep_cfg = dict(cfg.sweep)
     C = sweep_cfg.pop("C", None)
     delta = float(sweep_cfg.pop("delta", 1.0))
@@ -389,18 +388,19 @@ def hoeffding_check(bounds, t_grid=None, n_samples=10_000, seed=0):
 def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0, C=None):
     """Reconstruct and test the split F = G - H for a stratified battery.
 
-    Per trial the raw (pre-normalization) weighted sums are rebuilt from
-    the construction's own deterministic streams: G runs over all
-    candidates, H over the removed incidence set, and F over the emitted
-    configuration; F = G - H must hold to 1e-10.  Across trials the mean
-    of H(xi) at sampled xi != 0 is compared with 0 at 3 sigma, and the
-    per-trial sup |H - mean H| is tested against C sqrt(M) log^{1/2} M.
+    Per trial the raw (pre-normalization) weighted sums are taken from the
+    build record the builder keeps with its configuration (the cube pools
+    and the removed index set): G runs over all candidates, H over the
+    removed set, and F over the emitted configuration; F = G - H must hold
+    to 1e-10.  Across trials the mean of H(xi) at sampled xi != 0 is
+    compared with 0 at 3 sigma, and the per-trial sup |H - mean H| is
+    tested against C sqrt(M) log^{1/2} M.
     """
     if trials < 50:
         raise ValueError("split-sum statistics need >= 50 trials")
     if pattern.kind not in ("surface", "translational"):
         raise ValueError("split sums apply to stratified constructions")
-    builder = _BUILDERS[pattern.kind]
+    builder = BUILDERS[pattern.kind]
     M = params0.M
     n, d = pattern.n, pattern.d
     # sample test frequencies from the upper part of the sweep range: the
@@ -416,26 +416,13 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0, C=None):
     for t in range(trials):
         params = replace(params0, seed=params0.seed + t)
         config = builder(pattern, params)
+        if config._build_record is None:
+            raise ValueError("split sums need the build record of a fresh build")
+        pools, removed = config._build_record
         raw_w = np.asarray(config.provenance["stratum_weights"], dtype=float)
-        tau = config.provenance["tau_used"]
-        # rebuild the raw strata from the same streams the builder used
-        if pattern.kind == "translational":
-            pools = [
-                double_cube(c).sample(_stream(params.seed, i + 1), M)
-                for i, c in enumerate(pattern.cubes)
-            ]
-        else:
-            from .sampler import _sample_psi
-
-            pools = [
-                _sample_psi(_stream(params.seed, i + 1), c, M)
-                for i, c in enumerate(pattern.cubes)
-            ]
-        removed = incidence_index_set(pools, pattern, tau)
         A_n = raw_w[-1]
         # H: removed part of the final stratum, raw weights, unnormalized
-        xs_removed = pools[n - 1][removed]
-        H = A_n * _raw_sum(xs_removed, xi)
+        H = A_n * _raw_sum(pools[n - 1][removed], xi)
         # G: every candidate, including the removed ones
         G = A_n * _raw_sum(pools[n - 1], xi)
         for i in range(n - 1):

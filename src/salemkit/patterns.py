@@ -493,117 +493,100 @@ def window_cover(lo, hi, size):
     return np.cumsum(edges[:size])
 
 
-def _scan_windows(points, pattern, eps, separation_s, heads, last, windows, hits):
-    """Recheck windowed candidates with the exact residual into ``hits``.
-
-    ``heads(b)`` is the index tuple before the last slot of query b and
-    ``last`` maps sorted positions of the last slot to point indices.
-    """
-    for b, lo, hi in zip(*windows):
-        for k in last[lo:hi]:
-            idx_tuple = heads(b) + (int(k),)
-            r = float(pattern.residual(points[list(idx_tuple), 0][None, :])[0])
-            if r <= eps and _pairwise_sep_ok(points, idx_tuple, separation_s):
-                hits[idx_tuple] = r
-
-
-def _hit_arrays(hits, n):
-    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
-    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
+def _window_candidates(windows, chunk=BRUTE_CHUNK):
+    """``(query, sorted position)`` pairs inside the windows of
+    :func:`window_probe`, about ``chunk`` pairs at a time."""
+    qi, lo, hi = windows
+    ends = np.cumsum(hi - lo)
+    w0 = 0
+    while w0 < len(qi):
+        done = int(ends[w0 - 1]) if w0 else 0
+        w1 = max(w0 + 1, int(np.searchsorted(ends, done + chunk, side="right")))
+        cnt = hi[w0:w1] - lo[w0:w1]
+        # position of each pair: its window's lo plus its rank in the window
+        shift = np.repeat(lo[w0:w1] - (np.cumsum(cnt) - cnt), cnt)
+        yield np.repeat(qi[w0:w1], cnt), np.arange(len(shift)) + shift
+        w0 = w1
 
 
-def _probe_halfwidth(eps, period):
-    """``eps`` plus a few ulps of the probed values: the recheck is exact, so
-    the window may be wider, but must hold every point it could accept."""
-    return eps + 8.0 * np.spacing(period + eps)
+def _probe_hits(slots, pattern, eps, budget):
+    """Index tuples into the d = 1 slot arrays whose residual is <= ``eps``.
 
-
-def _scan_translational_1d(points, pattern, margin, separation_s, budget):
-    """Fast path for d = 1 translational patterns with integer a.
-
-    Folds the relation modulo the periodization grid 1/m, so each
-    (x_{n-1}, x_n) pair costs one window probe per raw target.
+    ``slots`` holds one coordinate array per tuple slot.  Every prefix of
+    the leading slots becomes window queries on the sorted last slot: the
+    translational relation folded modulo the periodization grid 1/m (one
+    query per prefix, x_{n-1} and raw target), the surface relation at
+    f(prefix).  The windows are a few ulps wider than ``eps`` and every
+    candidate is rechecked with the exact residual in bounded chunks, so
+    the result equals a full enumeration.  Yields ``(idx, residuals)``
+    chunks; a tuple met through two windows comes twice.
     """
     n = pattern.n
-    x = points[:, 0]
-    N = len(x)
-    m = pattern.period_m
-    a = pattern.a_float
-    # cube-backed relations only count tuples inside the doubled cubes, so
-    # each slot's candidates shrink to the points its cube contains
-    if pattern._domain is not None:
-        slot_idx = [
-            np.nonzero(q.contains(points))[0] for q in pattern._domain
-        ]
-        if any(len(s) == 0 for s in slot_idx):
-            return np.empty((0, n), dtype=np.int64), np.empty(0)
+    translational = pattern.kind == "translational"
+    heads = slots[: n - 2] if translational else slots[: n - 1]
+    fan = len(slots[n - 2]) if translational else 1
+    if float(np.prod([float(len(s)) for s in heads])) * fan > budget:
+        raise BudgetError(f"{pattern.kind} probe over budget")
+    prefix_idx = slot_product([np.arange(len(s)) for s in heads])
+    args = np.zeros((len(prefix_idx), len(heads)))
+    for j, s in enumerate(heads):
+        args[:, j] = s[prefix_idx[:, j]]
+    if translational:
+        a, period = pattern.a_float, 1.0 / pattern.period_m
+        raw = np.asarray(pattern.T(args), dtype=float).reshape(len(args), -1)
+        K = raw.shape[1]
+        fan *= K
+        if float(len(args)) * fan > budget:
+            raise BudgetError("translational probe over budget")
+        span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
+        xlast = wrap(slots[n - 1]) % period
     else:
-        slot_idx = [np.arange(N, dtype=np.int64)] * n
-    # prefix tuples (x_1..x_{n-2}); enumerate their raw targets once
-    dp = n - 2
-    if N**dp * N > budget:
-        raise BudgetError("translational scan over budget")
-    prefix_idx = slot_product(slot_idx[:dp])
-    raw = np.asarray(pattern.T(x[prefix_idx]), dtype=float).reshape(len(prefix_idx), -1)
-    K = raw.shape[1]
-    period = 1.0 / m
-    eps = margin + SCAN_TOL
-    prev_idx = slot_idx[n - 2]
-    xprev = x[prev_idx]
-    last_idx = slot_idx[n - 1]
-    xfold = wrap(x[last_idx]) % period
-    order = np.argsort(xfold, kind="stable")
-    xs = xfold[order]
-    hits = {}
-    Np = len(prev_idx)
-    chunk = max(1, 8_000_000 // max(Np * K, 1))
-    for p0 in range(0, len(prefix_idx), chunk):
-        pr_idx = prefix_idx[p0 : p0 + chunk]
-        # base values a*x_{n-1} + t for every (prefix, k_{n-1}, target),
-        # folded modulo the periodization grid
-        base = a * xprev[None, :, None] + raw[p0 : p0 + chunk][:, None, :]
-        q = (wrap(base) % period).reshape(-1)
-
-        def heads(flat):
-            b, rem = divmod(int(flat), Np * K)
-            return tuple(int(v) for v in pr_idx[b]) + (int(prev_idx[rem // K]),)
-
-        windows = window_probe(xs, q, _probe_halfwidth(eps, period), period)
-        _scan_windows(points, pattern, eps, separation_s, heads, last_idx[order], windows, hits)
-    return _hit_arrays(hits, n)
-
-
-def _scan_surface_1d(points, pattern, margin, separation_s, budget):
-    """Surface scan for d = 1: enumerate prefixes, probe the last slot."""
-    n = pattern.n
-    x = points[:, 0]
-    N = len(x)
-    if N ** (n - 1) > budget:
-        raise BudgetError("surface scan over budget")
-    # the relation only counts tuples inside the doubled cubes, so each
-    # slot's candidates shrink to the points its cube contains
-    slot_idx = [np.nonzero(q.contains(points))[0] for q in pattern._domain]
-    if any(len(s) == 0 for s in slot_idx):
-        return np.empty((0, n), dtype=np.int64), np.empty(0)
-    last_idx = slot_idx[n - 1]
-    xlast = wrap(x[last_idx])
+        period, span = 1.0, 2.0
+        xlast = wrap(slots[n - 1])
     order = np.argsort(xlast, kind="stable")
     xs = xlast[order]
-    eps = margin + SCAN_TOL
+    # the fold and the residual round differently, by a few ulps of the
+    # largest value either forms
+    halfwidth = eps + 16.0 * np.spacing(span)
+    chunk = max(1, 4_000_000 // max(fan, 1))
+    for p0 in range(0, len(args), chunk):
+        if translational:
+            base = a * slots[n - 2][None, :, None] + raw[p0 : p0 + chunk][:, None, :]
+            q = (wrap(base) % period).reshape(-1)
+        else:
+            q = wrap(np.asarray(pattern.f(args[p0 : p0 + chunk]), dtype=float).reshape(-1))
+        for qi, pos in _window_candidates(window_probe(xs, q, halfwidth, period)):
+            b, rem = np.divmod(qi, fan)
+            cols = [prefix_idx[p0 + b]]
+            if translational:
+                cols.append((rem // K)[:, None])
+            idx = np.concatenate(cols + [order[pos][:, None]], axis=1)
+            tuples = np.stack([s[idx[:, j]] for j, s in enumerate(slots)], axis=1)
+            r = pattern.residual(tuples)
+            hit = r <= eps
+            yield idx[hit], r[hit]
+
+
+def _scan_probe(points, pattern, margin, separation_s, budget):
+    """Exact d = 1 scan through :func:`_probe_hits` on the points each
+    doubled cube holds (all points for a pattern without cubes)."""
+    n = pattern.n
+    x = points[:, 0]
+    if pattern._domain is None:
+        slot_idx = [np.arange(len(x))] * n
+    else:
+        slot_idx = [np.flatnonzero(q.contains(points)) for q in pattern._domain]
+        if any(len(s) == 0 for s in slot_idx):
+            return np.empty((0, n), dtype=np.int64), np.empty(0)
     hits = {}
-    idx = slot_product(slot_idx[: n - 1])
-    chunk = 2_000_000
-    for p0 in range(0, len(idx), chunk):
-        pr = idx[p0 : p0 + chunk]
-        tgt = np.asarray(
-            pattern.f(x[pr].reshape(len(pr), n - 1)), dtype=float
-        ).reshape(-1)
-        windows = window_probe(xs, wrap(tgt), _probe_halfwidth(eps, 1.0), 1.0)
-        _scan_windows(
-            points, pattern, eps, separation_s,
-            lambda b: tuple(int(v) for v in pr[b]), last_idx[order], windows, hits,
-        )
-    return _hit_arrays(hits, n)
+    slots = [x[s] for s in slot_idx]
+    for idx, r in _probe_hits(slots, pattern, margin + SCAN_TOL, budget):
+        for row, rv in zip(idx, r):
+            t = tuple(int(s[k]) for s, k in zip(slot_idx, row))
+            if _pairwise_sep_ok(points, t, separation_s):
+                hits[t] = float(rv)
+    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
+    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
 
 
 def violation_scan(
@@ -621,12 +604,9 @@ def violation_scan(
         raise ValueError("points dimension does not match pattern")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    if (
-        pattern.kind == "translational"
-        and points.shape[1] == 1
-        and pattern.a.denominator == 1
+    if points.shape[1] == 1 and (
+        pattern.kind == "surface"
+        or (pattern.kind == "translational" and pattern.a.denominator == 1)
     ):
-        return _scan_translational_1d(points, pattern, margin, separation_s, budget)
-    if pattern.kind == "surface" and points.shape[1] == 1:
-        return _scan_surface_1d(points, pattern, margin, separation_s, budget)
+        return _scan_probe(points, pattern, margin, separation_s, budget)
     return _scan_brute(points, pattern, margin, separation_s, budget)

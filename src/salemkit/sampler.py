@@ -25,11 +25,9 @@ from .patterns import (
     RoughPattern,
     SurfacePattern,
     TranslationalPattern,
-    slot_product,
-    window_cover,
-    window_probe,
+    _probe_hits,
 )
-from .torus import double_cube, load_points, load_sidecar, save_points, save_sidecar, wrap
+from .torus import double_cube, load_points, load_sidecar, save_points, save_sidecar
 
 __all__ = [
     "ConstructionParams",
@@ -99,6 +97,9 @@ class WeightedConfiguration:
     lam: float
     strata: list = field(default_factory=list)  # (name, start, stop)
     provenance: dict = field(default_factory=dict)
+    # (cube pools, removed indices into the last pool) of a stratified
+    # build; kept in memory only, so None after load() and on copies
+    _build_record: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -241,15 +242,10 @@ def incidence_index_set(strata, pattern, threshold, budget=INCIDENCE_BUDGET):
                 [s[k] for s, k in zip(strata, keep)], pattern, threshold, budget
             )
             return keep[-1][sub]
-    if pattern.kind == "translational" and pattern.d == 1:
-        return _translational_incidence_1d(
-            strata[: n - 2], strata[n - 2], strata[n - 1].reshape(-1),
-            pattern, threshold,
-        )
-    if pattern.kind == "surface" and pattern.d == 1:
-        return _surface_incidence_1d(
-            strata[: n - 1], strata[n - 1].reshape(-1), pattern.f, threshold
-        )
+    if pattern.d == 1 and pattern.kind in ("translational", "surface"):
+        slots = [s.reshape(-1) for s in strata]
+        hits = [idx[:, -1] for idx, _ in _probe_hits(slots, pattern, threshold, budget)]
+        return np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + hits))
     return _incidence_brute(strata, pattern, threshold, budget)
 
 
@@ -349,6 +345,84 @@ def build_rough(pattern, params):
     )
 
 
+# ------------------------------------------------------------- stratified
+
+
+def _threshold(pattern, params, r):
+    """Provenance of the incidence threshold of a stratified build.
+
+    The theory value is 2 sqrt(n) (L+1) r.  An explicit ``filter_scale``
+    wins; otherwise a pilot of 200k tuples, drawn slot by slot from the
+    doubled cubes on the pilot stream, caps it (:func:`_cap_threshold`).
+    """
+    n, M = pattern.n, params.M
+    tau_theory = 2.0 * math.sqrt(n) * (pattern.lipschitz + 1.0) * r
+    if params.filter_scale is not None:
+        tau, rule = params.filter_scale * r, "explicit"
+    else:
+        prng = _stream(params.seed, 10_000)
+        pilot = np.concatenate(
+            [double_cube(c).sample(prng, 200_000) for c in pattern.cubes], axis=1
+        )
+        budget = params.removal_budget or math.sqrt(M)
+        resid = np.sort(pattern.residual(pilot))
+        tau, rule = _cap_threshold(tau_theory, resid, M, n, budget)
+    return {"tau_theory": tau_theory, "tau_used": float(tau), "tau_rule": rule}
+
+
+def _filter(pools, pattern, tau, M):
+    """Incidence index set of the last pool; more than half of it fails."""
+    removed = incidence_index_set(pools, pattern, tau)
+    if len(removed) > M / 2:
+        raise ConstructionFailure(
+            f"{len(removed)} of {M} stratum-{pattern.n} points removed "
+            f"(removal probability {len(removed) / M:.3f} > 1/2)"
+        )
+    return removed
+
+
+def _assemble(pattern, params, r, stratum0, pools, removed, stratum_weights, provenance):
+    """Weighted configuration of a stratified build.
+
+    Strata: ``stratum0`` (a name and its points), the first n-1 pools and
+    the kept part of the last, weighted by ``stratum_weights`` and
+    normalized to total N.  The pools and ``removed`` become the build
+    record.
+    """
+    M, n = params.M, pattern.n
+    keep = np.setdiff1d(np.arange(M), removed)
+    blocks = [stratum0[1]] + pools[: n - 1] + [pools[n - 1][keep]]
+    names = [stratum0[0]] + [f"cube{i}" for i in range(1, n)] + [f"cube{n}(kept)"]
+    weights, scale = _normalize_weights(
+        np.concatenate([np.full(len(b), w) for b, w in zip(blocks, stratum_weights)])
+    )
+    strata = []
+    pos = 0
+    for nm, b in zip(names, blocks):
+        strata.append((nm, pos, pos + len(b)))
+        pos += len(b)
+    config = WeightedConfiguration(
+        points=np.concatenate(blocks, axis=0),
+        weights=weights,
+        radius_r=r,
+        lam=params.lam,
+        strata=strata,
+        provenance={
+            "kind": pattern.kind,
+            "M": M,
+            "seed": params.seed,
+            "n": n,
+            "d": pattern.d,
+            **provenance,
+            "n_removed": int(len(removed)),
+            "stratum_weights": stratum_weights,
+            "weight_scale": scale,
+        },
+    )
+    config._build_record = (pools, removed)
+    return config
+
+
 # ------------------------------------------------------------------ surface
 
 
@@ -420,36 +494,6 @@ def _sample_psi0(rng, cubes, count, d):
     return out
 
 
-def _window_index_set(xlast, queries, tau, period):
-    """Indices of ``xlast`` in a window of :func:`window_probe` around some
-    query; ``queries`` yields chunks of folded queries."""
-    order = np.argsort(xlast, kind="stable")
-    xs = xlast[order]
-    cover = np.zeros(len(xs), dtype=np.int64)
-    for q in queries:
-        _, lo, hi = window_probe(xs, q, tau, period)
-        cover += window_cover(lo, hi, len(xs))
-    return np.sort(order[cover > 0])
-
-
-def _surface_incidence_1d(strata_pts, xlast, f, tau):
-    """Index set of stratum-n points within tau of f(prefix) for some prefix."""
-    pools = [p.reshape(-1) for p in strata_pts]
-    shapes = [len(p) for p in pools]
-    if np.prod([float(s) for s in shapes]) > INCIDENCE_BUDGET:
-        raise BudgetError("surface incidence enumeration over budget")
-    idx = slot_product([np.arange(s) for s in shapes])
-    chunk = 2_000_000
-
-    def targets():
-        for p0 in range(0, len(idx), chunk):
-            pr = idx[p0 : p0 + chunk]
-            args = np.stack([pools[j][pr[:, j]] for j in range(len(pools))], axis=1)
-            yield wrap(np.asarray(f(args), dtype=float).reshape(-1))
-
-    return _window_index_set(xlast, targets(), tau, 1.0)
-
-
 def build_surface(pattern, params):
     """Stratified construction avoiding a smooth graph x_n = f(x_1..x_{n-1}).
 
@@ -458,75 +502,20 @@ def build_surface(pattern, params):
     """
     if not isinstance(pattern, SurfacePattern):
         raise TypeError("build_surface needs a SurfacePattern")
-    M, lam = params.M, params.lam
-    n, d = pattern.n, pattern.d
-    r = derive_radius(M, lam)
-    L = pattern.lipschitz
+    M, d = params.M, pattern.d
+    r = derive_radius(M, params.lam)
     cubes = pattern.cubes
     A = [_psi_integral(c, d) for c in cubes]
     A0 = 1.0 - sum(A)
     if A0 <= 0:
         raise LayoutError("cubes cover the torus; residual stratum is empty")
-    strata_pts = []
-    for i, c in enumerate(cubes):
-        strata_pts.append(_sample_psi(_stream(params.seed, i + 1), c, M))
+    pools = [_sample_psi(_stream(params.seed, i + 1), c, M) for i, c in enumerate(cubes)]
     pts0 = _sample_psi0(_stream(params.seed, 0), cubes, M, d)
-
-    tau_theory = 2.0 * math.sqrt(n) * (L + 1.0) * r
-    if params.filter_scale is not None:
-        tau, rule = params.filter_scale * r, "explicit"
-    else:
-        budget = params.removal_budget or math.sqrt(M)
-        prng = _stream(params.seed, 10_000)
-        B = 200_000
-        pil = [double_cube(c).sample(prng, B) for c in cubes[: n - 1]]
-        args = np.concatenate(pil, axis=1)
-        tgt = np.asarray(pattern.f(args), dtype=float)
-        last = double_cube(cubes[n - 1]).sample(prng, B)
-        from .torus import tdist
-
-        resid = np.sort(tdist(last, tgt))
-        tau, rule = _cap_threshold(tau_theory, resid, M, n, budget)
-
-    removed = incidence_index_set(strata_pts, pattern, tau)
-    keep = np.setdiff1d(np.arange(M), removed)
-    if len(keep) < M / 2:
-        raise ConstructionFailure(
-            f"only {len(keep)} of {M} stratum-{n} points survive filtering"
-        )
-
-    blocks = [pts0] + strata_pts[: n - 1] + [strata_pts[n - 1][keep]]
-    raw_w = np.concatenate(
-        [np.full(len(b), w) for b, w in zip(blocks, [A0] + A[: n - 1] + [A[n - 1]])]
-    )
-    weights, scale = _normalize_weights(raw_w)
-    points = np.concatenate(blocks, axis=0)
-    strata = []
-    pos = 0
-    names = ["residual"] + [f"cube{i}" for i in range(1, n)] + [f"cube{n}(kept)"]
-    for nm, b in zip(names, blocks):
-        strata.append((nm, pos, pos + len(b)))
-        pos += len(b)
-    return WeightedConfiguration(
-        points=points,
-        weights=weights,
-        radius_r=r,
-        lam=lam,
-        strata=strata,
-        provenance={
-            "kind": "surface",
-            "M": M,
-            "seed": params.seed,
-            "n": n,
-            "d": d,
-            "lipschitz": L,
-            "tau_theory": tau_theory,
-            "tau_used": float(tau),
-            "tau_rule": rule,
-            "n_removed": int(len(removed)),
-            "stratum_weights": [A0] + list(A),
-            "weight_scale": scale,
-        },
+    tau = _threshold(pattern, params, r)
+    removed = _filter(pools, pattern, tau["tau_used"], M)
+    return _assemble(
+        pattern, params, r, ("residual", pts0), pools, removed,
+        [A0] + list(A), {"lipschitz": pattern.lipschitz, **tau},
     )
 
 
@@ -550,28 +539,6 @@ def _complement_sample(rng, cubes, count, d):
     return out
 
 
-def _translational_incidence_1d(prefix_pools, xprev, xlast, pattern, tau):
-    """Removal set for d=1: fold the relation modulo the periodization grid."""
-    a = pattern.a_float
-    period = 1.0 / pattern.period_m
-    idx = slot_product([np.arange(len(p)) for p in prefix_pools])
-    args = np.concatenate(
-        [np.zeros((len(idx), 0))] + [p[idx[:, j]] for j, p in enumerate(prefix_pools)],
-        axis=1,
-    )
-    raw = np.asarray(pattern.T(args), dtype=float).reshape(len(args), -1)
-    K = raw.shape[1]
-    if len(args) * len(xprev) * K > INCIDENCE_BUDGET:
-        raise BudgetError("translational incidence over budget")
-    chunk = max(1, 4_000_000 // max(len(xprev) * K, 1))
-    # a*x_{n-1} + t for every (prefix, x_{n-1}, target), folded like x_n
-    queries = (
-        wrap(a * xprev[None, :, 0, None] + raw[p0 : p0 + chunk][:, None, :]) % period
-        for p0 in range(0, len(raw), chunk)
-    )
-    return _window_index_set(wrap(xlast) % period, queries, tau, period)
-
-
 def build_translational(pattern, params):
     """Stratified construction avoiding x_n - a*x_{n-1} in periodized T.
 
@@ -584,89 +551,31 @@ def build_translational(pattern, params):
         raise TypeError("build_translational needs a TranslationalPattern")
     if pattern.cubes is None:
         raise LayoutError("translational construction requires pattern cubes")
-    M, lam = params.M, params.lam
-    n, d = pattern.n, pattern.d
-    r = derive_radius(M, lam)
+    M, n = params.M, pattern.n
+    r = derive_radius(M, params.lam)
     cubes = pattern.cubes
     side_expected = 1.0 / (2.0 * abs(pattern.a_float) * pattern.period_m)
     if abs(cubes[0].side - side_expected) > 1e-9:
         raise LayoutError(
             f"cube sidelength {cubes[0].side} != 1/(2|a|m) = {side_expected}"
         )
-    doubled = [double_cube(c) for c in cubes]
-    vol_q = doubled[0].volume
-    vol_comp = 1.0 - n * vol_q
-
-    pts0 = _complement_sample(_stream(params.seed, 0), cubes, M, d)
-    strata_pts = [doubled[i].sample(_stream(params.seed, i + 1), M) for i in range(n)]
-
-    L = pattern.lipschitz
-    tau_theory = 2.0 * math.sqrt(n) * (L + 1.0) * r
-    if params.filter_scale is not None:
-        tau, rule = params.filter_scale * r, "explicit"
-    else:
-        budget = params.removal_budget or math.sqrt(M)
-        prng = _stream(params.seed, 10_000)
-        B = 200_000
-        pil_tuple = np.concatenate(
-            [doubled[i].sample(prng, B) for i in range(n)], axis=1
-        )
-        resid = np.sort(pattern.residual(pil_tuple))
-        tau, rule = _cap_threshold(tau_theory, resid, M, n, budget)
-
-    removed = incidence_index_set(strata_pts, pattern, tau)
+    pts0 = _complement_sample(_stream(params.seed, 0), cubes, M, pattern.d)
+    pools = [double_cube(c).sample(_stream(params.seed, i + 1), M) for i, c in enumerate(cubes)]
+    tau = _threshold(pattern, params, r)
+    removed = _filter(pools, pattern, tau["tau_used"], M)
     P_hat = len(removed) / M
-    ci = _wilson_interval(len(removed), M)
-    if P_hat > 0.5:
-        raise ConstructionFailure(
-            f"estimated removal probability {P_hat:.3f} > 1/2"
-        )
-    keep = np.setdiff1d(np.arange(M), removed)
-    if len(keep) < M / 2:
-        raise ConstructionFailure("fewer than M/2 stratum-n points survive")
-
-    A0 = vol_comp * P_hat
-    Ai = vol_q * P_hat
-    An = vol_q
-    blocks = [pts0] + strata_pts[: n - 1] + [strata_pts[n - 1][keep]]
-    raw_w = np.concatenate(
-        [
-            np.full(len(blocks[0]), A0),
-            *[np.full(M, Ai) for _ in range(n - 1)],
-            np.full(len(keep), An),
-        ]
-    )
-    weights, scale = _normalize_weights(raw_w)
-    points = np.concatenate(blocks, axis=0)
-    strata = []
-    pos = 0
-    names = ["complement"] + [f"cube{i}" for i in range(1, n)] + [f"cube{n}(kept)"]
-    for nm, b in zip(names, blocks):
-        strata.append((nm, pos, pos + len(b)))
-        pos += len(b)
-    return WeightedConfiguration(
-        points=points,
-        weights=weights,
-        radius_r=r,
-        lam=lam,
-        strata=strata,
-        provenance={
-            "kind": "translational",
-            "M": M,
-            "seed": params.seed,
-            "n": n,
-            "d": d,
-            "a": str(pattern.a),
-            "period_m": pattern.period_m,
-            "tau_theory": tau_theory,
-            "tau_used": float(tau),
-            "tau_rule": rule,
-            "P_hat": P_hat,
-            "P_hat_wilson95": list(ci),
-            "n_removed": int(len(removed)),
-            "stratum_weights": [A0] + [Ai] * (n - 1) + [An],
-            "weight_scale": scale,
-        },
+    vol_q = double_cube(cubes[0]).volume
+    A0, Ai, An = (1.0 - n * vol_q) * P_hat, vol_q * P_hat, vol_q
+    provenance = {
+        "a": str(pattern.a),
+        "period_m": pattern.period_m,
+        **tau,
+        "P_hat": P_hat,
+        "P_hat_wilson95": list(_wilson_interval(len(removed), M)),
+    }
+    return _assemble(
+        pattern, params, r, ("complement", pts0), pools, removed,
+        [A0] + [Ai] * (n - 1) + [An], provenance,
     )
 
 

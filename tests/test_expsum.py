@@ -9,6 +9,7 @@ from salemkit import expsum
 from salemkit.expsum import (
     _canonical_lattice_shell,
     _direct_sum,
+    _prefix_groups,
     _separable_sum,
     _subsample_annulus,
     calibrate_constant,
@@ -166,6 +167,17 @@ def test_canonical_shell_equals_bounding_box_enumeration(d):
         assert np.array_equal(got, want), (lo, hi)
 
 
+@pytest.mark.parametrize("d,lo,hi", [(3, 6.0, 11.0), (4, 3.0, 5.5)])
+def test_prefix_groups_equal_lexicographic_row_grouping(d, lo, hi):
+    shell = _canonical_lattice_shell(d, lo, hi)
+    rng = np.random.default_rng(d)
+    for xi in (shell, -shell, shell[rng.permutation(len(shell))], shell[::3]):
+        want, want_of = np.unique(xi[:, :-1], axis=0, return_inverse=True)
+        got, got_of = _prefix_groups(xi[:, :-1])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_of, want_of.reshape(-1))
+
+
 def test_canonical_shell_counts_and_symmetry():
     # d=2, annulus 2 <= |xi| < 4: count against a plain double loop
     shell = _canonical_lattice_shell(2, 2.0, 4.0)
@@ -288,3 +300,12 @@ def test_calibrate_constant_reasonable_and_deterministic():
     # and necessarily positive
     C3, _ = calibrate_constant(256, 1, lam=0.45, delta=0.0, trials=8, seed=3)
     assert C3 > max(C1, 0.0)
+
+
+def test_prefix_groups_refuse_keys_beyond_int64():
+    # two prefix columns spanning 2**40 each need an 81-bit key: the
+    # caller falls back to the direct sum
+    head = np.array([[0.0, 0.0], [2.0**40, 2.0**40]])
+    assert _prefix_groups(head) is None
+    xi = np.concatenate([head, [[1.0], [2.0]]], axis=1)
+    assert _separable_sum(np.zeros((2, 3)), np.ones(2), xi) is None

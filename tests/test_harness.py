@@ -20,6 +20,8 @@ from salemkit.harness import (
     split_sum_check,
     _normalized_coeff_vectors,
 )
+from salemkit import harness as hm
+from salemkit import sampler
 from salemkit.sampler import ConstructionParams
 
 
@@ -125,12 +127,10 @@ def test_run_experiment_records_errors_per_trial():
 
 def test_run_experiment_propagates_programming_errors(monkeypatch):
     # only the expected failure types become row errors; a bug must surface
-    import salemkit.harness as hm
-
     def broken_builder(pattern, params):
         raise TypeError("bug in a builder")
 
-    monkeypatch.setitem(hm._BUILDERS, "translational", broken_builder)
+    monkeypatch.setitem(sampler.BUILDERS, "translational", broken_builder)
     cfg = ExperimentConfig(
         pattern={"id": "ap3", "m": 16},
         construction={"M": 64, "lam": 0.3, "seed": 0},
@@ -216,16 +216,14 @@ def test_split_sum_empty_incidence_set():
 
 
 def test_split_sum_builds_keep_every_construction_knob(monkeypatch):
-    import salemkit.harness as hm
-
     seen = []
-    real = hm._BUILDERS["translational"]
+    real = sampler.BUILDERS["translational"]
 
     def recording_builder(pattern, params):
         seen.append(params)
         return real(pattern, params)
 
-    monkeypatch.setitem(hm._BUILDERS, "translational", recording_builder)
+    monkeypatch.setitem(sampler.BUILDERS, "translational", recording_builder)
     p0 = ConstructionParams(
         M=32, lam=0.3, seed=7, delta=0.5, kappa=0.1, filter_scale=0.01,
         removal_budget=3.0,
@@ -235,6 +233,55 @@ def test_split_sum_builds_keep_every_construction_knob(monkeypatch):
     for p in seen:
         assert (p.M, p.lam, p.delta, p.kappa, p.separation_s) == (32, 0.3, 0.5, 0.1, 0.0)
         assert p.filter_scale == 0.01 and p.removal_budget == 3.0
+
+
+def test_split_sum_takes_pools_from_the_build_record(monkeypatch):
+    # every incidence set and every construction draw happens inside a
+    # build: split_sum_check itself reuses the builder's record
+    counts = {"builds": 0, "incidence": 0, "outside": 0}
+    inside = []
+    real_build = sampler.BUILDERS["translational"]
+    real_incidence = sampler.incidence_index_set
+    real_stream = sampler._stream
+
+    def build(pattern, params):
+        counts["builds"] += 1
+        inside.append(True)
+        try:
+            return real_build(pattern, params)
+        finally:
+            inside.pop()
+
+    def incidence(*args, **kwargs):
+        counts["incidence"] += 1
+        counts["outside"] += not inside
+        return real_incidence(*args, **kwargs)
+
+    def stream(*args):
+        counts["outside"] += not inside
+        return real_stream(*args)
+
+    monkeypatch.setitem(sampler.BUILDERS, "translational", build)
+    for mod in (sampler, hm):
+        # raising=False: also catch a copy imported by name into harness
+        monkeypatch.setattr(mod, "incidence_index_set", incidence, raising=False)
+        monkeypatch.setattr(mod, "_stream", stream, raising=False)
+    params = ConstructionParams(M=64, lam=0.3, seed=11)
+    res = split_sum_check(ap3_pattern(m=16), params, trials=50, n_xi=4)
+    assert res["reconstruction_ok"]
+    assert counts == {"builds": 50, "incidence": 50, "outside": 0}
+
+
+def test_split_sum_refuses_a_configuration_without_build_record(monkeypatch):
+    import dataclasses
+
+    real = sampler.BUILDERS["translational"]
+    # a copy keeps points, weights and provenance but not the build record
+    monkeypatch.setitem(
+        sampler.BUILDERS, "translational", lambda p, q: dataclasses.replace(real(p, q))
+    )
+    with pytest.raises(ValueError, match="build record"):
+        split_sum_check(ap3_pattern(m=16), ConstructionParams(M=32, lam=0.3), trials=50, n_xi=3)
 
 
 def test_split_sum_requires_enough_trials():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from salemkit.errors import BudgetError, LayoutError
 from salemkit.patterns import (
+    SCAN_TOL,
     RoughPattern,
     SurfacePattern,
     TranslationalPattern,
@@ -544,3 +545,115 @@ def test_window_probe_wraps_across_the_fold():
     }
     for part in window_probe(np.empty(0), np.ones(3), 0.1, 1.0):
         assert part.dtype == np.int64 and len(part) == 0
+
+
+# ------------------------------------------------- batched 1-D scan recheck
+
+
+def test_scan_recheck_matches_bruteforce_on_builds():
+    from salemkit.harness import ap3_pattern as harness_ap3, isosceles_surface_pattern
+    from salemkit.patterns import _scan_brute
+    from salemkit.sampler import ConstructionParams, build_surface, build_translational
+
+    iso = isosceles_surface_pattern()
+    cfg = build_surface(iso, ConstructionParams(M=16, lam=4 / 9, seed=0))
+    # the brute path evaluates f on every prefix, and the bisection only
+    # brackets inside the working box: keep the points the cubes hold
+    inside = np.zeros(cfg.N, dtype=bool)
+    for q in iso._domain:
+        inside |= q.contains(cfg.points)
+    ap3 = harness_ap3(16)
+    cfg3 = build_translational(ap3, ConstructionParams(M=12, lam=0.45, seed=1))
+    for pts, pat, margin in ((cfg.points[inside], iso, 1e-3), (cfg3.points, ap3, 0.02)):
+        fast = violation_scan(pts, pat, margin=margin)
+        brute = _scan_brute(pts, pat, margin, 0.0, 10**9)
+        assert len(fast[0]) > 10
+        np.testing.assert_array_equal(fast[0], brute[0])
+        np.testing.assert_array_equal(fast[1], brute[1])
+
+
+# ------------------------------------- incidence and scan at float edges
+
+
+def _all_tuples(pools, distinct):
+    """Every index tuple of the product of the pools (one shared pool when
+    ``distinct``: ordered tuples of distinct indices) and its points."""
+    idx = np.array(list(product(*[range(len(p)) for p in pools])), dtype=np.int64)
+    idx = idx.reshape(-1, len(pools))
+    if distinct:
+        idx = idx[[len(set(t)) == len(t) for t in idx.tolist()]]
+    pts = np.stack([p[idx[:, j], 0] for j, p in enumerate(pools)], axis=1)
+    return idx, pts
+
+
+@st.composite
+def planted_case(draw):
+    """Three d = 1 pools and a pattern with a planted near-occurrence
+    (pools[0][0], pools[1][0], pools[2][0])."""
+    kind = draw(st.sampled_from(["torus", "cubes", "surface"]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if kind == "surface":
+        f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
+        cubes = [Cube([0.0], 0.01), Cube([0.3], 0.01), Cube([0.6], 0.01)]
+        pat = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    else:
+        pat = ap3_pattern(m=16 if kind == "cubes" else draw(st.sampled_from([1, 3, 16])),
+                          with_cubes=kind == "cubes")
+    pools = []
+    for j in range(3):
+        size = draw(st.integers(1, 5))
+        u = np.array(draw(st.lists(unit, min_size=size, max_size=size)))
+        if pat._domain is not None:
+            q = pat._domain[j]
+            u = wrap(q.corner + u * q.side)
+        pools.append(u[:, None])
+    # planted head near the cube centres keeps the planted last slot in
+    # its doubled cube
+    if pat._domain is not None:
+        for j in range(2):
+            c = pat._domain[j].center[0]
+            pools[j][0, 0] = wrap(c + draw(st.floats(-1 / 512, 1 / 512)))
+    x1, x2 = pools[0][0, 0], pools[1][0, 0]
+    if kind == "surface":
+        target = float(pat.f(np.array([x1, x2]))[0])
+    else:
+        # any grid shift on the torus; in the cube layout 2*x2 - x1 itself
+        # lies in the third doubled cube
+        shift = 0 if kind == "cubes" else draw(st.integers(0, pat.period_m - 1))
+        target = 2 * x2 - x1 + shift / pat.period_m
+    delta = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-1e-3, 1e-3),
+            st.integers(-17, -4).map(lambda e: 10.0**e),
+        )
+    )
+    pools[2][0, 0] = wrap(target + delta)
+    return pat, pools
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_case())
+def test_incidence_and_scan_match_enumeration_at_float_edges(case):
+    pat, pools = case
+    planted = np.array([[p[0, 0] for p in pools]])
+    rho = float(pat.residual(planted)[0])
+    assert np.isfinite(rho)
+    idx, pts = _all_tuples(pools, distinct=False)
+    resid = pat.residual(pts)
+    points = np.concatenate(pools)
+    sidx, spts = _all_tuples([points] * 3, distinct=True)
+    sresid = pat.residual(spts)
+    for tau in (float(np.nextafter(rho, -1.0)), rho, float(np.nextafter(rho, 2.0))):
+        if tau < 0:
+            continue
+        # incidence contract: residual <= tau
+        want = np.unique(idx[resid <= tau, -1])
+        np.testing.assert_array_equal(incidence_index_set(pools, pat, tau), want)
+        # scan contract: residual <= margin + SCAN_TOL, so also probe the
+        # margin that puts that bound on the planted residual
+        for margin in {tau, max(0.0, tau - SCAN_TOL)}:
+            hit = sresid <= margin + SCAN_TOL
+            got, got_r = violation_scan(points, pat, margin=margin)
+            np.testing.assert_array_equal(got, sidx[hit])
+            np.testing.assert_array_equal(got_r, sresid[hit])

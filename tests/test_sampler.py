@@ -319,7 +319,7 @@ def test_incidence_index_set_matches_naive_enumeration():
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("m,a", [(1, 2), (3, 1), (8, -1), (16, 2)])
 def test_translational_incidence_1d_matches_brute(n, m, a):
-    from salemkit.sampler import INCIDENCE_BUDGET, _incidence_brute, _translational_incidence_1d
+    from salemkit.sampler import INCIDENCE_BUDGET, _incidence_brute, incidence_index_set
 
     shifts = np.array([1 / 8, 3 / 8])[:, None]  # two raw targets
 
@@ -342,9 +342,7 @@ def test_translational_incidence_1d_matches_brute(n, m, a):
             t = np.asarray(T(prefix))[:, trial % 2, :]
             pools[-1][:3] = wrap(a * pools[-2][:3] + t + (trial % m) / m)
         for tau in (0.0, 1e-3, 0.03):
-            got = _translational_incidence_1d(
-                pools[: n - 2], pools[n - 2], pools[n - 1].reshape(-1), pat, tau
-            )
+            got = incidence_index_set(pools, pat, tau)  # the d = 1 window probe
             want = _incidence_brute(pools, pat, tau, INCIDENCE_BUDGET)
             np.testing.assert_array_equal(got, want)
             if m != 3 and tau == 0.0:
@@ -388,3 +386,85 @@ def test_desk_scale_threshold_is_capped():
     assert prov["tau_used"] < prov["tau_theory"]
     # expected removals ~ sqrt(M): generous factor-10 sanity band
     assert prov["n_removed"] <= 10 * math.sqrt(512)
+
+
+# ------------------------------------------------------- refactoring oracle
+
+
+def _config_digest(cfg):
+    import hashlib
+    import json
+
+    from salemkit.torus import json_default
+
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(cfg.points).tobytes())
+    h.update(np.ascontiguousarray(cfg.weights).tobytes())
+    meta = {"strata": cfg.strata, "provenance": cfg.provenance}
+    h.update(json.dumps(meta, sort_keys=True, default=json_default).encode())
+    return h.hexdigest()
+
+
+def _d2_ap3_pattern(m=8):
+    side = 1.0 / (4 * m)
+    cubes = [Cube([c - side / 2, c - side / 2], side) for c in (1 / 6, 1 / 2, 5 / 6)]
+    return TranslationalPattern(
+        d=2, n=3, a=2, period_m=m, T=lambda x: (-np.asarray(x))[..., None, :],
+        lipschitz=1.0, cubes=cubes,
+    )
+
+
+# sha256 of points and weights bytes plus the sorted JSON of strata and
+# provenance, recorded before the stratified builders were folded into
+# one threshold, filter and assembly path; a seeded build must not move
+ORACLE = {
+    "ap3-0": "33b2e23848a1649a761a4cdcb73c6d42835e4c717803431a19488e9448c07c97",
+    "ap3-1": "f92ea2198e27232435b9131458a46d3a634883b59cc6b492cdc84d1924792825",
+    "ap3-2": "1f2b800aa8d2515e3a68916120dd8db45bf02d38dd2d6964740cced3d8d35873",
+    "iso-0": "c5abbd5ece14c7e8a1180910a333c23a0452ca11f25057d96f59000cdcac055d",
+    "iso-1": "600c1c42faee034a0a90f0375872dae812d25fe5ab45772d2e73e21583f4787e",
+    "iso-2": "d932ce6e83da45b0a7d9ae469a9dd317fae805ff2db00a9404d044196bd19a62",
+    "d2": "5d13a75b12c50cb13b64f7e89050a13d060e56e98bba5d30d86d6d2eb5a470be",
+    "rough": "3f72e97cffe931f00eb66d0db9c21da111710e26958665aaa7d172bf142a3137",
+}
+
+
+def test_seeded_builds_match_recorded_digests():
+    from salemkit.harness import ap3_pattern as harness_ap3, isosceles_surface_pattern
+
+    got = {}
+    for s in range(3):
+        params = ConstructionParams(M=256, lam=0.45, seed=s)
+        got[f"ap3-{s}"] = _config_digest(build_translational(harness_ap3(16), params))
+    for s in range(3):
+        params = ConstructionParams(M=128, lam=4 / 9, seed=s)
+        got[f"iso-{s}"] = _config_digest(build_surface(isosceles_surface_pattern(), params))
+    params = ConstructionParams(M=32, lam=0.9, seed=0)
+    got["d2"] = _config_digest(build_translational(_d2_ap3_pattern(), params))
+    rough = RoughPattern(n=2, d=1, g=16, cells=[[1, 6], [4, 4], [9, 13]])
+    got["rough"] = _config_digest(build_rough(rough, ConstructionParams(M=128, lam=0.4, seed=5)))
+    assert got == ORACLE
+
+
+def test_build_record_holds_pools_and_removed_set(tmp_path):
+    from salemkit.measures import GridMeasure, _restrict_to_support
+
+    # a graph that meets the product of its doubled cubes, so removals occur
+    f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
+    cubes = [Cube([0.0], 0.01), Cube([0.3], 0.01), Cube([0.6], 0.01)]
+    live_surface = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    for pat, build in ((ap3_pattern(m=16), build_translational), (live_surface, build_surface)):
+        cfg = build(pat, ConstructionParams(M=96, lam=0.45, seed=3))
+        pools, removed = cfg._build_record
+        assert len(pools) == pat.n and len(removed) == cfg.provenance["n_removed"] > 0
+        # the configuration's cube strata are the pools, the last one minus removed
+        keep = np.setdiff1d(np.arange(96), removed)
+        for (nm, a, b), pool in zip(cfg.strata[1:], pools[:-1] + [pools[-1][keep]]):
+            np.testing.assert_array_equal(cfg.points[a:b], pool)
+        # in memory only: neither a reload nor a support restriction has one
+        cfg.save(tmp_path / "cfg.csv")
+        assert WeightedConfiguration.load(tmp_path / "cfg.csv")._build_record is None
+        mu = GridMeasure(np.ones(16))
+        assert _restrict_to_support(cfg, mu)._build_record is None
+    rough = RoughPattern(n=2, d=1, g=8, cells=[[1, 6]])
+    assert build_rough(rough, ConstructionParams(M=32, lam=0.3, seed=0))._build_record is None
