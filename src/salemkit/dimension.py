@@ -102,29 +102,7 @@ def box_dimension(points, scales, thicken=0.0):
     )
 
 
-def _annulus_sups_grid(mu, j_list):
-    """Exhaustive per-annulus sups |mu^(xi)| from the grid spectrum."""
-    out = {}
-    if mu.d == 1:
-        xi_all = np.arange(1, mu.nyquist + 1)[:, None]
-        mags = np.abs(mu.transform(xi_all))
-        norms = xi_all[:, 0].astype(float)
-    else:
-        ax = np.arange(-mu.nyquist, mu.nyquist + 1)
-        grids = np.meshgrid(*[ax] * mu.d, indexing="ij")
-        xi_all = np.stack([g.reshape(-1) for g in grids], axis=1)
-        xi_all = xi_all[np.any(xi_all != 0, axis=1)]
-        mags = np.abs(mu.transform(xi_all))
-        norms = np.sqrt((xi_all.astype(float) ** 2).sum(axis=1))
-    for j in j_list:
-        sel = (norms >= 2**j) & (norms < 2 ** (j + 1)) & (norms <= mu.nyquist)
-        if not sel.any():
-            continue
-        out[j] = (float(mags[sel].max()), int(sel.sum()), False)
-    return out
-
-
-def fourier_dimension(source, j_range=None, per_annulus=256, window_trim=2):
+def fourier_dimension(source, j_range=None, window_trim=2):
     """Fourier-decay exponent estimate (liminf surrogate).
 
     Per dyadic annulus 2^j <= |xi| < 2^{j+1} the decay exponent is
@@ -132,11 +110,15 @@ def fourier_dimension(source, j_range=None, per_annulus=256, window_trim=2):
     over the usable annuli with ``window_trim`` trimmed from each end
     (low annuli carry smooth-bulk bias, top annuli roll off).
 
-    ``source`` is a GridMeasure (exhaustive sups up to Nyquist) or a
-    WeightedConfiguration (sampled sups, usable up to |xi| ~ 1/r where the
-    mollification of radius r starts suppressing the sums).
+    ``source`` is a GridMeasure or a WeightedConfiguration; both go through
+    ``expsum.frequency_plan``, one representative per +-xi pair.  A grid
+    measure takes every frequency with |xi| <= Nyquist.  A configuration
+    takes the plan of ``expsum.config_annulus_sups``: full shells while they
+    are small, deterministic subsamples beyond (``sampled`` in the table),
+    usable up to |xi| ~ 1/r where the mollification of radius r starts
+    suppressing the sums.
     """
-    from .expsum import config_annulus_sups
+    from .expsum import config_annulus_sups, frequency_plan, plan_magnitudes
     from .measures import GridMeasure
 
     notes = {}
@@ -144,16 +126,19 @@ def fourier_dimension(source, j_range=None, per_annulus=256, window_trim=2):
         d = source.d
         j_max = int(math.floor(math.log2(source.nyquist)))
         j_list = list(range(0, j_max + 1)) if j_range is None else list(j_range)
-        sups = _annulus_sups_grid(source, j_list)
+        # integer |xi|^2 < nyquist^2 + 1/2 is |xi| <= nyquist
+        plan = frequency_plan(d, j_list, math.sqrt(source.nyquist**2 + 0.5))
+        sups = {
+            j: (float(mags.max()), len(xi), sampled)
+            for j, _, _, xi, sampled, mags in plan_magnitudes(plan, source)
+        }
         notes["source"] = "grid"
     else:
         d = source.d
         r = source.radius_r
         j_max = int(math.floor(math.log2(1.0 / max(r, 1e-300))))
         j_list = list(range(0, j_max + 1)) if j_range is None else list(j_range)
-        sups = config_annulus_sups(
-            source.points, source.weights, j_list, per_annulus=per_annulus
-        )
+        sups = config_annulus_sups(source.points, source.weights, j_list)
         notes["source"] = "config"
         notes["radius_r"] = r
     table = []

@@ -1,4 +1,4 @@
-"""Weighted exponential sums, dyadic frequency sweeps, and calibration.
+"""Weighted exponential sums, dyadic frequency plans, sweeps, and calibration.
 
 The central object is the normalized weighted sum
 
@@ -9,14 +9,24 @@ cancellation bound
 
     |S(xi)| <= C * N**-0.5 * log(N) + delta * |xi|**(-lam/2)
 
-for all 0 < |xi| <= N**(1+kappa), reporting per-dyadic-annulus statistics.
-Only canonical representatives under xi -> -xi are evaluated (conjugate
-symmetry).  In d >= 2 the lattice is enumerated exhaustively up to
-``exhaustive_limit`` and deterministically subsampled per annulus beyond
-that; subsampled annuli are marked as such in the report.
+for all 0 < |xi| <= N**(1+kappa), reporting per-dyadic-annulus statistics,
+among them which term of the bound is the larger at the annulus's worst
+frequency.
 
-Evaluation.  In d = 1 the sweep advances a phase recurrence over
-consecutive frequencies.  In d >= 2, :func:`weighted_exp_sum` splits
+Frequency plans.  Every test of Fourier decay runs over one
+:func:`frequency_plan`: the sweep, the uniform pilots of
+:func:`calibrate_constant`, :func:`config_annulus_sups` and the grid path of
+``dimension.fourier_dimension``.  Per dyadic annulus 2^j <= |xi| < 2^(j+1)
+a plan holds the canonical lattice shell (one representative per +-xi pair,
+by conjugate symmetry) when the shell has at most a cap of frequencies, and
+a deterministic subsample, marked ``sampled``, otherwise.  The sweep and its
+calibration share one cap, so C is calibrated on the statistic the sweep
+verdict tests.  :func:`plan_magnitudes` evaluates a plan.
+
+Evaluation.  A d = 1 plan that covers every integer 1..K advances a phase
+recurrence over consecutive frequencies.  Grid measures read their
+transform off the FFT.  Every other plan goes through
+:func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
 box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
@@ -36,6 +46,8 @@ import numpy as np
 
 __all__ = [
     "weighted_exp_sum",
+    "frequency_plan",
+    "plan_magnitudes",
     "sweep",
     "SweepReport",
     "AnnulusStat",
@@ -46,6 +58,13 @@ __all__ = [
 _BLOCK = 4096  # frequencies per recurrence block (fixed: results must not
 # depend on thread count, so blocking is independent of threads)
 _TABLE_ENTRIES = 4_000_000  # complex entries per phase table or product block
+# Plan caps and subsample sizes.  2^18 is the largest shell a sweep has
+# ever enumerated in full; it keeps every d = 1 sweep below xi_max = 2^19
+# whole.  The sups cap of 384 keeps in full exactly the annuli the
+# configuration sups always did in d <= 4: j <= 8 in d = 1, j <= 3 in d = 2,
+# j <= 1 in d = 3 and j = 0 in d = 4.
+_SWEEP_CAP, _SWEEP_SAMPLES = 2**18, 2**16
+_SUPS_CAP, _SUPS_SAMPLES = 384, 256
 
 
 def weighted_exp_sum(points, weights, xi):
@@ -199,8 +218,9 @@ def sweep_magnitudes_1d(points, weights, xi_max, threads=1):
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _canonical_lattice_shell(d, lo, hi):
-    """Integer frequencies with lo <= |xi|_2 < hi, one per +-xi pair.
+def _canonical_lattice_shell(d, lo, hi, cap=math.inf):
+    """Integer frequencies with lo <= |xi|_2 < hi, one per +-xi pair, or
+    None when they number more than ``cap``.
 
     Canonical representative: first nonzero coordinate positive.  Rows
     come in lexicographic order.  The shell is grown one coordinate at a
@@ -208,6 +228,12 @@ def _canonical_lattice_shell(d, lo, hi):
     memory stays proportional to the output rather than to its (2 hi)^d
     bounding box.  Squared norms are exact integers in float and are
     compared with ``lo * lo`` and ``hi * hi`` as floats.
+
+    The rows of each coordinate are counted before they are built, and the
+    shell is refused at the first count over ``cap``.  The last count is
+    the shell's size; an earlier one never exceeds it when lo >= 1 and
+    hi - lo >= 1, as in every dyadic annulus, because each partial row,
+    padded with zeros, then reaches the annulus through its last coordinate.
     """
     lo2, hi2 = float(lo) * float(lo), float(hi) * float(hi)
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -226,6 +252,8 @@ def _canonical_lattice_shell(d, lo, hi):
         pos_n = np.maximum(b - pos_lo + 1, 0)
         starts = np.stack([neg_lo, pos_lo], axis=1).reshape(-1)
         counts = np.stack([neg_n, pos_n], axis=1).reshape(-1)
+        if counts.sum() > cap:
+            return None
         seg_begin = np.cumsum(counts) - counts
         t = np.repeat(starts - seg_begin, counts) + np.arange(counts.sum())
         rows = np.column_stack([np.repeat(rows, neg_n + pos_n, axis=0), t])
@@ -279,8 +307,73 @@ def _subsample_annulus(d, lo, hi, count, salt=0):
     return pts[np.any(pts != 0, axis=1)]
 
 
+def frequency_plan(d, j_list, top, cap=math.inf, samples=0):
+    """Dyadic annuli 2^j <= |xi| < min(2^(j+1), top), one per j in ``j_list``.
+
+    Yields ``(j, lo, hi, xi, sampled)`` for every nonempty annulus.  ``xi``
+    is the canonical lattice shell, in lexicographic order, when it holds at
+    most ``cap`` frequencies; otherwise it is the deterministic subsample of
+    ``samples`` frequencies and ``sampled`` is True.  No shell over the cap
+    is built.
+    """
+    for j in j_list:
+        lo, hi = float(2**j), float(min(2 ** (j + 1), top))
+        xi = _canonical_lattice_shell(d, lo, hi, cap)
+        sampled = xi is None
+        if sampled:
+            xi = _subsample_annulus(d, lo, hi, samples, salt=j)
+        if len(xi):
+            yield j, lo, hi, xi, sampled
+
+
+def _sweep_plan(d, xi_max):
+    """The plan of a sweep to xi_max: |xi| < xi_max + 1, which in d = 1 is
+    every integer 1..xi_max."""
+    return frequency_plan(
+        d, range(int(xi_max).bit_length()), xi_max + 1, _SWEEP_CAP, _SWEEP_SAMPLES
+    )
+
+
+def plan_magnitudes(plan, source, weights=None, threads=1):
+    """|S(xi)| over a frequency plan: yields ``(j, lo, hi, xi, sampled, mags)``.
+
+    ``source`` is an (N, d) point array with its ``weights`` (None for unit
+    weights), or a grid measure, whose ``transform`` is read off its FFT.
+    A d = 1 plan whose frequencies are exactly 1..K, in order, takes the
+    ``_BLOCK``-seeded recurrence once over the whole range (the same bits
+    at every thread count); every other point-set plan takes
+    :func:`weighted_exp_sum` annulus by annulus.
+    """
+    if hasattr(source, "transform"):
+        for j, lo, hi, xi, sampled in plan:
+            yield j, lo, hi, xi, sampled, np.abs(source.transform(xi))
+        return
+    plan = list(plan)
+    xis = [annulus[3] for annulus in plan]
+    K = sum(map(len, xis))
+    if xis and source.shape[1] == 1 and np.array_equal(
+        np.concatenate(xis)[:, 0], np.arange(1, K + 1)
+    ):
+        whole = sweep_magnitudes_1d(source, weights, K, threads=threads)
+        mags = np.split(whole, np.cumsum([len(xi) for xi in xis])[:-1])
+    else:
+        mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
+    for annulus, m in zip(plan, mags):
+        yield (*annulus, m)
+
+
+def _decay(xi, lam, delta):
+    """delta*|xi|^(-lam/2), the frequency-dependent term of the sweep bound."""
+    return delta * np.sqrt((xi.astype(float) ** 2).sum(axis=1)) ** (-lam / 2.0)
+
+
 @dataclass
 class AnnulusStat:
+    """One annulus of a sweep.  ``binding`` names the larger term of the
+    bound at the annulus's worst frequency (largest |S| minus bound):
+    ``"constant"`` for C*N^-1/2*log(N), ``"decay"`` for delta*|xi|^(-lam/2).
+    """
+
     j: int
     lo: float
     hi: float
@@ -290,6 +383,7 @@ class AnnulusStat:
     sampled: bool
     n_violations: int = 0
     worst_excess: float = 0.0
+    binding: str = ""
 
 
 @dataclass
@@ -313,26 +407,12 @@ class SweepReport:
         return out
 
 
-def _bound(absxi, N, lam, C, delta):
-    return C * N**-0.5 * math.log(N) + delta * absxi ** (-lam / 2.0)
-
-
-def sweep(
-    points,
-    weights,
-    lam,
-    C,
-    delta=1.0,
-    kappa=0.2,
-    xi_max=None,
-    threads=1,
-    exhaustive_limit=2**12,
-    per_annulus=2**16,
-):
+def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1):
     """Dyadic-annulus sweep of |S(xi)| against the cancellation bound.
 
     Returns a :class:`SweepReport`; ``report.passed`` is True when no
-    evaluated frequency violates the bound.
+    evaluated frequency violates the bound.  Annuli with more than
+    ``_SWEEP_CAP`` canonical frequencies are subsampled and marked so.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
@@ -340,76 +420,38 @@ def sweep(
         raise ValueError("need at least two points")
     if xi_max is None:
         xi_max = int(math.ceil(N ** (1.0 + kappa)))
-    jmax = int(math.floor(math.log2(xi_max)))
+    constant = C * N**-0.5 * math.log(N)
     annuli = []
-    n_viol = 0
-    sup_overall = 0.0
-
-    if d == 1:
-        mags = sweep_magnitudes_1d(points, weights, xi_max, threads=threads)
-        absxi = np.arange(1, xi_max + 1, dtype=float)
-        bounds = C * N**-0.5 * math.log(N) + delta * absxi ** (-lam / 2.0)
-        viol = mags > bounds
-        for j in range(jmax + 1):
-            lo, hi = 2**j, min(2 ** (j + 1) - 1, xi_max)
-            if lo > xi_max:
-                break
-            seg = slice(lo - 1, hi)
-            seg_m = mags[seg]
-            k = int(np.argmax(seg_m))
-            nv = int(viol[seg].sum())
-            excess = float((seg_m - bounds[seg]).max())
-            annuli.append(
-                AnnulusStat(
-                    j=j,
-                    lo=float(lo),
-                    hi=float(hi + 1),
-                    n_evaluated=hi - lo + 1,
-                    sup=float(seg_m[k]),
-                    argmax_xi=[lo + k],
-                    sampled=False,
-                    n_violations=nv,
-                    worst_excess=max(0.0, excess),
-                )
+    for j, lo, hi, xi, sampled, mags in plan_magnitudes(
+        _sweep_plan(d, xi_max), points, weights, threads
+    ):
+        decay = _decay(xi, lam, delta)
+        bounds = constant + decay
+        excess = mags - bounds
+        k, w = int(np.argmax(mags)), int(np.argmax(excess))
+        annuli.append(
+            AnnulusStat(
+                j=j,
+                lo=lo,
+                hi=hi,
+                n_evaluated=len(xi),
+                sup=float(mags[k]),
+                argmax_xi=[int(v) for v in xi[k]],
+                sampled=sampled,
+                n_violations=int((mags > bounds).sum()),
+                worst_excess=max(0.0, float(excess[w])),
+                binding="constant" if constant > decay[w] else "decay",
             )
-            n_viol += nv
-            sup_overall = max(sup_overall, float(seg_m[k]))
-    else:
-        for j in range(jmax + 1):
-            lo, hi = float(2**j), float(min(2 ** (j + 1), xi_max + 1))
-            if lo > xi_max:
-                break
-            sampled = lo > exhaustive_limit
-            if not sampled:
-                xi = _canonical_lattice_shell(d, lo, hi)
-                if len(xi) > per_annulus * 4:
-                    xi = xi[:: len(xi) // (per_annulus * 4) + 1]
-                    sampled = True
-            else:
-                xi = _subsample_annulus(d, lo, hi, per_annulus, salt=j)
-            if len(xi) == 0:
-                continue
-            mags = np.abs(weighted_exp_sum(points, weights, xi))
-            absxi = np.sqrt((xi.astype(float) ** 2).sum(axis=1))
-            bounds = C * N**-0.5 * math.log(N) + delta * absxi ** (-lam / 2.0)
-            viol = mags > bounds
-            k = int(np.argmax(mags))
-            annuli.append(
-                AnnulusStat(
-                    j=j,
-                    lo=lo,
-                    hi=hi,
-                    n_evaluated=len(xi),
-                    sup=float(mags[k]),
-                    argmax_xi=[int(v) for v in xi[k]],
-                    sampled=bool(sampled),
-                    n_violations=int(viol.sum()),
-                    worst_excess=max(0.0, float((mags - bounds).max())),
-                )
-            )
-            n_viol += int(viol.sum())
-            sup_overall = max(sup_overall, float(mags[k]))
-
+        )
+    n_viol = sum(a.n_violations for a in annuli)
+    notes = {
+        "bound": "C*N^-1/2*log(N) + delta*|xi|^(-lam/2)",
+        "log": "natural",
+        "range": "N^(1+kappa)",
+        "threads": threads,
+    }
+    if C <= 0:
+        notes["binding"] = "C <= 0: the decay term delta*|xi|^(-lam/2) alone carries the bound"
     return SweepReport(
         N=N,
         d=d,
@@ -420,14 +462,9 @@ def sweep(
         xi_max=int(xi_max),
         passed=n_viol == 0,
         n_violations=n_viol,
-        sup_overall=sup_overall,
+        sup_overall=max((a.sup for a in annuli), default=0.0),
         annuli=annuli,
-        notes={
-            "bound": "C*N^-1/2*log(N) + delta*|xi|^(-lam/2)",
-            "log": "natural",
-            "range": "N^(1+kappa)",
-            "threads": threads,
-        },
+        notes=notes,
     )
 
 
@@ -451,70 +488,37 @@ def calibrate_constant(
 
         C_t = max_xi (|S(xi)| - delta*|xi|**(-lam/2)) * sqrt(N) / log(N)
 
-    and returns ``(C, all_values)`` where C is the requested percentile.
+    over the frequency plan of :func:`sweep` to N**(1+kappa), and returns
+    ``(C, all_values)`` where C is the requested percentile.
     """
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if len(weights) != N:
             raise ValueError("weights length must equal N")
-    xi_max = int(math.ceil(N ** (1.0 + kappa)))
+    plan = list(_sweep_plan(d, int(math.ceil(N ** (1.0 + kappa)))))
     values = np.empty(trials)
     scale = math.sqrt(N) / math.log(N)
     for t in range(trials):
         rng = np.random.default_rng(np.random.Philox(key=(seed << 16) + t))
         pts = rng.random((N, d))
-        if d == 1:
-            mags = sweep_magnitudes_1d(pts, weights, xi_max, threads=threads)
-            absxi = np.arange(1, xi_max + 1, dtype=float)
-            stat = (mags - delta * absxi ** (-lam / 2.0)).max()
-        else:
-            stat = -np.inf
-            jmax = int(math.floor(math.log2(xi_max)))
-            for j in range(jmax + 1):
-                lo, hi = float(2**j), float(min(2 ** (j + 1), xi_max + 1))
-                xi = (
-                    _canonical_lattice_shell(d, lo, hi)
-                    if lo <= 2**12
-                    else _subsample_annulus(d, lo, hi, 2**14, salt=j)
-                )
-                if len(xi) == 0:
-                    continue
-                mags = np.abs(weighted_exp_sum(pts, weights, xi))
-                absxi = np.sqrt((xi.astype(float) ** 2).sum(axis=1))
-                stat = max(stat, float((mags - delta * absxi ** (-lam / 2.0)).max()))
+        stat = max(
+            float((mags - _decay(xi, lam, delta)).max())
+            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, threads)
+        )
         values[t] = stat * scale
     return float(np.percentile(values, percentile)), values
 
 
-def config_annulus_sups(points, weights, j_list, per_annulus=256):
+def config_annulus_sups(points, weights, j_list):
     """Per-annulus sup of |S(xi)| for a point configuration.
 
-    Exhaustive for annuli with at most ``per_annulus`` canonical
-    frequencies, deterministic subsample otherwise.  Returns a dict
-    ``j -> (sup, n_evaluated, sampled)``.
+    Exhaustive for annuli with at most ``_SUPS_CAP`` canonical frequencies,
+    a ``_SUPS_SAMPLES``-point deterministic subsample otherwise.  Returns a
+    dict ``j -> (sup, n_evaluated, sampled)``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    N, d = points.shape
-    out = {}
-    for j in j_list:
-        lo, hi = float(2**j), float(2 ** (j + 1))
-        if d == 1:
-            n_canon = int(hi - lo)
-            if n_canon <= per_annulus:
-                xi = np.arange(int(lo), int(hi))[:, None]
-                sampled = False
-            else:
-                xi = _subsample_annulus(1, lo, hi, per_annulus, salt=j)
-                sampled = True
-        else:
-            if (2 * hi + 1) ** d <= 8 * per_annulus:
-                xi = _canonical_lattice_shell(d, lo, hi)
-                sampled = False
-            else:
-                xi = _subsample_annulus(d, lo, hi, per_annulus, salt=j)
-                sampled = True
-        if len(xi) == 0:
-            continue
-        mags = np.abs(weighted_exp_sum(points, weights, xi))
-        out[j] = (float(mags.max()), len(xi), sampled)
-    return out
+    plan = frequency_plan(points.shape[1], j_list, math.inf, _SUPS_CAP, _SUPS_SAMPLES)
+    return {
+        j: (float(mags.max()), len(xi), sampled)
+        for j, _, _, xi, sampled, mags in plan_magnitudes(plan, points, weights)
+    }

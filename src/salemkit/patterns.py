@@ -459,7 +459,9 @@ def window_probe(xs, q, tau, period):
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
-    limit = period / (2.0 * tau) if tau > 0 else np.inf
+    # compare before dividing: period / (2 tau) overflows for a subnormal tau
+    wide = 2.0 * tau * _PROBE_MAX_BUCKETS >= period
+    limit = period / (2.0 * tau) if wide else _PROBE_MAX_BUCKETS
     nb = max(1, int(min(limit, _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)))
     scale = nb / period
     kx = np.floor(xs * scale).astype(np.int64)

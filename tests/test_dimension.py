@@ -174,3 +174,24 @@ def test_fourier_below_box_ordering():
     beta = fourier_dimension(cfg).value
     alpha = box_dimension(pts, scales=[16 * r, 8 * r, 4 * r, 2 * r, r], thicken=r).value
     assert beta <= alpha + 0.1
+
+
+@pytest.mark.parametrize("d,G", [(2, 32), (3, 12)])
+def test_fourier_grid_sups_equal_the_full_box(d, G):
+    # reference: every nonzero xi of the (2 nyquist + 1)^d box with
+    # |xi| <= nyquist, both signs; the plan takes one of each +-xi pair
+    mu = GridMeasure(np.random.default_rng(d).random((G,) * d))
+    nyq = mu.nyquist
+    ax = np.arange(-nyq, nyq + 1)
+    box = np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    norm2 = (box**2).sum(axis=1)
+    keep = (norm2 > 0) & (norm2 <= nyq * nyq)
+    box, norm2 = box[keep], norm2[keep]
+    mags = np.abs(mu.transform(box))
+    est = fourier_dimension(mu)
+    assert [row["j"] for row in est.table] == list(range(int(math.log2(nyq)) + 1))
+    for row in est.table:
+        j = row["j"]
+        sel = (norm2 >= 4**j) & (norm2 < 4 ** (j + 1))
+        assert 2 * row["n_evaluated"] == sel.sum() and not row["sampled"]
+        assert row["sup"] == pytest.approx(mags[sel].max(), rel=1e-12)

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -7,13 +9,17 @@ import pytest
 
 from salemkit import expsum
 from salemkit.expsum import (
+    _SUPS_CAP,
+    _SUPS_SAMPLES,
     _canonical_lattice_shell,
     _direct_sum,
     _prefix_groups,
     _separable_sum,
     _subsample_annulus,
+    _sweep_plan,
     calibrate_constant,
-    config_annulus_sups,
+    frequency_plan,
+    plan_magnitudes,
     sweep,
     sweep_magnitudes_1d,
     weighted_exp_sum,
@@ -193,15 +199,159 @@ def test_d2_sweep_exhaustive_agreement_with_subsample_off():
     rng = np.random.default_rng(8)
     pts = rng.random((64, 2))
     ws = rng.random(64)
-    # j <= 8 exhaustive: config_annulus_sups with a huge per-annulus budget
-    # must agree with a point-by-point evaluation of the whole shell
-    sups = config_annulus_sups(pts, ws, j_list=range(3, 6), per_annulus=10**6)
-    for j in range(3, 6):
-        xi = _canonical_lattice_shell(2, float(2**j), float(2 ** (j + 1)))
+    # a plan without a cap holds every shell in full; its evaluator must
+    # agree with a point-by-point evaluation of the whole shell
+    plan = frequency_plan(2, range(3, 6), math.inf)
+    seen = []
+    for j, lo, hi, xi, sampled, mags in plan_magnitudes(plan, pts, ws):
+        shell = _canonical_lattice_shell(2, float(2**j), float(2 ** (j + 1)))
+        assert not sampled and np.array_equal(xi, shell)
         brute = float(np.abs(loop_exp_sum(pts, ws, xi)).max())
-        sup, n_eval, sampled = sups[j]
-        assert not sampled and n_eval == len(xi)
-        assert sup == pytest.approx(brute, abs=1e-12)
+        assert float(mags.max()) == pytest.approx(brute, abs=1e-12)
+        seen.append(j)
+    assert seen == [3, 4, 5]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shell_cap_refuses_exactly_the_shells_over_it(d):
+    # the shell is refused at its first coordinate stage over the cap; for
+    # dyadic annuli, whole or clipped to width 1, no earlier stage may
+    # refuse a shell that fits
+    pairs = [(1, 2), (2, 4), (4, 8), (8, 9), (8, 16), (16, 17), (16, 19)]
+    if d < 4:
+        pairs += [(32, 33), (32, 64)]
+    for lo, hi in pairs:
+        full = _canonical_lattice_shell(d, float(lo), float(hi))
+        for cap in (len(full) - 1, len(full)):
+            got = _canonical_lattice_shell(d, float(lo), float(hi), cap)
+            if len(full) > cap:
+                assert got is None, (lo, hi, cap)
+            else:
+                assert np.array_equal(got, full), (lo, hi, cap)
+
+
+@pytest.mark.parametrize("d,full_through", [(1, 8), (2, 3), (3, 1), (4, 0)])
+def test_configuration_plan_keeps_the_box_rule_decisions(d, full_through):
+    # the cap reproduces the rule the configuration sups used before the
+    # plan: full while the (2 hi + 1)^d box held at most 2048 points (d >= 2),
+    # or while the annulus held at most 256 integers (d = 1)
+    plan = frequency_plan(d, range(12), math.inf, _SUPS_CAP, _SUPS_SAMPLES)
+    for j, lo, hi, xi, sampled in plan:
+        assert sampled == (j > full_through), j
+        if sampled:
+            assert np.array_equal(xi, _subsample_annulus(d, lo, hi, _SUPS_SAMPLES, salt=j))
+        else:
+            assert np.array_equal(xi, _canonical_lattice_shell(d, lo, hi))
+
+
+def test_d2_sweep_plan_memory_is_bounded():
+    # the j = 12 shell alone holds 79M canonical frequencies (1.26 GB as
+    # int64); the plan refuses it from its count and subsamples instead
+    tracemalloc.start()
+    try:
+        plan = list(_sweep_plan(2, 2**13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [j for j, *_ in plan] == list(range(14))
+    # the top annulus 8192 <= |xi| < 8193 is thin enough (25784
+    # frequencies) to be enumerated in full
+    assert [s for *_, s in plan] == [False] * 8 + [True] * 5 + [False]
+    assert all(len(xi) <= 2**16 for *_, xi, s in plan if s)
+
+
+def test_calibration_uses_the_sweep_statistic():
+    # d = 2, N = 200: xi_max = 578 and the j = 8 shell (309k frequencies) is
+    # over the sweep's cap, so the pilot statistic must come from the same
+    # subsample the sweep evaluates
+    N, lam = 200, 0.9
+    _, values = calibrate_constant(N, 2, lam=lam, trials=8, seed=0)
+    for t, value in enumerate(values):
+        pts = np.random.default_rng(np.random.Philox(key=t)).random((N, 2))
+        rep = sweep(pts, None, lam=lam, C=0.0)
+        assert rep.xi_max == 578 and rep.annuli[8].sampled
+        stat = max(a.worst_excess for a in rep.annuli)
+        assert stat > 0  # worst_excess is clipped at zero
+        assert value == stat * (math.sqrt(N) / math.log(N)), t
+
+
+def test_sweep_records_the_binding_term():
+    rng = np.random.default_rng(14)
+    pts = rng.random((512, 1))
+    mags = sweep_magnitudes_1d(pts, None, int(math.ceil(512**1.2)))
+    for C in (-0.3656, 0.5, 2.0):
+        rep = sweep(pts, None, lam=0.45, C=C)
+        constant = C * 512**-0.5 * math.log(512)
+        for a in rep.annuli:
+            xi = np.arange(int(a.lo), int(a.hi))
+            decay = xi.astype(float) ** (-0.45 / 2.0)
+            w = int(np.argmax(mags[xi - 1] - (constant + decay)))
+            assert a.binding == ("constant" if constant > decay[w] else "decay")
+        assert ("binding" in rep.notes) == (C <= 0)
+    # at C = 2 the constant term takes over from the decay term at j = 4
+    bindings = [a.binding for a in sweep(pts, None, lam=0.45, C=2.0).annuli]
+    assert bindings == ["decay"] * 4 + ["constant"] * (len(bindings) - 4)
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _parent_fields(report):
+    """A sweep report without the per-annulus ``binding`` key, which the
+    reports of the reference digests did not carry yet."""
+    for a in report["annuli"]:
+        del a["binding"]
+    return report
+
+
+# sha256 of the JSON (sorted keys) of each result, taken before the sweep,
+# calibration and dimension paths shared one frequency plan; the plan must
+# reproduce every one of them bit for bit
+ORACLE = {
+    "d1 sweep": "fcf2b8177eccec60ff155daf21094e9729c36a4414f5a0055272b7ed4d671fa0",
+    "d1 calibration": "02f99832fc44190586c835a7c231cf6b02d811c8dbbf170e60bbc542fe592991",
+    "d1 config fourier": "e6d68db3eccdb45d01ec7785f6cfd7f8828c2593d281b0b1cd0c9d9338b54f7a",
+    "d1 grid fourier": "f04962f52c98e99aab3bdd3a802226e0358eafe63d6d49f4546f4f2c969eac1d",
+    "d2 config fourier": "c48e91b056759a04164c8e04f75bc3b421d7f285c39ef54d258d1e33f1120b54",
+    "d2 sweep": "c921ee0bd73cee3daa1ec0698a817389b77d1e9ce06b65c40d37401702d2ccca",
+}
+
+
+def test_refactoring_oracle():
+    from salemkit.dimension import fourier_dimension
+    from salemkit.measures import GridMeasure
+    from salemkit.sampler import WeightedConfiguration
+
+    rng = np.random.default_rng(2024)
+    got = {}
+    pts1 = rng.random((300, 1))
+    ws1 = rng.random(300) + 0.5
+    # three recurrence blocks of 4096
+    got["d1 sweep"] = _parent_fields(sweep(pts1, ws1, lam=0.45, C=1.5, xi_max=9000).to_dict())
+    C, vals = calibrate_constant(128, 1, lam=0.45, weights=ws1[:128], trials=3, seed=5)
+    got["d1 calibration"] = [C] + [float(v) for v in vals]
+    cfg1 = WeightedConfiguration(
+        points=rng.random((1024, 1)),
+        weights=rng.random(1024) + 0.5,
+        radius_r=2.0**-12,
+        lam=0.5,
+    )
+    got["d1 config fourier"] = fourier_dimension(cfg1).to_dict()
+    got["d1 grid fourier"] = fourier_dimension(GridMeasure(rng.random(512))).to_dict()
+    cfg2 = WeightedConfiguration(
+        points=rng.random((200, 2)),
+        weights=rng.random(200) + 0.5,
+        radius_r=2.0**-7,
+        lam=0.9,
+    )
+    got["d2 config fourier"] = fourier_dimension(cfg2).to_dict()
+    # N = 120: xi_max = 312, every d = 2 shell within the sweep's cap
+    pts2 = rng.random((120, 2))
+    ws2 = rng.random(120) * 2
+    got["d2 sweep"] = _parent_fields(sweep(pts2, ws2, lam=0.9, C=1.0).to_dict())
+    assert {k: _digest(v) for k, v in got.items()} == ORACLE
 
 
 def _frequency_cases():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -545,6 +546,20 @@ def test_window_probe_wraps_across_the_fold():
     }
     for part in window_probe(np.empty(0), np.ones(3), 0.1, 1.0):
         assert part.dtype == np.int64 and len(part) == 0
+
+
+def test_window_probe_subnormal_tau_does_not_overflow():
+    # a halfwidth of one subnormal, as margin / |m3| gives for a tiny margin
+    xs = np.array([0.0, 0.25, 0.25, 0.5, float(np.nextafter(1.0, 0.0))])
+    q = np.array([0.0, 0.25, 0.3, 1.0, 0.5])
+    tau = np.float64(5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = window_probe(xs, q, tau, 1.0)
+    want = unfiltered_probe(xs, q, tau, 1.0)
+    assert len(want[0]) > 0
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 # ------------------------------------------------- batched 1-D scan recheck
