@@ -469,15 +469,22 @@ def _raw_sum(points, xi):
 
 
 def _binomial_note(successes, trials, p=0.9):
-    """One-sided binomial check of pass-rate >= p at 95% confidence."""
-    from scipy.stats import binomtest
+    """One-sided binomial check of pass-rate >= p at 95% confidence.
 
-    res = binomtest(successes, trials, p, alternative="less")
+    The p-value is the lower tail P(X <= successes) of X ~ Binomial(trials,
+    p), summed exactly in rationals from the float p, so it is correctly
+    rounded.
+    """
+    q = Fraction(p)
+    tail = sum(
+        math.comb(trials, k) * q**k * (1 - q) ** (trials - k)
+        for k in range(successes + 1)
+    )
     return {
         "successes": successes,
         "trials": trials,
         "target_rate": p,
-        "p_value_below_target": float(res.pvalue),
+        "p_value_below_target": float(tail),
     }
 
 

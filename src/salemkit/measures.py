@@ -39,6 +39,27 @@ def _freq_box(d, xi_max):
     return xi, np.sqrt((xi.astype(float) ** 2).sum(axis=1))
 
 
+def _box_seminorm(mu, transform, lam, xi_max):
+    """Max of |transform(xi)| * |xi|^(lam/2) over the box 0 < |xi|_inf <=
+    xi_max of ``mu``'s grid (default: its Nyquist band), with the argmax."""
+    if xi_max is None:
+        xi_max = mu.nyquist
+    xi_max = int(xi_max)
+    if xi_max < 1:
+        raise ValueError("xi_max must be >= 1")
+    if xi_max > mu.nyquist:
+        raise ValueError(f"xi_max {xi_max} exceeds the grid Nyquist band {mu.nyquist}")
+    xi, norms = _freq_box(mu.d, xi_max)
+    vals = np.abs(transform(xi)) * norms ** (lam / 2.0)
+    k = int(np.argmax(vals))
+    return SeminormValue(
+        lam=float(lam),
+        xi_max=xi_max,
+        value=float(vals[k]),
+        argmax=tuple(int(v) for v in xi[k]),
+    )
+
+
 @dataclass(frozen=True)
 class SeminormValue:
     """A scanned-box seminorm: max over 0 < |xi| <= xi_max of |mu^(xi)|*|xi|^{lam/2}."""
@@ -113,24 +134,7 @@ class GridMeasure:
 
     def seminorm(self, lam, xi_max=None):
         """Scan the frequency box and return the seminorm with its argmax."""
-        if xi_max is None:
-            xi_max = self.nyquist
-        xi_max = int(xi_max)
-        if xi_max < 1:
-            raise ValueError("xi_max must be >= 1")
-        if xi_max > self.nyquist:
-            raise ValueError(
-                f"xi_max {xi_max} exceeds the grid Nyquist band {self.nyquist}"
-            )
-        xi, norms = _freq_box(self.d, xi_max)
-        vals = np.abs(self.transform(xi)) * norms ** (lam / 2.0)
-        k = int(np.argmax(vals))
-        return SeminormValue(
-            lam=float(lam),
-            xi_max=xi_max,
-            value=float(vals[k]),
-            argmax=tuple(int(v) for v in xi[k]),
-        )
+        return _box_seminorm(self, self.transform, lam, xi_max)
 
     def support_cells(self, threshold):
         """Centers of cells whose density exceeds threshold * mean density."""
@@ -210,21 +214,7 @@ def seminorm_diff(mu_a, mu_b, lam, xi_max=None):
     """Seminorm of the signed difference mu_a - mu_b over the scanned box."""
     if mu_a.G != mu_b.G or mu_a.d != mu_b.d:
         raise ValueError("measures must share a grid")
-    if xi_max is None:
-        xi_max = mu_a.nyquist
-    xi_max = int(xi_max)
-    if xi_max > mu_a.nyquist:
-        raise ValueError("xi_max exceeds the grid Nyquist band")
-    xi, norms = _freq_box(mu_a.d, xi_max)
-    diff = mu_a.transform(xi) - mu_b.transform(xi)
-    vals = np.abs(diff) * norms ** (lam / 2.0)
-    k = int(np.argmax(vals))
-    return SeminormValue(
-        lam=float(lam),
-        xi_max=xi_max,
-        value=float(vals[k]),
-        argmax=tuple(int(v) for v in xi[k]),
-    )
+    return _box_seminorm(mu_a, lambda xi: mu_a.transform(xi) - mu_b.transform(xi), lam, xi_max)
 
 
 def _rasterize(points, weights, G, d):

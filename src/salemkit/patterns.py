@@ -32,8 +32,9 @@ __all__ = [
 
 # Cap on exact enumeration work before a scan refuses to run.
 DEFAULT_SCAN_BUDGET = 200_000_000
-# index tuples per chunk of the brute-force enumerations (scan and
-# incidence); a chunk of 250k d=2 triples takes about 30 MB of temporaries
+# index tuples per chunk of the product enumeration behind the scan and
+# the incidence set; a chunk of 250k d=2 triples takes about 30 MB of
+# temporaries
 BRUTE_CHUNK = 250_000
 # absolute slack of the exact scans: a tuple is a violation at margin eta
 # when its residual is <= eta + SCAN_TOL
@@ -379,63 +380,6 @@ class TranslationalPattern:
         return res
 
 
-def _pairwise_sep_ok(points, idx_tuple, s):
-    if s <= 0:
-        return len(set(int(i) for i in idx_tuple)) == len(idx_tuple)
-    pts = points[list(idx_tuple)]
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if idx_tuple[i] == idx_tuple[j] or tdist(pts[i], pts[j]) < s:
-                return False
-    return True
-
-
-def _residual_of(pattern, pts_tuple):
-    flat = np.concatenate([np.atleast_1d(p) for p in pts_tuple])
-    if pattern.kind == "rough":
-        return 0.0 if pattern.thickened_membership(flat[None, :], 0.0)[0] else np.inf
-    return float(pattern.residual(flat[None, :])[0])
-
-
-def _scan_brute(points, pattern, margin, separation_s, budget):
-    n = pattern.n
-    N = len(points)
-    if N**n > budget:
-        raise BudgetError(
-            f"exact scan needs {N}^{n} tuple evaluations; over budget {budget}"
-        )
-    d = points.shape[1]
-    hits = []
-    resid = []
-    # chunked cartesian product over index tuples, so peak memory stays
-    # bounded even when N^n approaches the evaluation budget
-    chunk = BRUTE_CHUNK
-    total = N**n
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        idx = np.stack(np.unravel_index(flat, (N,) * n), axis=1)
-        distinct = np.ones(len(idx), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                distinct &= idx[:, i] != idx[:, j]
-        idx = idx[distinct]
-        if len(idx) == 0:
-            continue
-        tuples = points[idx].reshape(len(idx), n * d)
-        if pattern.kind == "rough":
-            ok = pattern.thickened_membership(tuples, margin)
-            rvals = np.where(ok, 0.0, np.inf)
-        else:
-            rvals = pattern.residual(tuples)
-            ok = rvals <= margin + SCAN_TOL
-        for k in np.nonzero(ok)[0]:
-            if _pairwise_sep_ok(points, idx[k], separation_s):
-                hits.append(tuple(int(v) for v in idx[k]))
-                resid.append(float(rvals[k]))
-    return np.asarray(hits, dtype=np.int64).reshape(len(hits), n), np.asarray(resid)
-
-
 # ----------------------------------------------------------- window probe
 
 # occupancy bitmap of window_probe: at most 1024 buckets per probed point
@@ -569,26 +513,57 @@ def _probe_hits(slots, pattern, eps, budget):
             yield idx[hit], r[hit]
 
 
-def _scan_probe(points, pattern, margin, separation_s, budget):
-    """Exact d = 1 scan through :func:`_probe_hits` on the points each
-    doubled cube holds (all points for a pattern without cubes)."""
-    n = pattern.n
-    x = points[:, 0]
-    if pattern._domain is None:
-        slot_idx = [np.arange(len(x))] * n
-    else:
-        slot_idx = [np.flatnonzero(q.contains(points)) for q in pattern._domain]
-        if any(len(s) == 0 for s in slot_idx):
-            return np.empty((0, n), dtype=np.int64), np.empty(0)
-    hits = {}
-    slots = [x[s] for s in slot_idx]
-    for idx, r in _probe_hits(slots, pattern, margin + SCAN_TOL, budget):
-        for row, rv in zip(idx, r):
-            t = tuple(int(s[k]) for s, k in zip(slot_idx, row))
-            if _pairwise_sep_ok(points, t, separation_s):
-                hits[t] = float(rv)
-    tuples = np.asarray(sorted(hits), dtype=np.int64).reshape(len(hits), n)
-    return tuples, np.asarray([hits[tuple(t)] for t in tuples])
+# ----------------------------------------------------- exact tuple search
+
+
+def _tuple_hits(slots, pattern, eps, tol, budget):
+    """Index tuples of the product of ``slots`` whose residual is
+    <= ``eps + tol``; for a rough pattern, whose point lies within ``eps``
+    of the cells (residual 0).
+
+    ``slots`` holds one (N_j, d) point array per tuple slot.  A cube-backed
+    relation is defined on its doubled cubes only, so each slot is first
+    cut to the points its cube holds.  The d = 1 translational and surface
+    relations then go to the window probe :func:`_probe_hits`; every other
+    relation to a product enumeration in chunks of ``BRUTE_CHUNK`` tuples.
+    ``budget`` bounds the work on the cut slots.  Yields ``(idx,
+    residuals)`` chunks, indices into the uncut slots; the probe may yield
+    a tuple twice.
+    """
+    domain = getattr(pattern, "_domain", None)
+    keep = [np.arange(len(s)) for s in slots]
+    if domain is not None:
+        keep = [np.flatnonzero(q.contains(s)) for q, s in zip(domain, slots)]
+        slots = [s[k] for s, k in zip(slots, keep)]
+    if any(len(s) == 0 for s in slots):
+        return
+
+    def back(idx):
+        return np.stack([k[idx[:, j]] for j, k in enumerate(keep)], axis=1)
+
+    if pattern.d == 1 and pattern.kind in ("translational", "surface"):
+        for idx, r in _probe_hits([s[:, 0] for s in slots], pattern, eps + tol, budget):
+            yield back(idx), r
+        return
+    rough = pattern.kind == "rough"
+    sizes = [len(s) for s in slots]
+    if float(np.prod([float(v) for v in sizes])) > budget:
+        raise BudgetError(
+            f"exact enumeration needs {' x '.join(map(str, sizes))} tuple "
+            f"evaluations; over budget {budget}"
+        )
+    total = int(np.prod(sizes))
+    for start in range(0, total, BRUTE_CHUNK):
+        flat = np.arange(start, min(start + BRUTE_CHUNK, total), dtype=np.int64)
+        idx = np.stack(np.unravel_index(flat, sizes), axis=1)
+        tuples = np.concatenate([s[idx[:, j]] for j, s in enumerate(slots)], axis=1)
+        if rough:
+            hit = pattern.thickened_membership(tuples, eps)
+            r = np.zeros(len(tuples))
+        else:
+            r = pattern.residual(tuples)
+            hit = r <= eps + tol
+        yield back(idx[hit]), r[hit]
 
 
 def violation_scan(
@@ -597,18 +572,29 @@ def violation_scan(
     """Exhaustively list pattern violations among configuration points.
 
     Returns ``(tuples, residuals)`` where ``tuples`` is an integer array of
-    shape (V, n): every ordered n-tuple of distinct, pairwise s-separated
-    point indices whose pattern residual is <= margin.  Raises
-    :class:`BudgetError` when no exact strategy fits the work budget.
+    shape (V, n) in lexicographic order: every ordered n-tuple of distinct,
+    pairwise s-separated point indices whose pattern residual is
+    <= margin + ``SCAN_TOL`` (for a rough pattern: whose point lies within
+    ``margin`` of the cells; its residual is reported as 0).  For a
+    cube-backed pattern each slot ranges over the points its doubled cube
+    holds, cut before the work is counted; raises :class:`BudgetError`
+    when that work does not fit ``budget``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != pattern.d:
         raise ValueError("points dimension does not match pattern")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    if points.shape[1] == 1 and (
-        pattern.kind == "surface"
-        or (pattern.kind == "translational" and pattern.a.denominator == 1)
-    ):
-        return _scan_probe(points, pattern, margin, separation_s, budget)
-    return _scan_brute(points, pattern, margin, separation_s, budget)
+    n = pattern.n
+    tuples, resid = [np.empty((0, n), dtype=np.int64)], [np.empty(0)]
+    for idx, r in _tuple_hits([points] * n, pattern, margin, SCAN_TOL, budget):
+        ok = np.ones(len(idx), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                ok &= idx[:, i] != idx[:, j]
+                if separation_s > 0:
+                    ok &= tdist(points[idx[:, i]], points[idx[:, j]]) >= separation_s
+        tuples.append(idx[ok])
+        resid.append(r[ok])
+    tuples, first = np.unique(np.concatenate(tuples), axis=0, return_index=True)
+    return tuples, np.concatenate(resid)[first]

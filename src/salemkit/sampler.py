@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConstructionFailure, LayoutError
+from .errors import ConstructionFailure, LayoutError
 from .patterns import (
-    BRUTE_CHUNK,
     RoughPattern,
     SurfacePattern,
     TranslationalPattern,
-    _probe_hits,
+    _tuple_hits,
+    violation_scan,
 )
 from .torus import double_cube, load_points, load_sidecar, save_points, save_sidecar
 
@@ -207,72 +207,23 @@ def incidence_index_set(strata, pattern, threshold, budget=INCIDENCE_BUDGET):
     """Indices into the last slot's pool taking part in a near-incidence.
 
     ``strata`` is either a single point array (one shared pool, tuples use
-    distinct indices, as in the rough construction) or one pool per tuple
-    slot (stratified constructions, distinctness is automatic).  Returns
-    the index set I as a sorted integer array; exact — fast paths must
-    agree with full enumeration.
+    distinct indices, as in the rough construction; this form is the last
+    column of :func:`violation_scan` at margin ``threshold``) or one pool
+    per tuple slot (stratified constructions, distinctness is automatic),
+    where a tuple is a near-incidence when its residual is <= threshold.
+    Returns the index set I as a sorted integer array; exact — fast paths
+    must agree with full enumeration.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     strata = [np.atleast_2d(np.asarray(s, dtype=float)) for s in strata]
-    n = pattern.n
     if len(strata) == 1:
-        pool = strata[0]
-        if float(len(pool)) ** n > budget:
-            raise BudgetError("single-pool incidence enumeration over budget")
-        from .patterns import _scan_brute
-
-        tuples, _ = _scan_brute(pool, pattern, threshold, 0.0, budget)
-        if len(tuples) == 0:
-            return np.empty(0, dtype=np.int64)
+        tuples, _ = violation_scan(strata[0], pattern, threshold, 0.0, budget)
         return np.unique(tuples[:, -1])
-    if len(strata) != n:
-        raise ValueError(f"need 1 or {n} strata pools, got {len(strata)}")
-    domain = getattr(pattern, "_domain", None)
-    if domain is not None:
-        # cube-backed relations are only defined on Q_1 x ... x Q_n, so
-        # slots outside their doubled cube can never take part in a
-        # near-incidence; dropping them up front keeps the window-based
-        # fast paths exact under the domain-restricted residual
-        keep = [np.nonzero(q.contains(s))[0] for q, s in zip(domain, strata)]
-        if any(len(k) != len(s) for k, s in zip(keep, strata)):
-            if any(len(k) == 0 for k in keep):
-                return np.empty(0, dtype=np.int64)
-            sub = incidence_index_set(
-                [s[k] for s, k in zip(strata, keep)], pattern, threshold, budget
-            )
-            return keep[-1][sub]
-    if pattern.d == 1 and pattern.kind in ("translational", "surface"):
-        slots = [s.reshape(-1) for s in strata]
-        hits = [idx[:, -1] for idx, _ in _probe_hits(slots, pattern, threshold, budget)]
-        return np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + hits))
-    return _incidence_brute(strata, pattern, threshold, budget)
-
-
-def _incidence_brute(strata, pattern, threshold, budget, chunk=BRUTE_CHUNK):
-    """Reference path: cross-product enumeration over the pools, chunked
-    so peak memory stays bounded regardless of the product size."""
-    n = pattern.n
-    shapes = [len(s) for s in strata]
-    total = int(np.prod([float(s) for s in shapes]))
-    if float(np.prod([float(s) for s in shapes])) > budget:
-        raise BudgetError("incidence enumeration over budget")
-    hit_last = []
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        idx = np.stack(np.unravel_index(flat, shapes), axis=1)
-        tuples = np.concatenate(
-            [strata[j][idx[:, j]] for j in range(n)], axis=1
-        )
-        if pattern.kind == "rough":
-            hit = pattern.thickened_membership(tuples, threshold)
-        else:
-            hit = pattern.residual(tuples) <= threshold
-        if hit.any():
-            hit_last.append(idx[hit, -1])
-    if not hit_last:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(hit_last))
+    if len(strata) != pattern.n:
+        raise ValueError(f"need 1 or {pattern.n} strata pools, got {len(strata)}")
+    hits = [idx[:, -1] for idx, _ in _tuple_hits(strata, pattern, threshold, 0.0, budget)]
+    return np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + hits))
 
 
 # ------------------------------------------------------------------ rough

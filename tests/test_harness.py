@@ -289,6 +289,25 @@ def test_split_sum_requires_enough_trials():
         split_sum_check(ap3_pattern(), ConstructionParams(M=32, lam=0.3), trials=10)
 
 
+def test_binomial_note_is_the_exact_lower_tail():
+    from fractions import Fraction
+
+    # P(X <= 1) for X ~ Binomial(2, 0.9) is 1 - p^2, with p the float 0.9
+    note = hm._binomial_note(1, 2)
+    assert note["p_value_below_target"] == float(1 - Fraction(0.9) ** 2)
+    assert hm._binomial_note(2, 2)["p_value_below_target"] == 1.0
+    assert hm._binomial_note(0, 3, p=0.5)["p_value_below_target"] == 0.125
+
+
+@pytest.mark.parametrize("trials", [20, 50, 100])
+def test_binomial_note_matches_scipy(trials):
+    stats = pytest.importorskip("scipy.stats")
+    for s in range(trials + 1):
+        want = stats.binomtest(s, trials, 0.9, alternative="less").pvalue
+        got = hm._binomial_note(s, trials)["p_value_below_target"]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -------------------------------------------------------------------- demos
 
 

@@ -121,6 +121,15 @@ def test_seminorm_diff_is_zero_for_identical_measures():
     assert seminorm_diff(mu, mu, 0.5, 16).value == 0.0
 
 
+def test_seminorm_diff_checks_the_box_like_seminorm():
+    mu = bump_measure(64, 0.5, 0.07)
+    for scan in (lambda m: mu.seminorm(0.5, m), lambda m: seminorm_diff(mu, mu, 0.5, m)):
+        with pytest.raises(ValueError, match="xi_max must be >= 1"):
+            scan(0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            scan(33)
+
+
 # ------------------------------------------------------------------ mollifier
 
 

@@ -52,8 +52,9 @@ def oracle_scan(points, pattern, margin, separation_s=0.0):
     return sorted(out)
 
 
-def ap3_pattern(m=16, with_cubes=True):
-    """d=1 three-term pattern x3 - 2*x2 in periodized {-x1}."""
+def ap3_pattern(m=16, with_cubes=True, a=2):
+    """d=1 three-term pattern x3 - a*x2 in periodized {-x1} (a = 2 for
+    the cube layout)."""
     cubes = None
     if with_cubes:
         side = 1.0 / (2 * 2 * m)
@@ -61,7 +62,7 @@ def ap3_pattern(m=16, with_cubes=True):
     return TranslationalPattern(
         d=1,
         n=3,
-        a=2,
+        a=a,
         period_m=m,
         T=lambda x: (-np.asarray(x))[..., None, :],
         lipschitz=1.0,
@@ -343,9 +344,39 @@ def test_d2_scan_and_incidence_match_naive_enumeration(with_cubes):
         np.testing.assert_array_equal(incidence_index_set(pools, pat, margin), naive)
 
 
+def test_d2_scan_budget_counts_the_cube_cut_product():
+    m = 8
+    side = 1.0 / (4 * m)
+    centers = [np.array([c, c]) for c in (1 / 6, 1 / 2, 5 / 6)]
+    cubes = [Cube(c - side / 2, side) for c in centers]
+    pat = TranslationalPattern(
+        d=2, n=3, a=2, period_m=m,
+        T=lambda x: (-np.asarray(x))[..., None, :], lipschitz=1.0, cubes=cubes,
+    )
+    rng = np.random.default_rng(12)
+    pools = [c - side + 2 * side * rng.random((5, 2)) for c in centers]
+    pools[0][:2] = centers[0] + 0.004 * rng.standard_normal((2, 2))
+    pools[1][:2] = centers[1] + 0.004 * rng.standard_normal((2, 2))
+    pools[2][0] = wrap(2 * pools[1][0] - pools[0][0])
+    pools[2][1] = wrap(2 * pools[1][1] - pools[0][1] + 1e-3)
+    # 12 points off every doubled cube: 27^3 tuples, 5^3 of them in Q1 x Q2 x Q3
+    outside = rng.random((100, 2))
+    for q in pat._domain:
+        outside = outside[~q.contains(outside)]
+    points = np.concatenate(pools + [outside[:12]])
+    assert len(points) ** 3 > 1000
+    want = sorted(
+        tuple(int(v) for v in t)
+        for t in _naive_d2_hits(pat, [points] * 3, 2e-3 + 1e-15)
+        if len(set(t)) == 3
+    )
+    tuples, _ = violation_scan(points, pat, margin=2e-3, budget=1000)
+    assert [tuple(t) for t in tuples.tolist()] == want
+    assert {(0, 5, 10), (1, 6, 11)} <= set(want)
+
+
 def test_d2_brute_paths_do_not_depend_on_chunk_size(monkeypatch):
     from salemkit import patterns
-    from salemkit.sampler import _incidence_brute
 
     pat = TranslationalPattern(
         d=2, n=3, a=2, period_m=8,
@@ -358,7 +389,7 @@ def test_d2_brute_paths_do_not_depend_on_chunk_size(monkeypatch):
     for chunk in (7, 1000, 10**6):
         monkeypatch.setattr(patterns, "BRUTE_CHUNK", chunk)
         tuples, resid = violation_scan(points, pat, margin=0.03)
-        hits = _incidence_brute(pools, pat, 0.03, 10**9, chunk=chunk)
+        hits = incidence_index_set(pools, pat, 0.03, 10**9)
         runs.append((tuples, resid, hits))
     assert len(runs[0][0]) > 10 and len(runs[0][2]) > 0
     for tuples, resid, hits in runs[1:]:
@@ -404,24 +435,27 @@ def test_scan_separation_filters_close_pairs():
     hits_s = {
         tuple(t) for t in violation_scan(pts, pat, 1e-6, separation_s=0.01)[0]
     }
-    assert all(3 not in t or True for t in hits_s)  # structural sanity
     assert hits_s <= hits
+    assert sorted(hits_s) == oracle_scan(pts, pat, 1e-6, separation_s=0.01)
+    # |x1 - x2| = 0.15 keeps (0, 1, 2) out at separation 0.2
+    far = {tuple(t) for t in violation_scan(pts, pat, 1e-6, separation_s=0.2)[0]}
+    assert (0, 1, 2) not in far
+    assert sorted(far) == oracle_scan(pts, pat, 1e-6, separation_s=0.2)
 
 
-def test_scan_fast_path_matches_bruteforce():
+def test_scan_fast_path_matches_bruteforce(enumerated):
     rng = np.random.default_rng(77)
     pts = rng.random((40, 1))
     pts[3, 0], pts[17, 0], pts[31, 0] = 0.12, 0.3, (2 * 0.3 - 0.12 + 5 / 16) % 1.0
     pat = ap3_pattern(m=16, with_cubes=False)
-    from salemkit.patterns import _scan_brute
-
-    brute = _scan_brute(pts, pat, 1e-9, 0.0, 10**9)
+    brute = violation_scan(pts, enumerated(pat), 1e-9, 0.0, 10**9)
     fast = violation_scan(pts, pat, margin=1e-9)  # dispatches to the fold path
-    assert {tuple(t) for t in brute[0]} == {tuple(t) for t in fast[0]}
+    np.testing.assert_array_equal(fast[0], brute[0])
+    np.testing.assert_array_equal(fast[1], brute[1])
     assert (3, 17, 31) in {tuple(t) for t in fast[0]}
 
 
-def test_scan_surface_fast_path_matches_bruteforce():
+def test_scan_surface_fast_path_matches_bruteforce(enumerated):
     rng = np.random.default_rng(15)
     pts = rng.random((35, 1))
     f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
@@ -429,11 +463,10 @@ def test_scan_surface_fast_path_matches_bruteforce():
     pat = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
     # planted occurrence inside the doubled cubes: 0.005 + 0.3 + 0.3 = 0.605
     pts[5, 0], pts[6, 0], pts[7, 0] = 0.005, 0.3, 0.605
-    from salemkit.patterns import _scan_brute
-
-    brute = _scan_brute(pts, pat, 1e-9, 0.0, 10**9)
+    brute = violation_scan(pts, enumerated(pat), 1e-9, 0.0, 10**9)
     fast = violation_scan(pts, pat, margin=1e-9)
-    assert {tuple(t) for t in brute[0]} == {tuple(t) for t in fast[0]}
+    np.testing.assert_array_equal(fast[0], brute[0])
+    np.testing.assert_array_equal(fast[1], brute[1])
     assert (5, 6, 7) in {tuple(t) for t in fast[0]}
 
 
@@ -565,23 +598,17 @@ def test_window_probe_subnormal_tau_does_not_overflow():
 # ------------------------------------------------- batched 1-D scan recheck
 
 
-def test_scan_recheck_matches_bruteforce_on_builds():
+def test_scan_recheck_matches_bruteforce_on_builds(enumerated):
     from salemkit.harness import ap3_pattern as harness_ap3, isosceles_surface_pattern
-    from salemkit.patterns import _scan_brute
     from salemkit.sampler import ConstructionParams, build_surface, build_translational
 
     iso = isosceles_surface_pattern()
     cfg = build_surface(iso, ConstructionParams(M=16, lam=4 / 9, seed=0))
-    # the brute path evaluates f on every prefix, and the bisection only
-    # brackets inside the working box: keep the points the cubes hold
-    inside = np.zeros(cfg.N, dtype=bool)
-    for q in iso._domain:
-        inside |= q.contains(cfg.points)
     ap3 = harness_ap3(16)
     cfg3 = build_translational(ap3, ConstructionParams(M=12, lam=0.45, seed=1))
-    for pts, pat, margin in ((cfg.points[inside], iso, 1e-3), (cfg3.points, ap3, 0.02)):
+    for pts, pat, margin in ((cfg.points, iso, 1e-3), (cfg3.points, ap3, 0.02)):
         fast = violation_scan(pts, pat, margin=margin)
-        brute = _scan_brute(pts, pat, margin, 0.0, 10**9)
+        brute = violation_scan(pts, enumerated(pat), margin, 0.0, 10**9)
         assert len(fast[0]) > 10
         np.testing.assert_array_equal(fast[0], brute[0])
         np.testing.assert_array_equal(fast[1], brute[1])
@@ -611,9 +638,11 @@ def planted_case(draw):
         f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
         cubes = [Cube([0.0], 0.01), Cube([0.3], 0.01), Cube([0.6], 0.01)]
         pat = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    elif kind == "cubes":
+        pat = ap3_pattern(m=16)
     else:
-        pat = ap3_pattern(m=16 if kind == "cubes" else draw(st.sampled_from([1, 3, 16])),
-                          with_cubes=kind == "cubes")
+        a = draw(st.sampled_from([2, Fraction(1, 2), Fraction(3, 2), Fraction(-5, 3)]))
+        pat = ap3_pattern(m=draw(st.sampled_from([1, 3, 16])), with_cubes=False, a=a)
     pools = []
     for j in range(3):
         size = draw(st.integers(1, 5))
@@ -635,7 +664,7 @@ def planted_case(draw):
         # any grid shift on the torus; in the cube layout 2*x2 - x1 itself
         # lies in the third doubled cube
         shift = 0 if kind == "cubes" else draw(st.integers(0, pat.period_m - 1))
-        target = 2 * x2 - x1 + shift / pat.period_m
+        target = pat.a_float * x2 - x1 + shift / pat.period_m
     delta = draw(
         st.one_of(
             st.just(0.0),

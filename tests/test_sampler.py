@@ -318,8 +318,8 @@ def test_incidence_index_set_matches_naive_enumeration():
 
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("m,a", [(1, 2), (3, 1), (8, -1), (16, 2)])
-def test_translational_incidence_1d_matches_brute(n, m, a):
-    from salemkit.sampler import INCIDENCE_BUDGET, _incidence_brute, incidence_index_set
+def test_translational_incidence_1d_matches_brute(n, m, a, enumerated):
+    from salemkit.sampler import incidence_index_set
 
     shifts = np.array([1 / 8, 3 / 8])[:, None]  # two raw targets
 
@@ -343,7 +343,7 @@ def test_translational_incidence_1d_matches_brute(n, m, a):
             pools[-1][:3] = wrap(a * pools[-2][:3] + t + (trial % m) / m)
         for tau in (0.0, 1e-3, 0.03):
             got = incidence_index_set(pools, pat, tau)  # the d = 1 window probe
-            want = _incidence_brute(pools, pat, tau, INCIDENCE_BUDGET)
+            want = incidence_index_set(pools, enumerated(pat), tau)
             np.testing.assert_array_equal(got, want)
             if m != 3 and tau == 0.0:
                 assert {0, 1, 2} <= set(got.tolist())
