@@ -23,8 +23,15 @@ a deterministic subsample, marked ``sampled``, otherwise.  The sweep and its
 calibration share one cap, so C is calibrated on the statistic the sweep
 verdict tests.  :func:`plan_magnitudes` evaluates a plan.
 
-Evaluation.  A d = 1 plan that covers every integer 1..K advances a phase
-recurrence over consecutive frequencies.  Grid measures read their
+Evaluation.  A d = 1 plan that covers every integer 1..K in order is
+screened by a type-1 non-uniform FFT with a Gaussian kernel (Dutt & Rokhlin,
+SISC 1993; Greengard & Lee, SIAM Rev. 46, 2004) in O(N w + K log K), which
+carries an a-priori bound eps on its distance from the exact reference, the
+``_BLOCK``-seeded phase recurrence over consecutive frequencies.  Every
+frequency on which a reported number can depend (near an annulus maximum,
+near the maximum of |S| minus the bound, or within eps of the bound) is then
+replayed by that recurrence, so sups, argmaxes, violation counts and the
+calibration statistic keep the recurrence's bits.  Grid measures read their
 transform off the FFT.  Every other plan goes through
 :func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
@@ -38,6 +45,7 @@ complex exponential per (frequency, point) pair.  Both paths reduce every
 phase modulo 1 before exponentiating; they agree to float rounding.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -65,6 +73,10 @@ _TABLE_ENTRIES = 4_000_000  # complex entries per phase table or product block
 # j <= 1 in d = 3 and j = 0 in d = 4.
 _SWEEP_CAP, _SWEEP_SAMPLES = 2**18, 2**16
 _SUPS_CAP, _SUPS_SAMPLES = 384, 256
+# d = 1 screen: grid oversampling ratio R and Gaussian spreading half-width
+# (Greengard & Lee's R = 2, M_sp = 12), and points spread per bincount call
+_NUFFT_R, _NUFFT_HALFWIDTH = 2, 12
+_SPREAD_CHUNK = 2**15
 
 
 def weighted_exp_sum(points, weights, xi):
@@ -179,17 +191,41 @@ def _prefix_groups(head):
     return lo + np.stack([keys] + cols[::-1], axis=1), p_of
 
 
-def _mags_block_1d(x, a, lo, hi, N):
-    """|S(xi)| for consecutive integer xi in [lo, hi] via recurrence."""
+def _mags_block_1d(x, a, lo, at, N):
+    """|S(xi)| at the increasing integers ``at`` (all >= lo, in lo's block)
+    via the recurrence seeded at lo.  Every step is taken, so |S(xi)| has
+    the same bits whichever frequencies of the block are asked for."""
     w = a * np.exp(2j * np.pi * ((lo * x) % 1.0))
     z = np.exp(2j * np.pi * x)
-    out = np.empty(hi - lo + 1)
-    out[0] = abs(w.sum())
-    for i in range(1, hi - lo + 1):
-        w *= z
+    out = np.empty(len(at))
+    step = lo
+    for i, xi in enumerate(at):
+        for _ in range(xi - step):
+            w *= z
+        step = xi
         out[i] = abs(w.sum())
     out /= N
     return out
+
+
+def _points_1d(points, weights):
+    x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
+    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+    return x, a
+
+
+def _recurrence_1d(x, a, blocks, threads):
+    """:func:`_mags_block_1d` over ``blocks`` of ``(lo, at)``, on a pool of
+    ``threads`` threads when threads > 1; one array per block."""
+    N = len(x)
+
+    def run(block):
+        return _mags_block_1d(x, a, *block, N)
+
+    if threads <= 1:
+        return [run(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, blocks))
 
 
 def sweep_magnitudes_1d(points, weights, xi_max, threads=1):
@@ -200,22 +236,134 @@ def sweep_magnitudes_1d(points, weights, xi_max, threads=1):
     round-off never accumulates past a block and the result is the same
     for every thread count.
     """
-    x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
-    N = len(x)
-    a = (
-        np.ones(N)
-        if weights is None
-        else np.asarray(weights, dtype=float).reshape(-1)
-    )
-    blocks = [(lo, min(lo + _BLOCK - 1, xi_max)) for lo in range(1, xi_max + 1, _BLOCK)]
-    if threads <= 1:
-        parts = [_mags_block_1d(x, a, lo, hi, N) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda b: _mags_block_1d(x, a, b[0], b[1], N), blocks)
-            )
+    x, a = _points_1d(points, weights)
+    blocks = [
+        (lo, range(lo, min(lo + _BLOCK, xi_max + 1))) for lo in range(1, xi_max + 1, _BLOCK)
+    ]
+    parts = _recurrence_1d(x, a, blocks, threads)
     return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _screen_1d(x, a, K):
+    """Screened |S(xi)| for xi = 1..K and a bound eps on its distance from
+    :func:`sweep_magnitudes_1d`: a type-1 Gaussian NUFFT.
+
+    Method (Greengard & Lee 2004, with x in [0, 1)).  Each point is spread
+    onto a real grid of Mr nodes (Mr >= 2 R (K+1), a power of two; R = 2)
+    with the Gaussian g(t) = exp(-beta t^2) of the distance t in grid
+    units, over the 2 w nodes nearest to it (w = 12), and with
+    beta = pi (R - 1/2) / (R w), which is Greengard & Lee's tau in grid
+    units.  With c = pi^2 / (beta Mr^2), the Fourier series of the periodic
+    Gaussian gives
+
+        sum_k a_k e(xi x_k) = sqrt(beta/pi) e^(c xi^2) conj(G[xi]) + errors,
+
+    where G is the real FFT of the grid.  Mr x is exact (Mr is a power of
+    two), and the grid is summed by ``np.bincount`` in point chunks.
+
+    Bound.  Let A = sum |a_k|, u = 2^-53, X = max |x_k|, L = e^(c K^2)
+    (at most e^pi, since 4 K < Mr) and q = e^(-c Mr (Mr - 2K)).  Every term
+    below is a bound on the sum before the division by N; eps is their
+    total times 2 / N, the factor 2 covering the libm and FFT constants,
+    which are assumed, not certified:
+
+    - aliasing: the images xi - p Mr, p != 0, of the Gaussian's spectrum,
+      A 2q / (1 - q);
+    - truncation: A times the Gaussian mass a point leaves outside its 2w
+      nodes, at most 2 e^(-beta w^2) / (1 - e^(-beta (2w + 1))), times the
+      deconvolution's gain sqrt(beta/pi) L;
+    - screen rounding: u A [2 pi K + L (N + 151 + 8 (log2 Mr + 2)) + 20],
+      from folding x into [0, 1) (a position error of u), the spread weights
+      (150 u each), the bincount sums (at most N terms a node, as
+      Mr >= 2w), an FFT error of 8 u per radix-2 stage (log2 Mr + 2 stages
+      for a real transform) on a grid of l1 mass at most A sqrt(pi/beta),
+      and the deconvolution;
+    - recurrence drift: u A [2 pi X K + 24 + (13 X + 6) _BLOCK
+      + 1.42 N + 6], from the seed's phase lo*x (lo <= K), up to _BLOCK
+      complex products by a step z = e(x) itself off by
+      (4.02 pi X + 2.83) u, the N-term complex sum in any order
+      (sqrt(2) (N - 1) u A) and the final abs and division.
+    """
+    N = len(x)
+    w = _NUFFT_HALFWIDTH
+    Mr = 1 << (max(2 * _NUFFT_R * (K + 1), 2 * w) - 1).bit_length()
+    beta = math.pi * (_NUFFT_R - 0.5) / (_NUFFT_R * w)
+    c = math.pi**2 / (beta * Mr * Mr)
+    gain = math.sqrt(beta / math.pi)
+    pos = (x - np.floor(x)) * Mr
+    node0 = np.floor(pos)
+    frac = pos - node0
+    node0 = node0.astype(np.int64)
+    t = np.arange(1 - w, w + 1)
+    grid = np.zeros(Mr)
+    for s in range(0, N, _SPREAD_CHUNK):
+        part = slice(s, s + _SPREAD_CHUNK)
+        dist = t - frac[part, None]
+        node = (node0[part, None] + t) & (Mr - 1)
+        spread = a[part, None] * np.exp(-beta * dist * dist)
+        grid += np.bincount(node.ravel(), spread.ravel(), minlength=Mr)
+    mags = np.abs(np.fft.rfft(grid)[1 : K + 1])
+    xi = np.arange(1, K + 1, dtype=float)
+    mags *= np.exp(c * xi * xi) * (gain / N)
+
+    L = math.exp(c * K * K)
+    q = math.exp(-c * Mr * (Mr - 2 * K))
+    alias = 2 * q / (1 - q)
+    trunc = gain * L * 2 * math.exp(-beta * w * w) / (1 - math.exp(-beta * (2 * w + 1)))
+    X = float(np.abs(x).max())
+    screen = 2 * math.pi * K + L * (N + 151 + 8 * (math.log2(Mr) + 2)) + 20
+    drift = 2 * math.pi * X * K + 24 + (13 * X + 6) * _BLOCK + 1.42 * N + 6
+    eps = 2 * float(np.abs(a).sum()) / N * (alias + trunc + (screen + drift) * 2.0**-53)
+    return mags, eps
+
+
+def _screen_replay_1d(points, weights, xis, threads, bound):
+    """|S(xi)| over the annuli ``xis`` that tile 1..K in order, and the
+    evaluation record.
+
+    The NUFFT screen gives every entry within eps of the recurrence.  In
+    each annulus, with tol = eps plus a rounding slack of 2^-50 times the
+    largest magnitude in play, the recurrence is replayed at every xi whose
+    screened value is within 2 tol of the annulus maximum, whose value minus
+    ``bound(xi)`` (or minus 0 without a bound) is within 2 tol of its
+    maximum, or, with a bound, within tol of the bound.  Every other entry
+    is then strictly below the maxima and on the same side of the bound as
+    the exact value, so the maximum, the first argmax, the maximum of the
+    excess over the bound, its first argmax and the count of entries above
+    the bound are the recurrence's, bit for bit.  Non-finite input has no
+    screen; every frequency is replayed.
+    """
+    x, a = _points_1d(points, weights)
+    ends = np.cumsum([len(xi) for xi in xis])
+    K = int(ends[-1])
+    if np.isfinite(x).all() and np.isfinite(a).all():
+        mags, eps = _screen_1d(x, a, K)
+        need = np.empty(K, dtype=bool)
+        for xi, s, e in zip(xis, np.concatenate([[0], ends[:-1]]), ends):
+            m = mags[s:e]
+            b = np.zeros(len(xi)) if bound is None else bound(xi)
+            excess = m - b
+            tol = eps + 2.0**-50 * (m.max() + eps + np.abs(b).max())
+            sel = (m >= m.max() - 2 * tol) | (excess >= excess.max() - 2 * tol)
+            if bound is not None:
+                sel |= np.abs(excess) <= tol
+            need[s:e] = sel
+    else:
+        mags, eps, need = np.empty(K), math.inf, np.ones(K, dtype=bool)
+    freqs = np.flatnonzero(need) + 1
+    if len(freqs):
+        # one replay per block, from its seed to its last frequency needed
+        cuts = np.flatnonzero(np.diff((freqs - 1) // _BLOCK)) + 1
+        blocks = [
+            ((int(at[0]) - 1) // _BLOCK * _BLOCK + 1, at.tolist()) for at in np.split(freqs, cuts)
+        ]
+        mags[freqs - 1] = np.concatenate(_recurrence_1d(x, a, blocks, threads))
+    evaluation = {
+        "evaluator": "recurrence" if need.all() else "nufft-screen+replay",
+        "eps": eps,
+        "reevaluated": len(freqs),
+    }
+    return np.split(mags, ends[:-1]), evaluation
 
 
 def _canonical_lattice_shell(d, lo, hi, cap=math.inf):
@@ -334,32 +482,50 @@ def _sweep_plan(d, xi_max):
     )
 
 
-def plan_magnitudes(plan, source, weights=None, threads=1):
+def plan_magnitudes(plan, source, weights=None, threads=1, _bound=None):
     """|S(xi)| over a frequency plan: yields ``(j, lo, hi, xi, sampled, mags)``.
 
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
-    A d = 1 plan whose frequencies are exactly 1..K, in order, takes the
-    ``_BLOCK``-seeded recurrence once over the whole range (the same bits
-    at every thread count); every other point-set plan takes
-    :func:`weighted_exp_sum` annulus by annulus.
+    A point-set plan takes :func:`weighted_exp_sum` annulus by annulus,
+    exact in every entry, unless it is a d = 1 plan whose frequencies are
+    exactly 1..K, in order.
+
+    Such a plan is screened by a Gaussian NUFFT, and each annulus's ``mags``
+    is exact (bit-equal to :func:`sweep_magnitudes_1d`, at every thread
+    count) in its maximum and first argmax, and within eps of it elsewhere.
+    ``_bound`` (private: the sweep and its calibration pass it) maps an
+    annulus's ``xi`` to the bound its magnitudes are tested against; with
+    it, the maximum and first argmax of ``mags - _bound(xi)`` and the count
+    of ``mags > _bound(xi)`` are exact too.  eps is derived in
+    :func:`_screen_1d`.
     """
+    yield from _evaluate_plan(plan, source, weights, threads, _bound)[1]
+
+
+def _evaluate_plan(plan, source, weights, threads, bound):
+    """``(evaluation, rows)``: the rows :func:`plan_magnitudes` yields, and a
+    record of the ``evaluator`` that ran, its ``eps`` (0 when every entry is
+    exact) and the number of frequencies ``reevaluated`` by the recurrence
+    after the screen.  ``evaluator`` is "nufft-screen+replay", "recurrence"
+    (the screen left every frequency to the recurrence), "direct/phase-table"
+    or "grid".
+    """
+    exact = {"eps": 0.0, "reevaluated": 0}
     if hasattr(source, "transform"):
-        for j, lo, hi, xi, sampled in plan:
-            yield j, lo, hi, xi, sampled, np.abs(source.transform(xi))
-        return
+        rows = ((*annulus, np.abs(source.transform(annulus[3]))) for annulus in plan)
+        return {"evaluator": "grid", **exact}, rows
     plan = list(plan)
     xis = [annulus[3] for annulus in plan]
     K = sum(map(len, xis))
     if xis and source.shape[1] == 1 and np.array_equal(
         np.concatenate(xis)[:, 0], np.arange(1, K + 1)
     ):
-        whole = sweep_magnitudes_1d(source, weights, K, threads=threads)
-        mags = np.split(whole, np.cumsum([len(xi) for xi in xis])[:-1])
+        mags, evaluation = _screen_replay_1d(source, weights, xis, threads, bound)
     else:
         mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
-    for annulus, m in zip(plan, mags):
-        yield (*annulus, m)
+        evaluation = {"evaluator": "direct/phase-table", **exact}
+    return evaluation, ((*annulus, m) for annulus, m in zip(plan, mags))
 
 
 def _decay(xi, lam, delta):
@@ -421,10 +587,15 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
     if xi_max is None:
         xi_max = int(math.ceil(N ** (1.0 + kappa)))
     constant = C * N**-0.5 * math.log(N)
+    evaluation, rows = _evaluate_plan(
+        _sweep_plan(d, xi_max),
+        points,
+        weights,
+        threads,
+        lambda xi: constant + _decay(xi, lam, delta),
+    )
     annuli = []
-    for j, lo, hi, xi, sampled, mags in plan_magnitudes(
-        _sweep_plan(d, xi_max), points, weights, threads
-    ):
+    for j, lo, hi, xi, sampled, mags in rows:
         decay = _decay(xi, lam, delta)
         bounds = constant + decay
         excess = mags - bounds
@@ -449,6 +620,7 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
         "log": "natural",
         "range": "N^(1+kappa)",
         "threads": threads,
+        "evaluation": evaluation,
     }
     if C <= 0:
         notes["binding"] = "C <= 0: the decay term delta*|xi|^(-lam/2) alone carries the bound"
@@ -491,19 +663,29 @@ def calibrate_constant(
     over the frequency plan of :func:`sweep` to N**(1+kappa), and returns
     ``(C, all_values)`` where C is the requested percentile.
     """
+    if N < 2:
+        raise ValueError("N must be at least 2: the statistic divides by log(N)")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if len(weights) != N:
             raise ValueError("weights length must equal N")
     plan = list(_sweep_plan(d, int(math.ceil(N ** (1.0 + kappa)))))
+    if d == 1 and not any(sampled for *_, sampled in plan):
+        # the plan tiles 1..xi_max and the statistic is one maximum over all
+        # of it: as one annulus, only the frequencies near that maximum are
+        # replayed after the screen
+        plan = [(0, 1.0, plan[-1][2], np.concatenate([xi for _, _, _, xi, _ in plan]), False)]
+    decay = functools.partial(_decay, lam=lam, delta=delta)
     values = np.empty(trials)
     scale = math.sqrt(N) / math.log(N)
     for t in range(trials):
         rng = np.random.default_rng(np.random.Philox(key=(seed << 16) + t))
         pts = rng.random((N, d))
         stat = max(
-            float((mags - _decay(xi, lam, delta)).max())
-            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, threads)
+            float((mags - decay(xi)).max())
+            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, threads, _bound=decay)
         )
         values[t] = stat * scale
     return float(np.percentile(values, percentile)), values

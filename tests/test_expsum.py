@@ -9,11 +9,14 @@ import pytest
 
 from salemkit import expsum
 from salemkit.expsum import (
+    _BLOCK,
     _SUPS_CAP,
     _SUPS_SAMPLES,
     _canonical_lattice_shell,
+    _decay,
     _direct_sum,
     _prefix_groups,
+    _screen_1d,
     _separable_sum,
     _subsample_annulus,
     _sweep_plan,
@@ -299,10 +302,12 @@ def _digest(obj):
 
 
 def _parent_fields(report):
-    """A sweep report without the per-annulus ``binding`` key, which the
-    reports of the reference digests did not carry yet."""
+    """A sweep report without the per-annulus ``binding`` key and the
+    ``evaluation`` note, which the reports of the reference digests did not
+    carry yet."""
     for a in report["annuli"]:
         del a["binding"]
+    del report["notes"]["evaluation"]
     return report
 
 
@@ -459,3 +464,178 @@ def test_prefix_groups_refuse_keys_beyond_int64():
     assert _prefix_groups(head) is None
     xi = np.concatenate([head, [[1.0], [2.0]]], axis=1)
     assert _separable_sum(np.zeros((2, 3)), np.ones(2), xi) is None
+
+
+def _screen_cases():
+    """(x, a) inputs for the d = 1 screen, N up to 8192."""
+    rng = np.random.default_rng(15)
+    x = rng.random(8192)
+    ends = x[:1000].copy()
+    ends[:3] = 0.0
+    ends[3:6] = 1.0 - 2.0**-53
+    signed = rng.standard_normal(3000)
+    signed[::7] = 0.0
+    return {
+        "unit weights": (x, np.ones(8192)),
+        "random weights": (x[:3000], rng.random(3000) + 0.5),
+        "zero weights": (x[:500], np.zeros(500)),
+        "negative and zero weights": (x[:3000], signed),
+        "points at 0 and 1 - 2^-53": (ends, rng.random(1000)),
+        "all points equal": (np.full(700, 0.3125), rng.random(700)),
+        "lattice k/64": ((np.arange(2000) % 64) / 64.0, np.ones(2000)),
+    }
+
+
+@pytest.mark.parametrize("K", [1, 1000, 3 * _BLOCK + 123])
+@pytest.mark.parametrize("case", list(_screen_cases()))
+def test_screen_honours_its_bound(case, K):
+    # the screen is within eps of the recurrence at every frequency, below
+    # one recurrence block and across several
+    x, a = _screen_cases()[case]
+    mags, eps = _screen_1d(x, a, K)
+    want = sweep_magnitudes_1d(x, a, K)
+    assert mags.shape == want.shape
+    assert np.abs(mags - want).max() <= eps
+    # and the bound is tight enough to screen with
+    assert eps <= 1e-9 * np.abs(a).sum() / len(x)
+
+
+def _reference_sweep(points, weights, lam, C, xi_max, delta=1.0):
+    """The per-annulus statistics of a d = 1 sweep, from the full recurrence."""
+    N = len(points)
+    mags_all = sweep_magnitudes_1d(points, weights, xi_max)
+    constant = C * N**-0.5 * math.log(N)
+    annuli = []
+    for j, lo, hi, xi, sampled in _sweep_plan(1, xi_max):
+        mags = mags_all[xi[:, 0] - 1]
+        decay = _decay(xi, lam, delta)
+        bounds = constant + decay
+        excess = mags - bounds
+        k, w = int(np.argmax(mags)), int(np.argmax(excess))
+        annuli.append(
+            {
+                "j": j,
+                "lo": lo,
+                "hi": hi,
+                "n_evaluated": len(xi),
+                "sup": float(mags[k]),
+                "argmax_xi": [int(xi[k, 0])],
+                "sampled": sampled,
+                "n_violations": int((mags > bounds).sum()),
+                "worst_excess": max(0.0, float(excess[w])),
+                "binding": "constant" if constant > decay[w] else "decay",
+            }
+        )
+    return annuli
+
+
+def _sweep_inputs():
+    rng = np.random.default_rng(16)
+    return {
+        "random": (rng.random((1500, 1)), rng.random(1500) + 0.5),
+        "atomic": (np.full((256, 1), 0.5), None),
+        "lattice": ((np.arange(1200) % 64 / 64.0).reshape(-1, 1), rng.random(1200)),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("case", list(_sweep_inputs()))
+def test_sweep_matches_the_full_recurrence_bit_for_bit(case, threads):
+    pts, ws = _sweep_inputs()[case]
+    xi_max = 2 * _BLOCK + 1001  # not a multiple of the block
+    # at C = 0 and lam = 0 the bound is delta at every frequency.  A delta
+    # equal to the exact magnitude of a frequency the screen overestimates
+    # puts that frequency on the bound, where only its exact value shows
+    # that it is no violation.
+    mags = sweep_magnitudes_1d(pts, ws, xi_max)
+    screened, _ = _screen_1d(pts[:, 0], np.ones(len(pts)) if ws is None else ws, xi_max)
+    over = np.flatnonzero(screened > mags)
+    on_bound = float(mags[over[len(over) // 2]] if len(over) else np.median(mags))
+    for C, lam, delta in ((-0.4, 0.45, 1.0), (0.5, 0.45, 1.0), (2.0, 0.45, 1.0), (0.0, 0.0, on_bound)):
+        rep = sweep(pts, ws, lam=lam, C=C, delta=delta, xi_max=xi_max, threads=threads)
+        want = _reference_sweep(pts, ws, lam, C, xi_max, delta)
+        assert rep.to_dict()["annuli"] == want, (case, C)
+        assert rep.n_violations == sum(a["n_violations"] for a in want)
+        assert rep.sup_overall == max(a["sup"] for a in want)
+        ev = rep.notes["evaluation"]
+        assert ev["evaluator"] in ("nufft-screen+replay", "recurrence")
+        assert 0 < ev["eps"] < 1e-8 and 0 < ev["reevaluated"] <= xi_max
+    if case == "atomic":
+        # |S| = 1 at every frequency: nothing to screen out
+        assert ev == {"evaluator": "recurrence", "eps": ev["eps"], "reevaluated": xi_max}
+    elif case == "random":
+        assert ev["evaluator"] == "nufft-screen+replay" and ev["reevaluated"] < 100
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("case", ["random", "atomic"])
+def test_calibration_matches_the_full_recurrence_bit_for_bit(case, threads):
+    # N = 2000: xi_max = 9139 spans three recurrence blocks.  Atomic weights
+    # put all the mass on one point, so |S| is 1 up to rounding everywhere.
+    rng = np.random.default_rng(17)
+    N, lam, trials, seed = 2000, 0.45, 3, 2
+    if case == "random":
+        ws = rng.random(N) + 0.5
+    else:
+        ws = np.zeros(N)
+        ws[0] = N
+    xi_max = int(math.ceil(N**1.2))
+    C, values = calibrate_constant(N, 1, lam=lam, weights=ws, trials=trials, seed=seed, threads=threads)
+    want = np.empty(trials)
+    for t in range(trials):
+        pts = np.random.default_rng(np.random.Philox(key=(seed << 16) + t)).random((N, 1))
+        mags = sweep_magnitudes_1d(pts, ws, xi_max)
+        want[t] = max(
+            float((mags[xi[:, 0] - 1] - _decay(xi, lam, 1.0)).max())
+            for _, _, _, xi, _ in _sweep_plan(1, xi_max)
+        ) * (math.sqrt(N) / math.log(N))
+    assert xi_max % _BLOCK and xi_max > 2 * _BLOCK
+    assert np.array_equal(values, want)
+    assert C == float(np.percentile(want, 95.0))
+
+
+def test_sweep_records_its_evaluator():
+    rng = np.random.default_rng(18)
+    rep = sweep(rng.random((300, 1)), None, lam=0.45, C=1.0)
+    ev = rep.notes["evaluation"]
+    assert ev["evaluator"] == "nufft-screen+replay"
+    assert 0 < ev["eps"] < 1e-9 and 0 < ev["reevaluated"] < rep.xi_max
+    rep2 = sweep(rng.random((60, 2)), None, lam=0.9, C=1.0)
+    assert rep2.notes["evaluation"] == {"evaluator": "direct/phase-table", "eps": 0.0, "reevaluated": 0}
+    # a non-finite weight leaves the screen without a bound: every
+    # frequency takes the recurrence
+    ws = np.ones(300)
+    ws[7] = np.nan
+    rep3 = sweep(rng.random((300, 1)), ws, lam=0.45, C=1.0)
+    assert rep3.notes["evaluation"] == {
+        "evaluator": "recurrence",
+        "eps": math.inf,
+        "reevaluated": rep3.xi_max,
+    }
+
+
+def test_calibrate_refuses_degenerate_arguments():
+    with pytest.raises(ValueError, match="N must"):
+        calibrate_constant(1, 1, lam=0.45, trials=2)
+    with pytest.raises(ValueError, match="trials must"):
+        calibrate_constant(64, 1, lam=0.45, trials=0)
+
+
+def test_screen_memory_is_bounded():
+    # N = 2^17 points in four spreading chunks onto the grid of the largest
+    # range a sweep screens (xi_max < 2^19, beyond which its top annulus is
+    # subsampled): Mr = 2^21 nodes, 16 MiB per real grid.  The grid, one
+    # chunk's bincount, the transform (8 MiB complex of the half spectrum
+    # per 16 MiB grid) and the chunk temporaries (24 nodes x 2^15 points)
+    # stay under 80 MiB; one unchunked N x 24 spread would add 100 MiB.
+    rng = np.random.default_rng(19)
+    N = 2**17
+    x, a = rng.random(N), rng.random(N)
+    tracemalloc.start()
+    try:
+        mags, eps = _screen_1d(x, a, 2**19 - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert len(mags) == 2**19 - 1 and eps < 1e-8
