@@ -8,9 +8,9 @@ approximate solution of
 
 across all 32 sign-normalized coefficient vectors at once.  The removal
 threshold is capped analytically so the expected number of removals stays
-near sqrt(M) and the surviving set keeps at least half its points.  A
-brute-force recount of the violations over the kept points must come back
-zero for every equation.
+near sqrt(M) and the surviving set keeps at least half its points.  An
+exact scan of the violations over the kept points must come back zero for
+every equation.
 
 The interesting tension: the candidate density exponent here is
 beta0 = d/(n-1) = 1/2, and the battery runs at lam = 0.45 just below it,
@@ -37,7 +37,7 @@ def main():
         print(
             f"  trial {row['trial']}: kept N={row['N']}, "
             f"removed {row['removed_count']}, "
-            f"brute-force violations {row['scan_violations']}"
+            f"exact-scan violations {row['scan_violations']}"
         )
     print(f"report written to {out_dir}/linear-eq.json")
     print("VERDICT:", "pass" if total_viol == 0 else "FAIL")

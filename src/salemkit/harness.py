@@ -23,8 +23,6 @@ from .patterns import (
     SurfacePattern,
     TranslationalPattern,
     violation_scan,
-    window_cover,
-    window_probe,
 )
 from .sampler import (
     BUILDERS,
@@ -34,6 +32,7 @@ from .sampler import (
     build_rough,
     build_surface,
     derive_radius,
+    incidence_index_set,
 )
 from .torus import Cube, json_default
 
@@ -524,54 +523,22 @@ def _normalized_coeff_vectors(n, coeff_bound):
     return out
 
 
-def _linear_windows(xs, vectors, s_set, margin):
-    """Windows of sorted ``xs`` completing m1 x_i + m2 x_j + m3 x_k = s (mod 1).
+def _linear_pattern(m, s):
+    """m1 x1 + m2 x2 + m3 x3 = s (mod 1) as a translational relation.
 
-    Yields ``(i, j, lo, hi)`` per (vector, s, branch): the distinct
-    positions i != j in ``xs`` of a pair and the range ``xs[lo:hi]`` of
-    every window that holds a point within margin/|m3| of its solved x_k.
+    Dividing by m3 gives x3 - a x2 in t(x1) + Z/|m3| with a = -m2/m3 and
+    t(x1) = (s - m1 x1)/m3, measured along x3: a margin eta on the
+    equation is a threshold eta/|m3| on this pattern.
     """
-    N = len(xs)
-    ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    distinct = (ii != jj).reshape(-1)
-    pair_i = ii.reshape(-1)[distinct]
-    pair_j = jj.reshape(-1)[distinct]
-    for m1, m2, m3 in vectors:
-        for s in s_set:
-            # x_k solves m3 x = s - m1 x_i - m2 x_j (mod 1): |m3| branches
-            base = (s - m1 * xs[pair_i] - m2 * xs[pair_j]) / m3
-            for branch in range(abs(m3)):
-                tgt = (base + branch / m3) % 1.0
-                qi, lo, hi = window_probe(xs, tgt, margin / abs(m3), 1.0)
-                yield pair_i[qi], pair_j[qi], lo, hi
-
-
-def _linear_hit_last_indices(x, vectors, s_set, margin):
-    """Indices k completing m1 x_i + m2 x_j + m3 x_k = s (mod 1) within margin.
-
-    Exact enumeration over ordered distinct index triples for every
-    coefficient vector: a point is hit when more windows hold it than
-    belong to pairs it is part of.
-    """
-    N = len(x)
-    order = np.argsort(x, kind="stable")
-    cover = np.zeros(N, dtype=np.int64)
-    own = np.zeros(N, dtype=np.int64)
-    for i, j, lo, hi in _linear_windows(x[order], vectors, s_set, margin):
-        cover += window_cover(lo, hi, N)
-        for k in (i, j):
-            own += np.bincount(k[(lo <= k) & (k < hi)], minlength=N)
-    return np.sort(order[cover > own])
-
-
-def _count_linear_violations(x, vectors, s_set, margin):
-    """Number of ordered distinct triples solving a covered equation."""
-    count = 0
-    for i, j, lo, hi in _linear_windows(np.sort(x), vectors, s_set, margin):
-        count += int((hi - lo).sum())
-        for k in (i, j):
-            count -= int(np.count_nonzero((lo <= k) & (k < hi)))
-    return count
+    m1, m2, m3 = m
+    return TranslationalPattern(
+        d=1,
+        n=3,
+        a=Fraction(-m2, m3),
+        period_m=abs(m3),
+        T=lambda x: ((s - m1 * np.asarray(x)) / m3)[..., None, :],
+        lipschitz=abs(m1 / m3),
+    )
 
 
 def demo_linear_equations(
@@ -580,14 +547,18 @@ def demo_linear_equations(
     """Avoid every equation m1 x1 + m2 x2 + m3 x3 = s with 0 < |m_i| <= bound.
 
     Uniform sampling, union removal across all sign-normalized coefficient
-    vectors; the final check rescans every covered equation at margin 0.
-    For d = 1, n = 3 the avoidable range is lam < d/(n-1) = 1/2.
+    vectors, each (vector, s) pair a translational pattern
+    (:func:`_linear_pattern`); the final check rescans every covered
+    equation at margin 0 with the exact scan.  For d = 1, n = 3 the
+    avoidable range is lam < d/(n-1) = 1/2.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     n = 3
     vectors = _normalized_coeff_vectors(n, coeff_bound)
+    patterns = [_linear_pattern(m, s) for m in vectors for s in s_set]
     rows = []
+    runtimes = []
     for trial in range(trials):
         t0 = time.monotonic()
         params = ConstructionParams(M=M, lam=lam, seed=seed + trial)
@@ -602,27 +573,32 @@ def demo_linear_equations(
         budget = math.sqrt(M)
         load = float(M) ** (n - 1) * len(vectors) * len(s_set) * 2.0 * M
         tau = min(tau_theory, budget / load) if load > 0 else tau_theory
-        removed = _linear_hit_last_indices(x, vectors, s_set, tau)
+        removed = np.unique(
+            np.concatenate(
+                [incidence_index_set([x[:, None]], p, tau / p.period_m) for p in patterns]
+            )
+        )
         keep = np.setdiff1d(np.arange(M), removed)
         if len(keep) < M / 2:
             raise ConstructionFailure(
                 f"linear-equation demo: only {len(keep)} of {M} points survive"
             )
-        kept = x[keep]
-        violations = _count_linear_violations(kept, vectors, s_set, 0.0)
+        kept = x[keep][:, None]
+        violations = sum(len(violation_scan(kept, p, 0.0)[0]) for p in patterns)
         rows.append(
             {
                 "trial": trial,
                 "seed": params.seed,
                 "N": len(keep),
                 "removed_count": len(removed),
-                "n_equations": len(vectors) * len(s_set),
+                "n_equations": len(patterns),
                 "tau_used": tau,
                 "tau_theory": tau_theory,
                 "scan_violations": violations,
-                "runtime_s": round(time.monotonic() - t0, 4),
             }
         )
+        # wall-clock time lives in meta: rows must be re-run-identical
+        runtimes.append(round(time.monotonic() - t0, 4))
     report = TrialReport(
         rows=rows,
         aggregate=_aggregate(rows),
@@ -632,6 +608,7 @@ def demo_linear_equations(
             "s_set": list(s_set),
             "M": M,
             "lam": lam,
+            "runtime_s_per_trial": runtimes,
         },
     )
     if out_dir:
@@ -742,21 +719,18 @@ def demo_isosceles(
     """
     eps = ISO_EPSILON
     rows = []
+    runtimes = []
     for trial in range(trials):
         t0 = time.monotonic()
         params = ConstructionParams(M=M, lam=lam, seed=seed + trial)
         if route == "surface":
-            pattern = isosceles_surface_pattern()
-            config = build_surface(pattern, params)
-            in_work = config.points[:, 0] <= eps
-            gap = min_isosceles_gap(config.points[in_work, 0])
+            config = build_surface(isosceles_surface_pattern(), params)
         elif route == "rough":
-            pattern = _isosceles_rough_pattern(g=1024)
-            config = build_rough(pattern, params)
-            in_work = config.points[:, 0] <= eps
-            gap = min_isosceles_gap(config.points[in_work, 0])
+            config = build_rough(_isosceles_rough_pattern(g=1024), params)
         else:
             raise ValueError(f"unknown route {route!r}")
+        in_work = config.points[:, 0] <= eps
+        gap = min_isosceles_gap(config.points[in_work, 0])
         rows.append(
             {
                 "trial": trial,
@@ -766,13 +740,19 @@ def demo_isosceles(
                 "removed_count": config.provenance.get("n_removed"),
                 "min_functional_gap": gap,
                 "gap_positive": gap > 0,
-                "runtime_s": round(time.monotonic() - t0, 4),
             }
         )
+        runtimes.append(round(time.monotonic() - t0, 4))
     report = TrialReport(
         rows=rows,
         aggregate=_aggregate(rows),
-        meta={"demo": "isosceles-parabola", "route": route, "M": M, "lam": lam},
+        meta={
+            "demo": "isosceles-parabola",
+            "route": route,
+            "M": M,
+            "lam": lam,
+            "runtime_s_per_trial": runtimes,
+        },
     )
     if out_dir:
         report.save(out_dir, stem="isosceles")

@@ -197,9 +197,7 @@ class RoughPattern:
         )
         for off in offsets:
             cand = (base + off[None, :]) % self.g
-            keys = np.zeros(len(cand), dtype=np.int64)
-            for j in range(self.dn):
-                keys = keys * self.g + cand[:, j]
+            keys = self._ravel(cand)
             idx = np.searchsorted(self._keys, keys)
             idx = np.minimum(idx, len(self._keys) - 1)
             occupied = self._keys[idx] == keys
@@ -227,8 +225,8 @@ class RoughPattern:
         """Read a cell list written by :meth:`save`.
 
         The file records only the ambient dimension d*n; pass ``n`` to fix
-        the tuple factorization (default: n = dn, d = 1 when dn is prime
-        to nothing -- caller should supply n for d > 1).
+        the tuple factorization.  The default n = dn reads the cells as
+        d = 1 tuples, so a d > 1 pattern needs its ``n``.
         """
         with open(path) as fh:
             first = fh.readline().split()
@@ -431,12 +429,6 @@ def slot_product(slots):
     for j, s in enumerate(slots):
         grid[:, j] = s[grid[:, j]]
     return grid
-
-
-def window_cover(lo, hi, size):
-    """Number of ranges ``[lo, hi)`` that cover each of ``size`` positions."""
-    edges = np.bincount(lo, minlength=size + 1) - np.bincount(hi, minlength=size + 1)
-    return np.cumsum(edges[:size])
 
 
 def _window_candidates(windows, chunk=BRUTE_CHUNK):

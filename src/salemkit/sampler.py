@@ -86,9 +86,9 @@ def _stream(seed, stratum):
 class WeightedConfiguration:
     """Weighted point configuration S with per-point weights a_k.
 
-    Invariants: weights are positive... well, nonnegative; their sum is
-    normalized to N (the Lemma hypothesis sum a >= N/2 then holds with
-    room to spare); radius_r satisfies the derive_radius bracketing.
+    Invariants: weights are nonnegative; their sum is normalized to N (the
+    Lemma hypothesis sum a >= N/2 then holds with room to spare); radius_r
+    satisfies the derive_radius bracketing.
     """
 
     points: np.ndarray
@@ -269,12 +269,8 @@ def build_rough(pattern, params):
             t0, t1, f0, f1 = taus[k - 1], taus[k], F[k - 1], F[k]
             tau = t0 if f1 == f0 else t0 + (target_F - f0) * (t1 - t0) / (f1 - f0)
             rule = "budget-capped"
-    removed = incidence_index_set([X], pattern, tau)
+    removed = _filter([X], pattern, tau, M)
     keep = np.setdiff1d(np.arange(M), removed)
-    if len(keep) < M / 2:
-        raise ConstructionFailure(
-            f"only {len(keep)} of {M} points survive rough filtering"
-        )
     pts = X[keep]
     return WeightedConfiguration(
         points=pts,
@@ -322,11 +318,12 @@ def _threshold(pattern, params, r):
 
 
 def _filter(pools, pattern, tau, M):
-    """Incidence index set of the last pool; more than half of it fails."""
+    """Incidence index set of the last pool of M candidates; removing more
+    than half of them is a :class:`ConstructionFailure`."""
     removed = incidence_index_set(pools, pattern, tau)
     if len(removed) > M / 2:
         raise ConstructionFailure(
-            f"{len(removed)} of {M} stratum-{pattern.n} points removed "
+            f"{len(removed)} of {M} candidate points removed "
             f"(removal probability {len(removed) / M:.3f} > 1/2)"
         )
     return removed

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from salemkit.harness import (
 )
 from salemkit import harness as hm
 from salemkit import sampler
+from salemkit.patterns import SCAN_TOL, violation_scan
 from salemkit.sampler import ConstructionParams
 
 
@@ -328,74 +331,122 @@ def test_demo_linear_equations_small():
     assert row["n_equations"] == 32
 
 
+def _linear_patterns(bound, s_set):
+    return [
+        hm._linear_pattern(m, s) for m in _normalized_coeff_vectors(3, bound) for s in s_set
+    ]
+
+
+def _linear_violations(x, bound, margin, s_set=(0.0,)):
+    """The demo's recount: exact-scan violations summed over the equations."""
+    return sum(
+        len(violation_scan(x[:, None], p, margin / p.period_m)[0])
+        for p in _linear_patterns(bound, s_set)
+    )
+
+
 def test_demo_linear_equations_planted_violation_is_caught():
-    from salemkit.harness import _count_linear_violations
-
     x = np.array([0.1, 0.2, 0.3, 0.41, 0.77])  # 0.1 - 2*0.2 + 0.3 = 0
-    vecs = _normalized_coeff_vectors(3, 2)
-    assert _count_linear_violations(x, vecs, (0.0,), 0.0) > 0
+    assert _linear_violations(x, 2, 0.0) > 0
     x2 = np.array([0.1137, 0.2371, 0.3893, 0.7117])
-    assert _count_linear_violations(x2, vecs, (0.0,), 1e-12) == 0
+    assert _linear_violations(x2, 2, 1e-12) == 0
 
 
-def naive_linear_hits(x, vectors, s_set, margin):
-    """Hit set and count of the linear-equation windows, by triple loop.
-
-    Every ordered distinct (i, j, k), vector, s, branch and wrap shift is
-    tried with the windows' own float expressions; k is in a window when
-    tgt + shift - eff <= x_k <= tgt + shift + eff.
-    """
-    N = len(x)
-    hit = np.zeros(N, dtype=bool)
-    count = 0
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                if len({i, j, k}) < 3:
-                    continue
-                for m1, m2, m3 in vectors:
-                    eff = margin / abs(m3)
-                    for s in s_set:
-                        base = (s - m1 * x[i] - m2 * x[j]) / m3
-                        for branch in range(abs(m3)):
-                            tgt = (base + branch / m3) % 1.0
-                            for shift in (0.0, -1.0, 1.0):
-                                if tgt + shift - eff <= x[k] <= tgt + shift + eff:
-                                    hit[k] = True
-                                    count += 1
-    return np.nonzero(hit)[0], count
+def test_linear_pattern_is_the_equation():
+    # x3 - a x2 in t(x1) + Z/|m3| measures |m1 x1 + m2 x2 + m3 x3 - s| mod 1
+    # along x3, so its residual is that distance over |m3|
+    rng = np.random.default_rng(5)
+    tup = rng.random((200, 3))
+    for m in _normalized_coeff_vectors(3, 2):
+        for s in (0.0, 0.25):
+            e = (m[0] * tup[:, 0] + m[1] * tup[:, 1] + m[2] * tup[:, 2] - s) % 1.0
+            want = np.minimum(e, 1.0 - e) / abs(m[2])
+            got = hm._linear_pattern(m, s).residual(tup)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def _linear_oracle_points(N, seed):
     x = np.random.default_rng(seed).random(N)
     # dyadic solutions of 1*x1 - 2*x2 + 1*x3 = 0 and points at the fold
     x[:6] = [1 / 8, 2 / 8, 3 / 8, 0.0, float(np.nextafter(1.0, 0.0)), 7 / 8]
-    # x[8] just off the x_k that x1 + x2 + x3 = 0 solves from (x[6], x[7])
-    x[8] = ((0.0 - x[6] - x[7]) / 1 + 0 / 1) % 1.0 + 2.0**-20
+    # x[8] just off the x3 that x1 + x2 + x3 = 0 solves from (x[6], x[7])
+    x[8] = (0.0 - x[6] - x[7]) % 1.0 + 2.0**-20
     return x
+
+
+def _margin_for_edge(target):
+    """The margin eta whose scan bound eta + SCAN_TOL rounds to ``target``."""
+    eta = target - SCAN_TOL
+    while eta + SCAN_TOL > target:
+        eta = np.nextafter(eta, 0.0)
+    while eta + SCAN_TOL < target:
+        eta = np.nextafter(eta, 1.0)
+    assert eta + SCAN_TOL == target
+    return float(eta)
+
+
+def _ordered_distinct_triples(N):
+    idx = np.indices((N, N, N)).reshape(3, -1).T
+    return idx[(idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2]) & (idx[:, 1] != idx[:, 2])]
 
 
 @pytest.mark.parametrize("edge", [None, "at", "below", "above"])
 @pytest.mark.parametrize("N,bound,s_set", [(40, 1, (0.0, 0.25)), (14, 2, (0.0,))])
 def test_linear_windows_match_naive_triple_loop(N, bound, s_set, edge):
-    from salemkit.harness import _count_linear_violations, _linear_hit_last_indices
-
     x = _linear_oracle_points(N, seed=N)
-    vectors = _normalized_coeff_vectors(3, bound)
-    margin = 0.0
+    triples = _ordered_distinct_triples(N)
+    planted = hm._linear_pattern((1, 1, 1), 0.0)
+    r0 = float(planted.residual(x[[6, 7, 8]]))
+    assert 0 < r0 < 1e-5
+    eta = 0.0
     if edge is not None:
-        # margins whose window upper end tgt + margin is exactly x[8], the
-        # float below it or the float above it (both differences are exact)
-        tgt = ((0.0 - x[6] - x[7]) / 1 + 0 / 1) % 1.0
-        end = {"at": x[8], "below": np.nextafter(x[8], 0.0), "above": np.nextafter(x[8], 1.0)}
-        margin = float(end[edge] - tgt)
-        assert tgt + margin == end[edge]
-    want_hit, want_count = naive_linear_hits(x, vectors, s_set, margin)
-    np.testing.assert_array_equal(_linear_hit_last_indices(x, vectors, s_set, margin), want_hit)
-    assert _count_linear_violations(x, vectors, s_set, margin) == want_count
+        # the scan bound is exactly the planted triple's residual, the
+        # float below it or the float above it
+        target = {"at": r0, "below": np.nextafter(r0, 0.0), "above": np.nextafter(r0, 1.0)}
+        eta = _margin_for_edge(target[edge])
+    found = []
+    for p in _linear_patterns(bound, s_set):
+        # threshold eta on the pattern, i.e. margin eta * |m3| on the equation
+        r = p.residual(x[triples])
+        want = triples[r <= eta + SCAN_TOL]
+        got, res = violation_scan(x[:, None], p, eta)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(res, p.residual(x[got]))
+        removed = sampler.incidence_index_set([x[:, None]], p, eta)
+        np.testing.assert_array_equal(removed, np.unique(want[:, 2]))
+        found += [tuple(t) for t in got]
+    assert ((6, 7, 8) in found) == (edge in ("at", "above"))
     if edge is None:
         # the planted dyadic progression is found at margin 0
-        assert want_count > 0 and {0, 2} <= set(want_hit)
+        assert (0, 1, 2) in found
+
+
+def test_linear_exact_count_on_dyadic_and_fold_points():
+    # every float is a dyadic rational, so the margin-0 test
+    # dist(m1 x1 + m2 x2 + m3 x3 - s, Z) / |m3| <= SCAN_TOL is decided
+    # exactly in Fractions; the scan, whose fast path rounds, must agree
+    N, bound = 14, 2
+    x = _linear_oracle_points(N, seed=N)
+    xf = [Fraction(float(v)) for v in x]
+    tol = Fraction(SCAN_TOL)
+    exact = 0
+    for i, j, k in _ordered_distinct_triples(N):
+        for m1, m2, m3 in _normalized_coeff_vectors(3, bound):
+            e = (m1 * xf[i] + m2 * xf[j] + m3 * xf[k]) % 1
+            exact += min(e, 1 - e) <= tol * abs(m3)
+    assert exact == 432
+    assert _linear_violations(x, bound, 0.0) == exact
+
+
+def test_linear_subnormal_margin_raises_no_warning():
+    x = _linear_oracle_points(14, seed=14)
+    margin = 2.0**-1070  # subnormal, and still nonzero over |m3| = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _linear_patterns(2, (0.0,)):
+            assert margin / p.period_m > 0
+            violation_scan(x[:, None], p, margin / p.period_m)
+            sampler.incidence_index_set([x[:, None]], p, margin / p.period_m)
 
 
 def test_demo_linear_equations_monotone_in_coeff_bound():
@@ -430,6 +481,18 @@ def test_demo_isosceles_surface_route():
     row = rep.rows[0]
     assert row["gap_positive"]
     assert row["N"] >= 4 * 128 / 2
+
+
+def test_demo_rows_are_rerun_identical():
+    # wall time goes to meta, so same-seed reruns give equal rows
+    for run in (
+        lambda: demo_linear_equations(coeff_bound=1, M=128, lam=0.45, seed=2, trials=2),
+        lambda: demo_isosceles(route="surface", M=64, lam=4 / 9, seed=1),
+    ):
+        a, b = run(), run()
+        assert a.rows == b.rows
+        assert all("runtime_s" not in row for row in a.rows)
+        assert len(a.meta["runtime_s_per_trial"]) == len(a.rows)
 
 
 def test_demo_isosceles_rough_route():
