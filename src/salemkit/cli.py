@@ -29,7 +29,7 @@ from .harness import (
     split_sum_check,
 )
 from .sampler import BUILDERS, ConstructionParams, WeightedConfiguration
-from .torus import json_default
+from .torus import _write_json, json_default
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -42,20 +42,34 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _write_json(path, payload):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
-        fh.write("\n")
+def _pattern_and_params(data, seed):
+    """The pattern and construction of a config, ``--seed`` overriding its seed."""
+    pattern = make_pattern(data["pattern"])
+    cons = dict(data["construction"])
+    if seed is not None:
+        cons["seed"] = seed
+    return pattern, ConstructionParams(**cons)
+
+
+def _verdict(report, ok):
+    """Print the report's aggregate and map the verdict to an exit code."""
+    print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _battery_ok(agg):
+    """A battery passes with no failed trial, a sweep pass-rate of at least
+    0.9 and no scan violation.  With no failed trial every row carries
+    ``sweep_pass``, so the pass-rate is present."""
+    return (
+        agg["failed_trials"] == 0
+        and agg["sweep_pass_rate"] >= 0.9
+        and agg.get("scan_violations_total", 0) == 0
+    )
 
 
 def cmd_build(args):
-    data = _load_json(args.config)
-    pattern = make_pattern(data["pattern"])
-    cons = dict(data["construction"])
-    if args.seed is not None:
-        cons["seed"] = args.seed
-    params = ConstructionParams(**cons)
+    pattern, params = _pattern_and_params(_load_json(args.config), args.seed)
     config = BUILDERS[pattern.kind](pattern, params)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -92,12 +106,12 @@ def cmd_sweep(args):
 
 
 def cmd_check(args):
-    data = _load_json(args.config) if args.config else {}
-    pattern = make_pattern(data.get("pattern", {"id": "ap3", "m": 16}))
-    cons = dict(data.get("construction", {"M": 256, "lam": 0.45}))
-    if args.seed is not None:
-        cons["seed"] = args.seed
-    params = ConstructionParams(**cons)
+    data = {
+        "pattern": {"id": "ap3", "m": 16},
+        "construction": {"M": 256, "lam": 0.45},
+        **(_load_json(args.config) if args.config else {}),
+    }
+    pattern, params = _pattern_and_params(data, args.seed)
     trials = args.trials or 50
     hoeff = hoeffding_check(np.ones(params.M), n_samples=10_000, seed=params.seed)
     split = split_sum_check(pattern, params, trials=max(trials, 50))
@@ -152,25 +166,14 @@ def cmd_montecarlo(args):
         data.setdefault("construction", {})["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(data)
     report = run_experiment(cfg, threads=args.threads)
-    agg = report.aggregate
-    print(json.dumps(agg, indent=2, sort_keys=True, default=json_default))
-    ok = (
-        agg["failed_trials"] == 0
-        and agg.get("sweep_pass_rate", 1.0) >= 0.9
-        and agg.get("scan_violations_total", 0) == 0
-    )
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _verdict(report, _battery_ok(report.aggregate))
 
 
 def cmd_iterate(args):
     data = _load_json(args.config)
     from .measures import geometric_schedule, salem_iterate
 
-    pattern = make_pattern(data["pattern"])
-    cons = dict(data["construction"])
-    if args.seed is not None:
-        cons["seed"] = args.seed
-    params = ConstructionParams(**cons)
+    pattern, params = _pattern_and_params(data, args.seed)
     stages = int(data.get("stages", 2))
     G = int(data.get("grid_G", 2048))
     gamma = float(data.get("gamma", params.lam))
@@ -206,13 +209,7 @@ def cmd_demo(args):
             out_dir=out,
             threads=args.threads,
         )
-        ok = (
-            report.aggregate["failed_trials"] == 0
-            and report.aggregate.get("scan_violations_total", 0) == 0
-            and report.aggregate.get("sweep_pass_rate", 0.0) >= 0.9
-        )
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, _battery_ok(report.aggregate))
     if args.which == "linear-eq":
         report = demo_linear_equations(
             coeff_bound=2,
@@ -223,8 +220,7 @@ def cmd_demo(args):
             out_dir=out,
         )
         viol = sum(r["scan_violations"] for r in report.rows)
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
-        return EXIT_PASS if viol == 0 else EXIT_FAIL
+        return _verdict(report, viol == 0)
     if args.which == "isosceles-parabola":
         report = demo_isosceles(
             route="surface",
@@ -234,9 +230,7 @@ def cmd_demo(args):
             trials=args.trials or 1,
             out_dir=out,
         )
-        ok = all(r["gap_positive"] for r in report.rows)
-        print(json.dumps(report.aggregate, indent=2, sort_keys=True, default=json_default))
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, all(r["gap_positive"] for r in report.rows))
     raise ValueError(f"unknown demo {args.which!r}")
 
 

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,7 @@ from .sampler import (
     derive_radius,
     incidence_index_set,
 )
-from .torus import Cube, json_default
+from .torus import Cube, _write_json, json_default
 
 SCHEMA_VERSION = 1
 
@@ -101,26 +101,12 @@ def make_pattern(spec):
 # ------------------------------------------------------------------- config
 
 
-_CONFIG_FIELDS = {
-    "schema_version",
-    "pattern",
-    "construction",
-    "trials",
-    "sweep",
-    "grid_G",
-    "out_dir",
-    "do_scan",
-    "do_dims",
-}
-
-
 @dataclass
 class ExperimentConfig:
     pattern: dict
     construction: dict
     trials: int = 1
     sweep: dict = field(default_factory=dict)
-    grid_G: int = 2048
     out_dir: str = None
     do_scan: bool = True
     do_dims: bool = False
@@ -137,7 +123,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -148,9 +134,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
     def params_for_trial(self, trial):
         c = dict(self.construction)
@@ -198,16 +182,10 @@ class TrialReport:
     meta: dict = field(default_factory=dict)
 
     def save(self, out_dir, stem="report"):
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-            json.dump(
-                {"meta": self.meta, "aggregate": self.aggregate, "rows": self.rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-                default=json_default,
-            )
-            fh.write("\n")
+        _write_json(
+            os.path.join(out_dir, stem + ".json"),
+            {"meta": self.meta, "aggregate": self.aggregate, "rows": self.rows},
+        )
         cols = sorted({k for r in self.rows for k in r})
         with open(os.path.join(out_dir, stem + ".csv"), "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=cols)
@@ -232,6 +210,37 @@ class TrialReport:
 _TRIAL_ERRORS = (ConstructionFailure, BudgetError, DegenerateOverlapError, LayoutError)
 
 
+def _run_trials(trials, trial_row, meta, out_dir, stem, errors=()):
+    """The one trial loop behind the battery and the demos.
+
+    Trial t starts the row ``{"trial": t}`` and ``trial_row(t, row)`` fills
+    it in.  An exception listed in ``errors`` is recorded as
+    ``row["error"]`` and the loop goes on until more than half the trials
+    have failed; any other exception propagates.  Wall-clock time goes to
+    ``meta["runtime_s_per_trial"]``, never to a row, so rows are
+    rerun-identical.  The report is saved under ``stem`` when ``out_dir``
+    is set.
+    """
+    rows = []
+    runtimes = []
+    for trial in range(trials):
+        row = {"trial": trial}
+        t0 = time.monotonic()
+        try:
+            trial_row(trial, row)
+        except errors as exc:  # recorded, the loop continues
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        runtimes.append(round(time.monotonic() - t0, 4))
+        rows.append(row)
+        if sum(1 for r in rows if r.get("error")) > trials / 2:
+            break
+    meta["runtime_s_per_trial"] = runtimes
+    report = TrialReport(rows=rows, aggregate=_aggregate(rows), meta=meta)
+    if out_dir:
+        report.save(out_dir, stem=stem)
+    return report
+
+
 def run_experiment(cfg, threads=1):
     """Run the trial battery described by an :class:`ExperimentConfig`.
 
@@ -241,101 +250,83 @@ def run_experiment(cfg, threads=1):
     that misses its contract, an over-budget scan, a degenerate overlap, a
     bad layout) are recorded and the battery continues unless more than
     half the trials fail; any other exception is a bug and propagates.
+    The sweep and its calibration take ``delta`` and ``kappa`` from the
+    trial's :class:`ConstructionParams`.
     """
     pattern = make_pattern(cfg.pattern)
     builder = BUILDERS[pattern.kind]
     sweep_cfg = dict(cfg.sweep)
     C = sweep_cfg.pop("C", None)
-    delta = float(sweep_cfg.pop("delta", 1.0))
-    kappa = float(sweep_cfg.pop("kappa", 0.2))
     percentile = float(sweep_cfg.pop("percentile", 95.0))
     cal_trials = int(sweep_cfg.pop("calibration_trials", 50))
     if sweep_cfg:
         raise ValueError(f"unknown sweep fields: {sorted(sweep_cfg)}")
+    meta = {
+        "pattern": cfg.pattern,
+        "construction": cfg.construction,
+        "trials": cfg.trials,
+        "calibrated_C": None,
+        "schema_version": cfg.schema_version,
+    }
 
-    rows = []
-    runtimes = []
-    calibration = None
-    for trial in range(cfg.trials):
+    def trial_row(trial, row):
         params = cfg.params_for_trial(trial)
-        row = {"trial": trial, "seed": params.seed}
-        t0 = time.monotonic()
-        try:
-            config = builder(pattern, params)
-            row["N"] = config.N
-            row["removed_count"] = config.provenance.get("n_removed")
-            row["P_hat"] = config.provenance.get("P_hat")
-            if C is None and calibration is None:
-                # calibrate once against uniform points with the same
-                # weight multiset; reused for every trial
-                cal_C, _ = calibrate_constant(
-                    N=config.N,
-                    d=config.d,
-                    lam=params.lam,
-                    weights=config.weights,
-                    delta=delta,
-                    kappa=kappa,
-                    trials=cal_trials,
-                    percentile=percentile,
-                    seed=params.seed,
-                    threads=threads,
-                )
-                calibration = cal_C
-            use_C = C if C is not None else calibration
-            report = sweep(
-                config.points,
-                config.weights,
+        row["seed"] = params.seed
+        config = builder(pattern, params)
+        row["N"] = config.N
+        row["removed_count"] = config.provenance.get("n_removed")
+        row["P_hat"] = config.provenance.get("P_hat")
+        if C is None and meta["calibrated_C"] is None:
+            # calibrate once against uniform points with the same
+            # weight multiset; reused for every trial
+            meta["calibrated_C"], _ = calibrate_constant(
+                N=config.N,
+                d=config.d,
                 lam=params.lam,
-                C=use_C,
-                delta=delta,
-                kappa=kappa,
+                weights=config.weights,
+                delta=params.delta,
+                kappa=params.kappa,
+                trials=cal_trials,
+                percentile=percentile,
+                seed=params.seed,
                 threads=threads,
             )
-            row["sweep_C"] = use_C
-            row["sweep_violations"] = report.n_violations
-            row["sweep_pass"] = report.passed
-            row["sweep_sup_stat"] = report.sup_overall
-            if cfg.do_scan:
-                tuples, _ = violation_scan(
-                    config.points,
-                    pattern,
-                    margin=0.0,
-                    separation_s=params.separation_s,
-                )
-                row["scan_violations"] = len(tuples)
-            if cfg.do_dims:
-                r = config.radius_r
-                box = box_dimension(
-                    config.points,
-                    scales=[16 * r, 8 * r, 4 * r, 2 * r, r],
-                    thicken=r,
-                )
-                four = fourier_dimension(config)
-                row["box_dimension"] = box.value
-                row["fourier_dimension"] = four.value
-        except _TRIAL_ERRORS as exc:  # recorded, battery continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        # wall-clock time lives in meta: rows must be re-run-identical
-        runtimes.append(round(time.monotonic() - t0, 4))
-        rows.append(row)
-        failed = sum(1 for r in rows if r.get("error"))
-        if failed > cfg.trials / 2:
-            break
-    report = TrialReport(
-        rows=rows,
-        aggregate=_aggregate(rows),
-        meta={
-            "pattern": cfg.pattern,
-            "construction": cfg.construction,
-            "trials": cfg.trials,
-            "calibrated_C": calibration,
-            "schema_version": cfg.schema_version,
-            "runtime_s_per_trial": runtimes,
-        },
+        use_C = C if C is not None else meta["calibrated_C"]
+        report = sweep(
+            config.points,
+            config.weights,
+            lam=params.lam,
+            C=use_C,
+            delta=params.delta,
+            kappa=params.kappa,
+            threads=threads,
+        )
+        row["sweep_C"] = use_C
+        row["sweep_violations"] = report.n_violations
+        row["sweep_pass"] = report.passed
+        row["sweep_sup_stat"] = report.sup_overall
+        if cfg.do_scan:
+            tuples, _ = violation_scan(
+                config.points,
+                pattern,
+                margin=0.0,
+                separation_s=params.separation_s,
+            )
+            row["scan_violations"] = len(tuples)
+        if cfg.do_dims:
+            r = config.radius_r
+            box = box_dimension(
+                config.points,
+                scales=[16 * r, 8 * r, 4 * r, 2 * r, r],
+                thicken=r,
+            )
+            four = fourier_dimension(config)
+            row["box_dimension"] = box.value
+            row["fourier_dimension"] = four.value
+
+    return _run_trials(
+        cfg.trials, trial_row, meta, cfg.out_dir, "report", errors=_TRIAL_ERRORS
     )
-    if cfg.out_dir:
-        report.save(cfg.out_dir)
-    return report
 
 
 # -------------------------------------------------------------- hoeffding
@@ -557,10 +548,8 @@ def demo_linear_equations(
     n = 3
     vectors = _normalized_coeff_vectors(n, coeff_bound)
     patterns = [_linear_pattern(m, s) for m in vectors for s in s_set]
-    rows = []
-    runtimes = []
-    for trial in range(trials):
-        t0 = time.monotonic()
+
+    def trial_row(trial, row):
         params = ConstructionParams(M=M, lam=lam, seed=seed + trial)
         r = derive_radius(M, lam)
         rng = _stream(params.seed, 0)
@@ -585,35 +574,24 @@ def demo_linear_equations(
             )
         kept = x[keep][:, None]
         violations = sum(len(violation_scan(kept, p, 0.0)[0]) for p in patterns)
-        rows.append(
-            {
-                "trial": trial,
-                "seed": params.seed,
-                "N": len(keep),
-                "removed_count": len(removed),
-                "n_equations": len(patterns),
-                "tau_used": tau,
-                "tau_theory": tau_theory,
-                "scan_violations": violations,
-            }
+        row.update(
+            seed=params.seed,
+            N=len(keep),
+            removed_count=len(removed),
+            n_equations=len(patterns),
+            tau_used=tau,
+            tau_theory=tau_theory,
+            scan_violations=violations,
         )
-        # wall-clock time lives in meta: rows must be re-run-identical
-        runtimes.append(round(time.monotonic() - t0, 4))
-    report = TrialReport(
-        rows=rows,
-        aggregate=_aggregate(rows),
-        meta={
-            "demo": "linear-equations",
-            "coeff_bound": coeff_bound,
-            "s_set": list(s_set),
-            "M": M,
-            "lam": lam,
-            "runtime_s_per_trial": runtimes,
-        },
-    )
-    if out_dir:
-        report.save(out_dir, stem="linear-eq")
-    return report
+
+    meta = {
+        "demo": "linear-equations",
+        "coeff_bound": coeff_bound,
+        "s_set": list(s_set),
+        "M": M,
+        "lam": lam,
+    }
+    return _run_trials(trials, trial_row, meta, out_dir, "linear-eq")
 
 
 # ----- isosceles triples on a curve
@@ -718,45 +696,29 @@ def demo_isosceles(
     construction at lam = 2/5.
     """
     eps = ISO_EPSILON
-    rows = []
-    runtimes = []
-    for trial in range(trials):
-        t0 = time.monotonic()
+    if route == "surface":
+        pattern, build = isosceles_surface_pattern(), build_surface
+    elif route == "rough":
+        pattern, build = _isosceles_rough_pattern(g=1024), build_rough
+    else:
+        raise ValueError(f"unknown route {route!r}")
+
+    def trial_row(trial, row):
         params = ConstructionParams(M=M, lam=lam, seed=seed + trial)
-        if route == "surface":
-            config = build_surface(isosceles_surface_pattern(), params)
-        elif route == "rough":
-            config = build_rough(_isosceles_rough_pattern(g=1024), params)
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        config = build(pattern, params)
         in_work = config.points[:, 0] <= eps
         gap = min_isosceles_gap(config.points[in_work, 0])
-        rows.append(
-            {
-                "trial": trial,
-                "seed": params.seed,
-                "route": route,
-                "N": config.N,
-                "removed_count": config.provenance.get("n_removed"),
-                "min_functional_gap": gap,
-                "gap_positive": gap > 0,
-            }
+        row.update(
+            seed=params.seed,
+            route=route,
+            N=config.N,
+            removed_count=config.provenance.get("n_removed"),
+            min_functional_gap=gap,
+            gap_positive=gap > 0,
         )
-        runtimes.append(round(time.monotonic() - t0, 4))
-    report = TrialReport(
-        rows=rows,
-        aggregate=_aggregate(rows),
-        meta={
-            "demo": "isosceles-parabola",
-            "route": route,
-            "M": M,
-            "lam": lam,
-            "runtime_s_per_trial": runtimes,
-        },
-    )
-    if out_dir:
-        report.save(out_dir, stem="isosceles")
-    return report
+
+    meta = {"demo": "isosceles-parabola", "route": route, "M": M, "lam": lam}
+    return _run_trials(trials, trial_row, meta, out_dir, "isosceles")
 
 
 def _isosceles_rough_pattern(g=1024):

@@ -214,11 +214,21 @@ def load_points(path):
     return np.asarray(pts), np.asarray(ws)
 
 
-def save_sidecar(path, payload):
-    """Write a JSON sidecar next to a data file (``path + '.json'``)."""
-    with open(f"{path}.json", "w") as fh:
+def _write_json(path, payload):
+    """Write ``payload`` as indented, key-sorted JSON ending in a newline.
+
+    The one JSON file writer of the package; it creates the parent
+    directory.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
+
+
+def save_sidecar(path, payload):
+    """Write a JSON sidecar next to a data file (``path + '.json'``)."""
+    _write_json(f"{path}.json", payload)
 
 
 def load_sidecar(path):

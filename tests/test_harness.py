@@ -22,8 +22,10 @@ from salemkit.harness import (
     split_sum_check,
     _normalized_coeff_vectors,
 )
+from salemkit import expsum
 from salemkit import harness as hm
 from salemkit import sampler
+from salemkit.errors import ConstructionFailure
 from salemkit.patterns import SCAN_TOL, violation_scan
 from salemkit.sampler import ConstructionParams
 
@@ -50,6 +52,18 @@ def test_config_roundtrip(tmp_path):
     back = ExperimentConfig.load(path)
     assert back == cfg
     assert back.params_for_trial(1).seed == 6
+
+
+def test_config_rejects_settings_with_another_home():
+    # delta and kappa live in the construction; the grid size is an
+    # iterate setting, not an experiment one
+    base = {"pattern": {"id": "ap3"}, "construction": {"M": 64, "lam": 0.3}}
+    with pytest.raises(ValueError, match="grid_G"):
+        ExperimentConfig.from_dict({**base, "grid_G": 2048})
+    for key in ("kappa", "delta"):
+        cfg = ExperimentConfig.from_dict({**base, "sweep": {"C": 4.0, key: 0.1}})
+        with pytest.raises(ValueError, match=key):
+            run_experiment(cfg)
 
 
 def test_config_rejects_wrong_schema_version():
@@ -116,16 +130,59 @@ def test_run_experiment_deterministic_and_persisted(tmp_path):
 
 
 def test_run_experiment_records_errors_per_trial():
-    # lam far above the avoidable range: construction fails, row records it
+    # lam far above the avoidable range: construction fails, row records it;
+    # the battery stops once more than half of its 3 trials have failed
     cfg = ExperimentConfig(
         pattern={"id": "ap3", "m": 16},
         construction={"M": 64, "lam": 0.9, "seed": 0, "filter_scale": 1e9},
-        trials=1,
+        trials=3,
         sweep={"C": 4.0},
     )
     rep = run_experiment(cfg)
-    assert rep.aggregate["failed_trials"] == 1
-    assert "ConstructionFailure" in rep.rows[0]["error"]
+    assert [r["trial"] for r in rep.rows] == [0, 1]
+    assert rep.aggregate["failed_trials"] == 2
+    assert all("ConstructionFailure" in r["error"] for r in rep.rows)
+    assert len(rep.meta["runtime_s_per_trial"]) == 2
+
+
+def test_calibrated_battery_saves_its_constant(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(
+        pattern={"id": "ap3", "m": 16},
+        construction={"M": 64, "lam": 0.3, "seed": 2},
+        trials=2,
+        sweep={"calibration_trials": 2},
+        do_scan=False,
+        out_dir=str(out),
+    )
+    rep = run_experiment(cfg)
+    assert rep.meta["calibrated_C"] is not None
+    assert all(r["sweep_C"] == rep.meta["calibrated_C"] for r in rep.rows)
+    saved = json.loads((out / "report.json").read_text())
+    assert saved["meta"]["calibrated_C"] == rep.meta["calibrated_C"]
+    back = TrialReport.load(str(out))
+    assert back.rows == rep.rows and back.meta == rep.meta
+
+
+def test_battery_sweeps_and_calibrates_to_the_construction_kappa(monkeypatch):
+    plan_tops = []
+    plan = expsum._sweep_plan
+
+    def recording_plan(d, xi_max):
+        plan_tops.append(xi_max)
+        return plan(d, xi_max)
+
+    monkeypatch.setattr(expsum, "_sweep_plan", recording_plan)
+    cfg = ExperimentConfig(
+        pattern={"id": "ap3", "m": 16},
+        construction={"M": 64, "lam": 0.3, "seed": 2, "kappa": 0.1},
+        sweep={"calibration_trials": 2},
+        do_scan=False,
+    )
+    rep = run_experiment(cfg)
+    N = rep.rows[0]["N"]
+    # one calibration, then one sweep, both to ceil(N^(1 + kappa))
+    assert plan_tops == [math.ceil(N**1.1)] * 2
 
 
 def test_run_experiment_propagates_programming_errors(monkeypatch):
@@ -483,16 +540,32 @@ def test_demo_isosceles_surface_route():
     assert row["N"] >= 4 * 128 / 2
 
 
-def test_demo_rows_are_rerun_identical():
-    # wall time goes to meta, so same-seed reruns give equal rows
-    for run in (
-        lambda: demo_linear_equations(coeff_bound=1, M=128, lam=0.45, seed=2, trials=2),
-        lambda: demo_isosceles(route="surface", M=64, lam=4 / 9, seed=1),
+def test_demo_rows_are_rerun_identical(tmp_path):
+    # wall time goes to meta, so same-seed reruns give equal rows; the
+    # saved report loads back under the demo's stem
+    for stem, run in (
+        ("linear-eq", lambda out: demo_linear_equations(
+            coeff_bound=1, M=128, lam=0.45, seed=2, trials=2, out_dir=out)),
+        ("isosceles", lambda out: demo_isosceles(
+            route="surface", M=64, lam=4 / 9, seed=1, out_dir=out)),
     ):
-        a, b = run(), run()
+        out = str(tmp_path / stem)
+        a, b = run(None), run(out)
         assert a.rows == b.rows
         assert all("runtime_s" not in row for row in a.rows)
         assert len(a.meta["runtime_s_per_trial"]) == len(a.rows)
+        back = TrialReport.load(out, stem)
+        assert back.rows == b.rows and back.meta == b.meta
+
+
+def test_demo_isosceles_build_failure_raises(monkeypatch):
+    # the demos record no trial errors: a failed build surfaces
+    def failing_build(pattern, params):
+        raise ConstructionFailure("no points survive")
+
+    monkeypatch.setattr(hm, "build_surface", failing_build)
+    with pytest.raises(ConstructionFailure, match="no points survive"):
+        demo_isosceles(route="surface", M=64, lam=4 / 9, seed=1)
 
 
 def test_demo_isosceles_rough_route():
