@@ -247,7 +247,12 @@ def build_parser():
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; changes no result and no work",
+        )
 
     sp = sub.add_parser("build", help="build one weighted configuration")
     common(sp)

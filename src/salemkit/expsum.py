@@ -23,16 +23,18 @@ a deterministic subsample, marked ``sampled``, otherwise.  The sweep and its
 calibration share one cap, so C is calibrated on the statistic the sweep
 verdict tests.  :func:`plan_magnitudes` evaluates a plan.
 
-Evaluation.  A d = 1 plan that covers every integer 1..K in order is
-screened by a type-1 non-uniform FFT with a Gaussian kernel (Dutt & Rokhlin,
-SISC 1993; Greengard & Lee, SIAM Rev. 46, 2004) in O(N w + K log K), which
-carries an a-priori bound eps on its distance from the exact reference, the
-``_BLOCK``-seeded phase recurrence over consecutive frequencies.  Every
-frequency on which a reported number can depend (near an annulus maximum,
-near the maximum of |S| minus the bound, or within eps of the bound) is then
-replayed by that recurrence, so sups, argmaxes, violation counts and the
-calibration statistic keep the recurrence's bits.  Grid measures read their
-transform off the FFT.  Every other plan goes through
+Evaluation.  A d = 1 plan over finite points and weights that covers every
+integer 1..K in order is screened by a type-1 non-uniform FFT with a
+Gaussian kernel (Dutt & Rokhlin, SISC 1993; Greengard & Lee, SIAM Rev. 46,
+2004) in O(N w + K log K), which carries an a-priori bound eps on its
+distance from the exact reference, the direct sum.  Every frequency on
+which a reported number can depend (near an annulus maximum, near the
+maximum of |S| minus the bound, or within eps of the bound) is then
+confirmed by a direct sum, reduced row by row so that its bits do not
+depend on which other frequencies are confirmed with it.  Sups, argmaxes,
+violation counts and the calibration statistic are thus those of direct
+sums over all of 1..K.  Grid measures read their transform off the FFT.
+Every other plan goes through
 :func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
@@ -47,7 +49,6 @@ phase modulo 1 before exponentiating; they agree to float rounding.
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -63,8 +64,6 @@ __all__ = [
     "config_annulus_sups",
 ]
 
-_BLOCK = 4096  # frequencies per recurrence block (fixed: results must not
-# depend on thread count, so blocking is independent of threads)
 _TABLE_ENTRIES = 4_000_000  # complex entries per phase table or product block
 # Plan caps and subsample sizes.  2^18 is the largest shell a sweep has
 # ever enumerated in full; it keeps every d = 1 sweep below xi_max = 2^19
@@ -109,8 +108,14 @@ def weighted_exp_sum(points, weights, xi):
     return out[0] if scalar else out
 
 
-def _direct_sum(points, weights, xi):
-    """sum_p w_p e(xi . x_p), one complex exponential per (xi, point) pair."""
+def _direct_sum(points, weights, xi, rowwise=False):
+    """sum_p w_p e(xi . x_p), one complex exponential per (xi, point) pair.
+
+    ``rowwise`` sums the terms of each frequency on their own (numpy's
+    pairwise sum along a row), so an entry has the same bits whichever
+    frequencies are evaluated with it.  The default matrix product does not
+    promise that: a one-row product can take another BLAS kernel.
+    """
     N = len(points)
     out = np.empty(len(xi), dtype=complex)
     chunk = max(1, _TABLE_ENTRIES // max(N, 1))
@@ -118,7 +123,12 @@ def _direct_sum(points, weights, xi):
         # reduce xi.x modulo 1 before exponentiating; keeps the phase
         # accurate even for very large |xi|
         phase = (xi[i : i + chunk] @ points.T) % 1.0
-        out[i : i + chunk] = np.exp(2j * np.pi * phase) @ weights
+        terms = np.exp(2j * np.pi * phase)
+        if rowwise:
+            terms *= weights
+            out[i : i + chunk] = terms.sum(axis=1)
+        else:
+            out[i : i + chunk] = terms @ weights
     return out
 
 
@@ -191,62 +201,17 @@ def _prefix_groups(head):
     return lo + np.stack([keys] + cols[::-1], axis=1), p_of
 
 
-def _mags_block_1d(x, a, lo, at, N):
-    """|S(xi)| at the increasing integers ``at`` (all >= lo, in lo's block)
-    via the recurrence seeded at lo.  Every step is taken, so |S(xi)| has
-    the same bits whichever frequencies of the block are asked for."""
-    w = a * np.exp(2j * np.pi * ((lo * x) % 1.0))
-    z = np.exp(2j * np.pi * x)
-    out = np.empty(len(at))
-    step = lo
-    for i, xi in enumerate(at):
-        for _ in range(xi - step):
-            w *= z
-        step = xi
-        out[i] = abs(w.sum())
-    out /= N
-    return out
-
-
-def _points_1d(points, weights):
-    x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
-    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
-    return x, a
-
-
-def _recurrence_1d(x, a, blocks, threads):
-    """:func:`_mags_block_1d` over ``blocks`` of ``(lo, at)``, on a pool of
-    ``threads`` threads when threads > 1; one array per block."""
-    N = len(x)
-
-    def run(block):
-        return _mags_block_1d(x, a, *block, N)
-
-    if threads <= 1:
-        return [run(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, blocks))
-
-
-def sweep_magnitudes_1d(points, weights, xi_max, threads=1):
-    """|S(xi)| for xi = 1..xi_max (d = 1).
-
-    The range is cut into fixed-size blocks; each block is seeded by a
-    direct evaluation and advanced by the one-step phase recurrence, so
-    round-off never accumulates past a block and the result is the same
-    for every thread count.
-    """
-    x, a = _points_1d(points, weights)
-    blocks = [
-        (lo, range(lo, min(lo + _BLOCK, xi_max + 1))) for lo in range(1, xi_max + 1, _BLOCK)
-    ]
-    parts = _recurrence_1d(x, a, blocks, threads)
-    return np.concatenate(parts) if parts else np.empty(0)
+def _direct_mags_1d(x, a, freqs):
+    """|S(xi)| at the integers ``freqs`` (d = 1) by row-wise direct sums:
+    every entry has the same bits whichever frequencies it is evaluated
+    with."""
+    xi = np.asarray(freqs, dtype=float).reshape(-1, 1)
+    return np.abs(_direct_sum(x.reshape(-1, 1), a, xi, rowwise=True)) / len(x)
 
 
 def _screen_1d(x, a, K):
     """Screened |S(xi)| for xi = 1..K and a bound eps on its distance from
-    :func:`sweep_magnitudes_1d`: a type-1 Gaussian NUFFT.
+    the direct sum :func:`_direct_mags_1d`: a type-1 Gaussian NUFFT.
 
     Method (Greengard & Lee 2004, with x in [0, 1)).  Each point is spread
     onto a real grid of Mr nodes (Mr >= 2 R (K+1), a power of two; R = 2)
@@ -278,11 +243,12 @@ def _screen_1d(x, a, K):
       Mr >= 2w), an FFT error of 8 u per radix-2 stage (log2 Mr + 2 stages
       for a real transform) on a grid of l1 mass at most A sqrt(pi/beta),
       and the deconvolution;
-    - recurrence drift: u A [2 pi X K + 24 + (13 X + 6) _BLOCK
-      + 1.42 N + 6], from the seed's phase lo*x (lo <= K), up to _BLOCK
-      complex products by a step z = e(x) itself off by
-      (4.02 pi X + 2.83) u, the N-term complex sum in any order
-      (sqrt(2) (N - 1) u A) and the final abs and division.
+    - direct-sum rounding: u A [2 pi X K + 24 + 1.42 N + 6], from the
+      phase xi x (xi <= K) rounded and reduced modulo 1, its product by
+      2 pi, the complex exponential and the product by a_k (together at
+      most 2 pi (X K + 3) + 4.5 per unit of |a_k| u), the N-term complex
+      sum in any order (sqrt(2) (N - 1) u A) and the final abs and
+      division.
     """
     N = len(x)
     w = _NUFFT_HALFWIDTH
@@ -312,57 +278,45 @@ def _screen_1d(x, a, K):
     trunc = gain * L * 2 * math.exp(-beta * w * w) / (1 - math.exp(-beta * (2 * w + 1)))
     X = float(np.abs(x).max())
     screen = 2 * math.pi * K + L * (N + 151 + 8 * (math.log2(Mr) + 2)) + 20
-    drift = 2 * math.pi * X * K + 24 + (13 * X + 6) * _BLOCK + 1.42 * N + 6
-    eps = 2 * float(np.abs(a).sum()) / N * (alias + trunc + (screen + drift) * 2.0**-53)
+    direct = 2 * math.pi * X * K + 24 + 1.42 * N + 6
+    eps = 2 * float(np.abs(a).sum()) / N * (alias + trunc + (screen + direct) * 2.0**-53)
     return mags, eps
 
 
-def _screen_replay_1d(points, weights, xis, threads, bound):
-    """|S(xi)| over the annuli ``xis`` that tile 1..K in order, and the
-    evaluation record.
+def _screen_confirm_1d(points, weights, xis, bound):
+    """|S(xi)| over the annuli ``xis`` that tile 1..K in order, for finite
+    points and weights, and the evaluation record.
 
-    The NUFFT screen gives every entry within eps of the recurrence.  In
+    The NUFFT screen gives every entry within eps of the direct sum.  In
     each annulus, with tol = eps plus a rounding slack of 2^-50 times the
-    largest magnitude in play, the recurrence is replayed at every xi whose
+    largest magnitude in play, the direct sum confirms every xi whose
     screened value is within 2 tol of the annulus maximum, whose value minus
     ``bound(xi)`` (or minus 0 without a bound) is within 2 tol of its
     maximum, or, with a bound, within tol of the bound.  Every other entry
     is then strictly below the maxima and on the same side of the bound as
     the exact value, so the maximum, the first argmax, the maximum of the
     excess over the bound, its first argmax and the count of entries above
-    the bound are the recurrence's, bit for bit.  Non-finite input has no
-    screen; every frequency is replayed.
+    the bound are those of the direct sums over all of 1..K, bit for bit:
+    :func:`_direct_mags_1d` gives an entry the same bits in any batch.
     """
-    x, a = _points_1d(points, weights)
+    x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
+    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
     ends = np.cumsum([len(xi) for xi in xis])
     K = int(ends[-1])
-    if np.isfinite(x).all() and np.isfinite(a).all():
-        mags, eps = _screen_1d(x, a, K)
-        need = np.empty(K, dtype=bool)
-        for xi, s, e in zip(xis, np.concatenate([[0], ends[:-1]]), ends):
-            m = mags[s:e]
-            b = np.zeros(len(xi)) if bound is None else bound(xi)
-            excess = m - b
-            tol = eps + 2.0**-50 * (m.max() + eps + np.abs(b).max())
-            sel = (m >= m.max() - 2 * tol) | (excess >= excess.max() - 2 * tol)
-            if bound is not None:
-                sel |= np.abs(excess) <= tol
-            need[s:e] = sel
-    else:
-        mags, eps, need = np.empty(K), math.inf, np.ones(K, dtype=bool)
+    mags, eps = _screen_1d(x, a, K)
+    need = np.empty(K, dtype=bool)
+    for xi, s, e in zip(xis, np.concatenate([[0], ends[:-1]]), ends):
+        m = mags[s:e]
+        b = np.zeros(len(xi)) if bound is None else bound(xi)
+        excess = m - b
+        tol = eps + 2.0**-50 * (m.max() + eps + np.abs(b).max())
+        sel = (m >= m.max() - 2 * tol) | (excess >= excess.max() - 2 * tol)
+        if bound is not None:
+            sel |= np.abs(excess) <= tol
+        need[s:e] = sel
     freqs = np.flatnonzero(need) + 1
-    if len(freqs):
-        # one replay per block, from its seed to its last frequency needed
-        cuts = np.flatnonzero(np.diff((freqs - 1) // _BLOCK)) + 1
-        blocks = [
-            ((int(at[0]) - 1) // _BLOCK * _BLOCK + 1, at.tolist()) for at in np.split(freqs, cuts)
-        ]
-        mags[freqs - 1] = np.concatenate(_recurrence_1d(x, a, blocks, threads))
-    evaluation = {
-        "evaluator": "recurrence" if need.all() else "nufft-screen+replay",
-        "eps": eps,
-        "reevaluated": len(freqs),
-    }
+    mags[need] = _direct_mags_1d(x, a, freqs)
+    evaluation = {"evaluator": "nufft-screen+direct", "eps": eps, "reevaluated": len(freqs)}
     return np.split(mags, ends[:-1]), evaluation
 
 
@@ -488,28 +442,27 @@ def plan_magnitudes(plan, source, weights=None, threads=1, _bound=None):
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
     A point-set plan takes :func:`weighted_exp_sum` annulus by annulus,
-    exact in every entry, unless it is a d = 1 plan whose frequencies are
-    exactly 1..K, in order.
+    exact in every entry, unless it is a d = 1 plan with finite points and
+    weights whose frequencies are exactly 1..K, in order.
 
     Such a plan is screened by a Gaussian NUFFT, and each annulus's ``mags``
-    is exact (bit-equal to :func:`sweep_magnitudes_1d`, at every thread
-    count) in its maximum and first argmax, and within eps of it elsewhere.
-    ``_bound`` (private: the sweep and its calibration pass it) maps an
-    annulus's ``xi`` to the bound its magnitudes are tested against; with
-    it, the maximum and first argmax of ``mags - _bound(xi)`` and the count
-    of ``mags > _bound(xi)`` are exact too.  eps is derived in
-    :func:`_screen_1d`.
+    is exact (bit-equal to a direct sum over all of 1..K) in its maximum
+    and first argmax, and within eps of it elsewhere.  ``_bound`` (private:
+    the sweep and its calibration pass it) maps an annulus's ``xi`` to the
+    bound its magnitudes are tested against; with it, the maximum and first
+    argmax of ``mags - _bound(xi)`` and the count of ``mags > _bound(xi)``
+    are exact too.  eps is derived in :func:`_screen_1d`.  ``threads`` is
+    accepted and ignored: it changes no result and no work.
     """
-    yield from _evaluate_plan(plan, source, weights, threads, _bound)[1]
+    yield from _evaluate_plan(plan, source, weights, _bound)[1]
 
 
-def _evaluate_plan(plan, source, weights, threads, bound):
+def _evaluate_plan(plan, source, weights, bound):
     """``(evaluation, rows)``: the rows :func:`plan_magnitudes` yields, and a
     record of the ``evaluator`` that ran, its ``eps`` (0 when every entry is
-    exact) and the number of frequencies ``reevaluated`` by the recurrence
-    after the screen.  ``evaluator`` is "nufft-screen+replay", "recurrence"
-    (the screen left every frequency to the recurrence), "direct/phase-table"
-    or "grid".
+    exact) and the number of frequencies ``reevaluated`` by direct sums
+    after the screen.  ``evaluator`` is "nufft-screen+direct",
+    "direct/phase-table" or "grid".
     """
     exact = {"eps": 0.0, "reevaluated": 0}
     if hasattr(source, "transform"):
@@ -518,10 +471,14 @@ def _evaluate_plan(plan, source, weights, threads, bound):
     plan = list(plan)
     xis = [annulus[3] for annulus in plan]
     K = sum(map(len, xis))
-    if xis and source.shape[1] == 1 and np.array_equal(
-        np.concatenate(xis)[:, 0], np.arange(1, K + 1)
+    if (
+        xis
+        and source.shape[1] == 1
+        and np.isfinite(source).all()
+        and (weights is None or np.isfinite(weights).all())
+        and np.array_equal(np.concatenate(xis)[:, 0], np.arange(1, K + 1))
     ):
-        mags, evaluation = _screen_replay_1d(source, weights, xis, threads, bound)
+        mags, evaluation = _screen_confirm_1d(source, weights, xis, bound)
     else:
         mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
         evaluation = {"evaluator": "direct/phase-table", **exact}
@@ -579,6 +536,7 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
     Returns a :class:`SweepReport`; ``report.passed`` is True when no
     evaluated frequency violates the bound.  Annuli with more than
     ``_SWEEP_CAP`` canonical frequencies are subsampled and marked so.
+    ``threads`` is recorded in the notes and changes no result and no work.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
@@ -588,11 +546,7 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
         xi_max = int(math.ceil(N ** (1.0 + kappa)))
     constant = C * N**-0.5 * math.log(N)
     evaluation, rows = _evaluate_plan(
-        _sweep_plan(d, xi_max),
-        points,
-        weights,
-        threads,
-        lambda xi: constant + _decay(xi, lam, delta),
+        _sweep_plan(d, xi_max), points, weights, lambda xi: constant + _decay(xi, lam, delta)
     )
     annuli = []
     for j, lo, hi, xi, sampled, mags in rows:
@@ -661,7 +615,8 @@ def calibrate_constant(
         C_t = max_xi (|S(xi)| - delta*|xi|**(-lam/2)) * sqrt(N) / log(N)
 
     over the frequency plan of :func:`sweep` to N**(1+kappa), and returns
-    ``(C, all_values)`` where C is the requested percentile.
+    ``(C, all_values)`` where C is the requested percentile.  ``threads``
+    is accepted and ignored: it changes no result and no work.
     """
     if N < 2:
         raise ValueError("N must be at least 2: the statistic divides by log(N)")
@@ -675,7 +630,7 @@ def calibrate_constant(
     if d == 1 and not any(sampled for *_, sampled in plan):
         # the plan tiles 1..xi_max and the statistic is one maximum over all
         # of it: as one annulus, only the frequencies near that maximum are
-        # replayed after the screen
+        # confirmed by direct sums after the screen
         plan = [(0, 1.0, plan[-1][2], np.concatenate([xi for _, _, _, xi, _ in plan]), False)]
     decay = functools.partial(_decay, lam=lam, delta=delta)
     values = np.empty(trials)
@@ -685,7 +640,7 @@ def calibrate_constant(
         pts = rng.random((N, d))
         stat = max(
             float((mags - decay(xi)).max())
-            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, threads, _bound=decay)
+            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, _bound=decay)
         )
         values[t] = stat * scale
     return float(np.percentile(values, percentile)), values

@@ -115,6 +115,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        unknown = set(self.sweep) - {"C", "percentile", "calibration_trials"}
+        if unknown:
+            raise ValueError(f"unknown sweep fields: {sorted(unknown)}")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"config schema version {self.schema_version}; "
@@ -251,16 +254,14 @@ def run_experiment(cfg, threads=1):
     bad layout) are recorded and the battery continues unless more than
     half the trials fail; any other exception is a bug and propagates.
     The sweep and its calibration take ``delta`` and ``kappa`` from the
-    trial's :class:`ConstructionParams`.
+    trial's :class:`ConstructionParams`.  ``threads`` is passed on to the
+    sweep and its calibration, where it changes no result and no work.
     """
     pattern = make_pattern(cfg.pattern)
     builder = BUILDERS[pattern.kind]
-    sweep_cfg = dict(cfg.sweep)
-    C = sweep_cfg.pop("C", None)
-    percentile = float(sweep_cfg.pop("percentile", 95.0))
-    cal_trials = int(sweep_cfg.pop("calibration_trials", 50))
-    if sweep_cfg:
-        raise ValueError(f"unknown sweep fields: {sorted(sweep_cfg)}")
+    C = cfg.sweep.get("C")
+    percentile = float(cfg.sweep.get("percentile", 95.0))
+    cal_trials = int(cfg.sweep.get("calibration_trials", 50))
     meta = {
         "pattern": cfg.pattern,
         "construction": cfg.construction,
@@ -482,7 +483,10 @@ def _binomial_note(successes, trials, p=0.9):
 
 
 def demo_ap3(M=2048, lam=0.45, trials=50, seed=0, out_dir=None, threads=1, do_dims=False):
-    """The 3-term arithmetic progression battery (d=1, n=3, a=2, T(x) = {-x})."""
+    """The 3-term arithmetic progression battery (d=1, n=3, a=2, T(x) = {-x}).
+
+    ``threads`` changes no result and no work (see :func:`run_experiment`).
+    """
     cfg = ExperimentConfig(
         pattern={"id": "ap3", "m": 16},
         construction={"M": M, "lam": lam, "seed": seed},

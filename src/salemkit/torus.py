@@ -14,7 +14,6 @@ __all__ = [
     "wrap",
     "coord_gap",
     "tdist",
-    "pairwise_tdist",
     "hausdorff_distance",
     "Cube",
     "double_cube",
@@ -68,23 +67,6 @@ def tdist(x, y):
         )
     delta = coord_gap(x, y)
     return np.sqrt(np.sum(delta * delta, axis=-1))
-
-
-def pairwise_tdist(a, b, chunk=2_000_000):
-    """All-pairs torus distances, shape (len(a), len(b)).
-
-    Chunks the computation so the temporary never exceeds ``chunk`` entries.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("dimension mismatch between point sets")
-    na, nb = len(a), len(b)
-    out = np.empty((na, nb))
-    rows = max(1, chunk // max(nb, 1))
-    for i in range(0, na, rows):
-        out[i : i + rows] = tdist(a[i : i + rows, None, :], b[None, :, :])
-    return out
 
 
 def _directed_sup_inf(a, b, chunk):

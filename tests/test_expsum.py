@@ -9,11 +9,11 @@ import pytest
 
 from salemkit import expsum
 from salemkit.expsum import (
-    _BLOCK,
     _SUPS_CAP,
     _SUPS_SAMPLES,
     _canonical_lattice_shell,
     _decay,
+    _direct_mags_1d,
     _direct_sum,
     _prefix_groups,
     _screen_1d,
@@ -24,7 +24,6 @@ from salemkit.expsum import (
     frequency_plan,
     plan_magnitudes,
     sweep,
-    sweep_magnitudes_1d,
     weighted_exp_sum,
 )
 
@@ -92,23 +91,38 @@ def test_exp_sum_single_atom():
     np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
 
 
-def test_recurrence_matches_direct_evaluation():
-    rng = np.random.default_rng(4)
-    pts = rng.random((300, 1))
-    ws = rng.random(300) + 0.2
-    mags = sweep_magnitudes_1d(pts, ws, 5000)
-    xi = rng.integers(1, 5001, size=25)
-    direct = np.abs(weighted_exp_sum(pts, ws, xi[:, None].astype(float)))
-    np.testing.assert_allclose(mags[xi - 1], direct, atol=1e-10)
+def _full_direct(points, weights, K):
+    """|S(xi)| for xi = 1..K (d = 1), every entry a direct sum."""
+    x = np.asarray(points, dtype=float).reshape(-1)
+    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float)
+    return _direct_mags_1d(x, a, np.arange(1, K + 1))
+
+
+@pytest.mark.parametrize("N", [7, 300, 8144])
+def test_direct_sums_have_the_same_bits_in_any_batch(N):
+    # a confirmed frequency must get the bits of the full 1..K evaluation
+    # whether it is evaluated alone, with a few others or in any order
+    rng = np.random.default_rng(N)
+    x, a = rng.random(N), rng.random(N) + 0.5
+    K = 2000
+    full = _direct_mags_1d(x, a, np.arange(1, K + 1))
+    for k in rng.integers(1, K + 1, size=20):
+        assert _direct_mags_1d(x, a, [k])[0] == full[k - 1], k
+    for size in (2, 3, 17, 500):
+        sub = rng.choice(K, size=size, replace=False) + 1
+        assert np.array_equal(_direct_mags_1d(x, a, sub), full[sub - 1]), size
+    # and they are the sums the matrix product gives, to rounding
+    xi = np.arange(1.0, K + 1)[:, None]
+    np.testing.assert_allclose(full, np.abs(weighted_exp_sum(x[:, None], a, xi)), rtol=0, atol=1e-12)
 
 
 def test_sweep_thread_count_does_not_change_bits():
     rng = np.random.default_rng(5)
     pts = rng.random((200, 1))
     ws = rng.random(200)
-    a = sweep_magnitudes_1d(pts, ws, 9000, threads=1)
-    b = sweep_magnitudes_1d(pts, ws, 9000, threads=4)
-    assert np.array_equal(a, b)
+    a, b = (sweep(pts, ws, lam=0.45, C=0.5, xi_max=9000, threads=t).to_dict() for t in (1, 4))
+    assert a["notes"].pop("threads") == 1 and b["notes"].pop("threads") == 4
+    assert a == b
 
 
 def test_sweep_report_structure_and_pass():
@@ -282,7 +296,7 @@ def test_calibration_uses_the_sweep_statistic():
 def test_sweep_records_the_binding_term():
     rng = np.random.default_rng(14)
     pts = rng.random((512, 1))
-    mags = sweep_magnitudes_1d(pts, None, int(math.ceil(512**1.2)))
+    mags = _full_direct(pts, None, int(math.ceil(512**1.2)))
     for C in (-0.3656, 0.5, 2.0):
         rep = sweep(pts, None, lam=0.45, C=C)
         constant = C * 512**-0.5 * math.log(512)
@@ -313,10 +327,12 @@ def _parent_fields(report):
 
 # sha256 of the JSON (sorted keys) of each result, taken before the sweep,
 # calibration and dimension paths shared one frequency plan; the plan must
-# reproduce every one of them bit for bit
+# reproduce every one of them bit for bit.  The "d1 sweep" and "d1 calibration"
+# digests were retaken when the direct sum replaced the phase recurrence as
+# the exact reference: only their floats moved, in the last bits.
 ORACLE = {
-    "d1 sweep": "fcf2b8177eccec60ff155daf21094e9729c36a4414f5a0055272b7ed4d671fa0",
-    "d1 calibration": "02f99832fc44190586c835a7c231cf6b02d811c8dbbf170e60bbc542fe592991",
+    "d1 sweep": "dc0774c45cb477058cac5b070714316229f3f0f7771711376612e47c1202d6a4",
+    "d1 calibration": "3175c6f6e305f7c21f2e5345cf17737ec4794b1d231066e5e073348c7cb7a6d4",
     "d1 config fourier": "e6d68db3eccdb45d01ec7785f6cfd7f8828c2593d281b0b1cd0c9d9338b54f7a",
     "d1 grid fourier": "f04962f52c98e99aab3bdd3a802226e0358eafe63d6d49f4546f4f2c969eac1d",
     "d2 config fourier": "c48e91b056759a04164c8e04f75bc3b421d7f285c39ef54d258d1e33f1120b54",
@@ -333,7 +349,6 @@ def test_refactoring_oracle():
     got = {}
     pts1 = rng.random((300, 1))
     ws1 = rng.random(300) + 0.5
-    # three recurrence blocks of 4096
     got["d1 sweep"] = _parent_fields(sweep(pts1, ws1, lam=0.45, C=1.5, xi_max=9000).to_dict())
     C, vals = calibrate_constant(128, 1, lam=0.45, weights=ws1[:128], trials=3, seed=5)
     got["d1 calibration"] = [C] + [float(v) for v in vals]
@@ -439,7 +454,7 @@ def test_uniform_points_show_sqrt_cancellation():
     rng = np.random.default_rng(9)
     N = 2048
     pts = rng.random((N, 1))
-    mags = sweep_magnitudes_1d(pts, None, 4096)
+    mags = _full_direct(pts, None, 4096)
     # sup over the range should be a small multiple of N^-1/2
     ratio = mags.max() * math.sqrt(N)
     assert 1.0 < ratio < 8.0
@@ -486,14 +501,13 @@ def _screen_cases():
     }
 
 
-@pytest.mark.parametrize("K", [1, 1000, 3 * _BLOCK + 123])
+@pytest.mark.parametrize("K", [1, 1000, 12411])
 @pytest.mark.parametrize("case", list(_screen_cases()))
 def test_screen_honours_its_bound(case, K):
-    # the screen is within eps of the recurrence at every frequency, below
-    # one recurrence block and across several
+    # the screen is within eps of the direct sum at every frequency
     x, a = _screen_cases()[case]
     mags, eps = _screen_1d(x, a, K)
-    want = sweep_magnitudes_1d(x, a, K)
+    want = _full_direct(x, a, K)
     assert mags.shape == want.shape
     assert np.abs(mags - want).max() <= eps
     # and the bound is tight enough to screen with
@@ -501,9 +515,10 @@ def test_screen_honours_its_bound(case, K):
 
 
 def _reference_sweep(points, weights, lam, C, xi_max, delta=1.0):
-    """The per-annulus statistics of a d = 1 sweep, from the full recurrence."""
+    """The per-annulus statistics of a d = 1 sweep, from direct sums over
+    all of 1..xi_max."""
     N = len(points)
-    mags_all = sweep_magnitudes_1d(points, weights, xi_max)
+    mags_all = _full_direct(points, weights, xi_max)
     constant = C * N**-0.5 * math.log(N)
     annuli = []
     for j, lo, hi, xi, sampled in _sweep_plan(1, xi_max):
@@ -540,14 +555,14 @@ def _sweep_inputs():
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("case", list(_sweep_inputs()))
-def test_sweep_matches_the_full_recurrence_bit_for_bit(case, threads):
+def test_sweep_matches_direct_sums_bit_for_bit(case, threads):
     pts, ws = _sweep_inputs()[case]
-    xi_max = 2 * _BLOCK + 1001  # not a multiple of the block
+    xi_max = 9193
     # at C = 0 and lam = 0 the bound is delta at every frequency.  A delta
     # equal to the exact magnitude of a frequency the screen overestimates
     # puts that frequency on the bound, where only its exact value shows
     # that it is no violation.
-    mags = sweep_magnitudes_1d(pts, ws, xi_max)
+    mags = _full_direct(pts, ws, xi_max)
     screened, _ = _screen_1d(pts[:, 0], np.ones(len(pts)) if ws is None else ws, xi_max)
     over = np.flatnonzero(screened > mags)
     on_bound = float(mags[over[len(over) // 2]] if len(over) else np.median(mags))
@@ -558,20 +573,20 @@ def test_sweep_matches_the_full_recurrence_bit_for_bit(case, threads):
         assert rep.n_violations == sum(a["n_violations"] for a in want)
         assert rep.sup_overall == max(a["sup"] for a in want)
         ev = rep.notes["evaluation"]
-        assert ev["evaluator"] in ("nufft-screen+replay", "recurrence")
+        assert ev["evaluator"] == "nufft-screen+direct"
         assert 0 < ev["eps"] < 1e-8 and 0 < ev["reevaluated"] <= xi_max
     if case == "atomic":
         # |S| = 1 at every frequency: nothing to screen out
-        assert ev == {"evaluator": "recurrence", "eps": ev["eps"], "reevaluated": xi_max}
+        assert ev["reevaluated"] == xi_max
     elif case == "random":
-        assert ev["evaluator"] == "nufft-screen+replay" and ev["reevaluated"] < 100
+        assert ev["reevaluated"] < 100
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("case", ["random", "atomic"])
-def test_calibration_matches_the_full_recurrence_bit_for_bit(case, threads):
-    # N = 2000: xi_max = 9139 spans three recurrence blocks.  Atomic weights
-    # put all the mass on one point, so |S| is 1 up to rounding everywhere.
+def test_calibration_matches_direct_sums_bit_for_bit(case, threads):
+    # N = 2000: xi_max = 9139.  Atomic weights put all the mass on one
+    # point, so |S| is 1 up to rounding everywhere.
     rng = np.random.default_rng(17)
     N, lam, trials, seed = 2000, 0.45, 3, 2
     if case == "random":
@@ -584,12 +599,11 @@ def test_calibration_matches_the_full_recurrence_bit_for_bit(case, threads):
     want = np.empty(trials)
     for t in range(trials):
         pts = np.random.default_rng(np.random.Philox(key=(seed << 16) + t)).random((N, 1))
-        mags = sweep_magnitudes_1d(pts, ws, xi_max)
+        mags = _full_direct(pts, ws, xi_max)
         want[t] = max(
             float((mags[xi[:, 0] - 1] - _decay(xi, lam, 1.0)).max())
             for _, _, _, xi, _ in _sweep_plan(1, xi_max)
         ) * (math.sqrt(N) / math.log(N))
-    assert xi_max % _BLOCK and xi_max > 2 * _BLOCK
     assert np.array_equal(values, want)
     assert C == float(np.percentile(want, 95.0))
 
@@ -598,20 +612,16 @@ def test_sweep_records_its_evaluator():
     rng = np.random.default_rng(18)
     rep = sweep(rng.random((300, 1)), None, lam=0.45, C=1.0)
     ev = rep.notes["evaluation"]
-    assert ev["evaluator"] == "nufft-screen+replay"
+    assert ev["evaluator"] == "nufft-screen+direct"
     assert 0 < ev["eps"] < 1e-9 and 0 < ev["reevaluated"] < rep.xi_max
     rep2 = sweep(rng.random((60, 2)), None, lam=0.9, C=1.0)
     assert rep2.notes["evaluation"] == {"evaluator": "direct/phase-table", "eps": 0.0, "reevaluated": 0}
     # a non-finite weight leaves the screen without a bound: every
-    # frequency takes the recurrence
+    # frequency takes the direct sum
     ws = np.ones(300)
     ws[7] = np.nan
     rep3 = sweep(rng.random((300, 1)), ws, lam=0.45, C=1.0)
-    assert rep3.notes["evaluation"] == {
-        "evaluator": "recurrence",
-        "eps": math.inf,
-        "reevaluated": rep3.xi_max,
-    }
+    assert rep3.notes["evaluation"] == {"evaluator": "direct/phase-table", "eps": 0.0, "reevaluated": 0}
 
 
 def test_calibrate_refuses_degenerate_arguments():

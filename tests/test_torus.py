@@ -9,7 +9,6 @@ from salemkit.torus import (
     double_cube,
     hausdorff_distance,
     load_points,
-    pairwise_tdist,
     save_points,
     tdist,
     wrap,
@@ -75,15 +74,6 @@ def test_tdist_translation_invariance():
 def test_tdist_dimension_mismatch():
     with pytest.raises(ValueError):
         tdist([0.1], [0.1, 0.2])
-
-
-def test_pairwise_matches_tdist():
-    rng = np.random.default_rng(5)
-    a, b = rng.random((6, 2)), rng.random((9, 2))
-    m = pairwise_tdist(a, b)
-    for i in range(6):
-        for j in range(9):
-            assert m[i, j] == pytest.approx(oracle_tdist(a[i], b[j]), abs=1e-12)
 
 
 def test_hausdorff_matches_oracle():
