@@ -91,11 +91,8 @@ def cmd_sweep(args):
             lam=config.lam,
             weights=config.weights,
             seed=args.seed or 0,
-            threads=args.threads,
         )
-    report = sweep(
-        config.points, config.weights, lam=config.lam, C=C, threads=args.threads
-    )
+    report = sweep(config.points, config.weights, lam=config.lam, C=C)
     if args.out:
         _write_json(os.path.join(args.out, "sweep.json"), report.to_dict())
     print(
@@ -165,7 +162,7 @@ def cmd_montecarlo(args):
     if args.seed is not None:
         data.setdefault("construction", {})["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(data)
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     return _verdict(report, _battery_ok(report.aggregate))
 
 
@@ -207,7 +204,6 @@ def cmd_demo(args):
             trials=args.trials or 50,
             seed=args.seed or 0,
             out_dir=out,
-            threads=args.threads,
         )
         return _verdict(report, _battery_ok(report.aggregate))
     if args.which == "linear-eq":
@@ -234,6 +230,16 @@ def cmd_demo(args):
     raise ValueError(f"unknown demo {args.which!r}")
 
 
+# every flag a subcommand may declare; each declares only those its cmd_* reads
+_FLAGS = {
+    "config": {"help": "path to a JSON config or data file"},
+    "out": {"help": "output directory"},
+    "trials": {"type": int},
+    "seed": {"type": int},
+    "C": {"type": float, "help": "bound constant (default: calibrate)"},
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="salemkit",
@@ -242,48 +248,42 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="path to a JSON config or data file")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; changes no result and no work",
-        )
+    def add(name, func, summary, flags, needs_config=True):
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags:
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+        sp.set_defaults(func=func, needs_config=needs_config)
+        return sp
 
-    sp = sub.add_parser("build", help="build one weighted configuration")
-    common(sp)
-    sp.set_defaults(func=cmd_build, needs_config=True)
-
-    sp = sub.add_parser("sweep", help="exponential-sum sweep of a configuration")
-    common(sp)
-    sp.add_argument("--C", type=float, default=None, help="bound constant (default: calibrate)")
-    sp.set_defaults(func=cmd_sweep, needs_config=True)
-
-    sp = sub.add_parser("check", help="concentration and split-sum checks")
-    common(sp)
-    sp.set_defaults(func=cmd_check, needs_config=False)
-
-    sp = sub.add_parser("estimate-dim", help="dimension estimates for a configuration or measure")
-    common(sp)
-    sp.set_defaults(func=cmd_estimate_dim, needs_config=True)
-
-    sp = sub.add_parser("montecarlo", help="run a trial battery from a config file")
-    common(sp)
-    sp.set_defaults(func=cmd_montecarlo, needs_config=True)
-
-    sp = sub.add_parser("iterate", help="multi-stage measure refinement")
-    common(sp)
-    sp.set_defaults(func=cmd_iterate, needs_config=True)
-
-    sp = sub.add_parser("demo", help="run a worked example")
+    add("build", cmd_build, "build one weighted configuration", ["config", "out", "seed"])
+    add(
+        "sweep",
+        cmd_sweep,
+        "exponential-sum sweep of a configuration",
+        ["config", "out", "seed", "C"],
+    )
+    add(
+        "check",
+        cmd_check,
+        "concentration and split-sum checks",
+        ["config", "out", "trials", "seed"],
+        needs_config=False,
+    )
+    add(
+        "estimate-dim",
+        cmd_estimate_dim,
+        "dimension estimates for a configuration or measure",
+        ["config", "out"],
+    )
+    add(
+        "montecarlo",
+        cmd_montecarlo,
+        "run a trial battery from a config file",
+        ["config", "out", "trials", "seed"],
+    )
+    add("iterate", cmd_iterate, "multi-stage measure refinement", ["config", "out", "seed"])
+    sp = add("demo", cmd_demo, "run a worked example", ["out", "trials", "seed"], needs_config=False)
     sp.add_argument("which", choices=["ap3", "linear-eq", "isosceles-parabola"])
-    common(sp)
-    sp.set_defaults(func=cmd_demo, needs_config=False)
-
     return p
 
 

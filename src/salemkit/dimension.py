@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["DimensionEstimate", "box_dimension", "fourier_dimension"]
 
+_WINDOW_TRIM = 2  # usable annuli trimmed from each end of the Fourier fit
+
 
 @dataclass
 class DimensionEstimate:
@@ -40,10 +42,12 @@ def _count_boxes(points, scale, thicken):
     ``thicken`` around the points (plain occupancy when thicken = 0)."""
     N, d = points.shape
     g = max(1, int(round(1.0 / scale)))
+    reach = int(math.floor(thicken * g)) + 1 if thicken > 0 else 0
+    if g + reach >= 2**63:
+        raise ValueError(f"scale {scale!r}: {g} boxes per axis do not fit int64 indices")
     cells = np.floor(points * g).astype(np.int64) % g
     if thicken <= 0:
         return len(np.unique(cells, axis=0))
-    reach = int(math.floor(thicken * g)) + 1
     if (2 * reach + 1) ** d > 100_000:
         raise ValueError("thickening window too large for this scale")
     offs = np.arange(-reach, reach + 1)
@@ -73,7 +77,9 @@ def box_dimension(points, scales, thicken=0.0):
     intercept); the slope is the estimate, clipped to [0, d].  With
     ``thicken`` > 0 the counts are for the union of closed balls of that
     radius, which is the honest object when the input is a construction's
-    retained point set (below its radius the count saturates).
+    retained point set (below its radius the count saturates).  A scale
+    whose box indices, round(1/scale) plus the thickening reach, do not fit
+    in int64 raises ``ValueError``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
@@ -102,12 +108,12 @@ def box_dimension(points, scales, thicken=0.0):
     )
 
 
-def fourier_dimension(source, j_range=None, window_trim=2):
+def fourier_dimension(source):
     """Fourier-decay exponent estimate (liminf surrogate).
 
     Per dyadic annulus 2^j <= |xi| < 2^{j+1} the decay exponent is
     s_j = 2 log(1/sup_j) / (j log 2); the estimate is the minimum of s_j
-    over the usable annuli with ``window_trim`` trimmed from each end
+    over the usable annuli with ``_WINDOW_TRIM`` (2) trimmed from each end
     (low annuli carry smooth-bulk bias, top annuli roll off).
 
     ``source`` is a GridMeasure or a WeightedConfiguration; both go through
@@ -125,20 +131,18 @@ def fourier_dimension(source, j_range=None, window_trim=2):
     if isinstance(source, GridMeasure):
         d = source.d
         j_max = int(math.floor(math.log2(source.nyquist)))
-        j_list = list(range(0, j_max + 1)) if j_range is None else list(j_range)
         # integer |xi|^2 < nyquist^2 + 1/2 is |xi| <= nyquist
-        plan = frequency_plan(d, j_list, math.sqrt(source.nyquist**2 + 0.5))
+        plan = frequency_plan(d, range(j_max + 1), math.sqrt(source.nyquist**2 + 0.5))
         sups = {
             j: (float(mags.max()), len(xi), sampled)
-            for j, _, _, xi, sampled, mags in plan_magnitudes(plan, source)
+            for j, _, _, xi, sampled, mags in plan_magnitudes(plan, source)[1]
         }
         notes["source"] = "grid"
     else:
         d = source.d
         r = source.radius_r
         j_max = int(math.floor(math.log2(1.0 / max(r, 1e-300))))
-        j_list = list(range(0, j_max + 1)) if j_range is None else list(j_range)
-        sups = config_annulus_sups(source.points, source.weights, j_list)
+        sups = config_annulus_sups(source.points, source.weights, range(j_max + 1))
         notes["source"] = "config"
         notes["radius_r"] = r
     table = []
@@ -156,7 +160,7 @@ def fourier_dimension(source, j_range=None, window_trim=2):
             exponents[j] = s_j
         table.append(row)
     usable = sorted(exponents)
-    window = usable[window_trim : len(usable) - window_trim] if len(usable) > 2 * window_trim else usable
+    window = usable[_WINDOW_TRIM:-_WINDOW_TRIM] if len(usable) > 2 * _WINDOW_TRIM else usable
     notes["window"] = list(window)
     if not window:
         # no nonzero coefficient below the band: flat-measure convention

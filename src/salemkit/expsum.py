@@ -21,10 +21,12 @@ a plan holds the canonical lattice shell (one representative per +-xi pair,
 by conjugate symmetry) when the shell has at most a cap of frequencies, and
 a deterministic subsample, marked ``sampled``, otherwise.  The sweep and its
 calibration share one cap, so C is calibrated on the statistic the sweep
-verdict tests.  :func:`plan_magnitudes` evaluates a plan.
+verdict tests.
 
-Evaluation.  A d = 1 plan over finite points and weights that covers every
-integer 1..K in order is screened by a type-1 non-uniform FFT with a
+Evaluation.  :func:`plan_magnitudes` is the one evaluator: it returns a
+plan's magnitudes with a record of the evaluator that ran, which a sweep
+keeps in its notes.  A d = 1 plan over finite points and weights that covers
+every integer 1..K in order is screened by a type-1 non-uniform FFT with a
 Gaussian kernel (Dutt & Rokhlin, SISC 1993; Greengard & Lee, SIAM Rev. 46,
 2004) in O(N w + K log K), which carries an a-priori bound eps on its
 distance from the exact reference, the direct sum.  Every frequency on
@@ -34,8 +36,7 @@ confirmed by a direct sum, reduced row by row so that its bits do not
 depend on which other frequencies are confirmed with it.  Sups, argmaxes,
 violation counts and the calibration statistic are thus those of direct
 sums over all of 1..K.  Grid measures read their transform off the FFT.
-Every other plan goes through
-:func:`weighted_exp_sum`, which in d >= 2 splits
+Every other plan goes through :func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
 box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
@@ -436,8 +437,14 @@ def _sweep_plan(d, xi_max):
     )
 
 
-def plan_magnitudes(plan, source, weights=None, threads=1, _bound=None):
-    """|S(xi)| over a frequency plan: yields ``(j, lo, hi, xi, sampled, mags)``.
+def plan_magnitudes(plan, source, weights=None, _bound=None):
+    """|S(xi)| over a frequency plan: ``(evaluation, rows)``.
+
+    ``rows`` yields ``(j, lo, hi, xi, sampled, mags)`` per annulus.
+    ``evaluation`` records the ``evaluator`` that ran
+    ("nufft-screen+direct", "direct/phase-table" or "grid"), its ``eps`` (0
+    when every entry is exact) and the number of frequencies
+    ``reevaluated`` by direct sums after the screen.
 
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
@@ -451,18 +458,7 @@ def plan_magnitudes(plan, source, weights=None, threads=1, _bound=None):
     the sweep and its calibration pass it) maps an annulus's ``xi`` to the
     bound its magnitudes are tested against; with it, the maximum and first
     argmax of ``mags - _bound(xi)`` and the count of ``mags > _bound(xi)``
-    are exact too.  eps is derived in :func:`_screen_1d`.  ``threads`` is
-    accepted and ignored: it changes no result and no work.
-    """
-    yield from _evaluate_plan(plan, source, weights, _bound)[1]
-
-
-def _evaluate_plan(plan, source, weights, bound):
-    """``(evaluation, rows)``: the rows :func:`plan_magnitudes` yields, and a
-    record of the ``evaluator`` that ran, its ``eps`` (0 when every entry is
-    exact) and the number of frequencies ``reevaluated`` by direct sums
-    after the screen.  ``evaluator`` is "nufft-screen+direct",
-    "direct/phase-table" or "grid".
+    are exact too.  eps is derived in :func:`_screen_1d`.
     """
     exact = {"eps": 0.0, "reevaluated": 0}
     if hasattr(source, "transform"):
@@ -478,7 +474,7 @@ def _evaluate_plan(plan, source, weights, bound):
         and (weights is None or np.isfinite(weights).all())
         and np.array_equal(np.concatenate(xis)[:, 0], np.arange(1, K + 1))
     ):
-        mags, evaluation = _screen_confirm_1d(source, weights, xis, bound)
+        mags, evaluation = _screen_confirm_1d(source, weights, xis, _bound)
     else:
         mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
         evaluation = {"evaluator": "direct/phase-table", **exact}
@@ -536,7 +532,8 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
     Returns a :class:`SweepReport`; ``report.passed`` is True when no
     evaluated frequency violates the bound.  Annuli with more than
     ``_SWEEP_CAP`` canonical frequencies are subsampled and marked so.
-    ``threads`` is recorded in the notes and changes no result and no work.
+    ``threads`` is recorded in the notes and changes no result and no work;
+    only the acceptance suite's 8-thread speed-up check sets it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
@@ -545,8 +542,11 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
     if xi_max is None:
         xi_max = int(math.ceil(N ** (1.0 + kappa)))
     constant = C * N**-0.5 * math.log(N)
-    evaluation, rows = _evaluate_plan(
-        _sweep_plan(d, xi_max), points, weights, lambda xi: constant + _decay(xi, lam, delta)
+    evaluation, rows = plan_magnitudes(
+        _sweep_plan(d, xi_max),
+        points,
+        weights,
+        _bound=lambda xi: constant + _decay(xi, lam, delta),
     )
     annuli = []
     for j, lo, hi, xi, sampled, mags in rows:
@@ -604,7 +604,6 @@ def calibrate_constant(
     trials=50,
     percentile=95.0,
     seed=0,
-    threads=1,
 ):
     """Empirical sweep constant from a uniform-points pilot.
 
@@ -615,8 +614,7 @@ def calibrate_constant(
         C_t = max_xi (|S(xi)| - delta*|xi|**(-lam/2)) * sqrt(N) / log(N)
 
     over the frequency plan of :func:`sweep` to N**(1+kappa), and returns
-    ``(C, all_values)`` where C is the requested percentile.  ``threads``
-    is accepted and ignored: it changes no result and no work.
+    ``(C, all_values)`` where C is the requested percentile.
     """
     if N < 2:
         raise ValueError("N must be at least 2: the statistic divides by log(N)")
@@ -640,7 +638,7 @@ def calibrate_constant(
         pts = rng.random((N, d))
         stat = max(
             float((mags - decay(xi)).max())
-            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, _bound=decay)
+            for _, _, _, xi, _, mags in plan_magnitudes(plan, pts, weights, _bound=decay)[1]
         )
         values[t] = stat * scale
     return float(np.percentile(values, percentile)), values
@@ -657,5 +655,5 @@ def config_annulus_sups(points, weights, j_list):
     plan = frequency_plan(points.shape[1], j_list, math.inf, _SUPS_CAP, _SUPS_SAMPLES)
     return {
         j: (float(mags.max()), len(xi), sampled)
-        for j, _, _, xi, sampled, mags in plan_magnitudes(plan, points, weights)
+        for j, _, _, xi, sampled, mags in plan_magnitudes(plan, points, weights)[1]
     }

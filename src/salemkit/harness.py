@@ -27,7 +27,6 @@ from .patterns import (
 from .sampler import (
     BUILDERS,
     ConstructionParams,
-    WeightedConfiguration,
     _stream,
     build_rough,
     build_surface,
@@ -244,7 +243,7 @@ def _run_trials(trials, trial_row, meta, out_dir, stem, errors=()):
     return report
 
 
-def run_experiment(cfg, threads=1):
+def run_experiment(cfg):
     """Run the trial battery described by an :class:`ExperimentConfig`.
 
     Per trial: build the configuration, sweep its exponential sums against
@@ -254,8 +253,7 @@ def run_experiment(cfg, threads=1):
     bad layout) are recorded and the battery continues unless more than
     half the trials fail; any other exception is a bug and propagates.
     The sweep and its calibration take ``delta`` and ``kappa`` from the
-    trial's :class:`ConstructionParams`.  ``threads`` is passed on to the
-    sweep and its calibration, where it changes no result and no work.
+    trial's :class:`ConstructionParams`.
     """
     pattern = make_pattern(cfg.pattern)
     builder = BUILDERS[pattern.kind]
@@ -290,7 +288,6 @@ def run_experiment(cfg, threads=1):
                 trials=cal_trials,
                 percentile=percentile,
                 seed=params.seed,
-                threads=threads,
             )
         use_C = C if C is not None else meta["calibrated_C"]
         report = sweep(
@@ -300,7 +297,6 @@ def run_experiment(cfg, threads=1):
             C=use_C,
             delta=params.delta,
             kappa=params.kappa,
-            threads=threads,
         )
         row["sweep_C"] = use_C
         row["sweep_violations"] = report.n_violations
@@ -376,7 +372,7 @@ def hoeffding_check(bounds, t_grid=None, n_samples=10_000, seed=0):
 # -------------------------------------------------------------- split sums
 
 
-def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0, C=None):
+def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
     """Reconstruct and test the split F = G - H for a stratified battery.
 
     Per trial the raw (pre-normalization) weighted sums are taken from the
@@ -385,7 +381,7 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0, C=None):
     removed set, and F over the emitted configuration; F = G - H must hold
     to 1e-10.  Across trials the mean of H(xi) at sampled xi != 0 is
     compared with 0 at 3 sigma, and the per-trial sup |H - mean H| is
-    tested against C sqrt(M) log^{1/2} M.
+    tested against sqrt(M) log^{1/2} M, returned as ``sup_dev_bound``.
     """
     if trials < 50:
         raise ValueError("split-sum statistics need >= 50 trials")
@@ -434,7 +430,7 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0, C=None):
     # componentwise 3-sigma band on real and imaginary parts
     se = np.maximum(stdH, 1e-300)
     within = np.abs(meanH) <= 3.0 * se * math.sqrt(2.0)
-    bound = (C if C is not None else 1.0) * math.sqrt(M) * math.sqrt(math.log(M))
+    bound = math.sqrt(M) * math.sqrt(math.log(M))
     sup_dev = np.abs(H_vals - meanH[None, :]).max(axis=1)
     pass_rate = float((sup_dev <= bound).mean())
     return {
@@ -482,20 +478,17 @@ def _binomial_note(successes, trials, p=0.9):
 # -------------------------------------------------------------------- demos
 
 
-def demo_ap3(M=2048, lam=0.45, trials=50, seed=0, out_dir=None, threads=1, do_dims=False):
-    """The 3-term arithmetic progression battery (d=1, n=3, a=2, T(x) = {-x}).
-
-    ``threads`` changes no result and no work (see :func:`run_experiment`).
-    """
+def demo_ap3(M=2048, lam=0.45, trials=50, seed=0, out_dir=None):
+    """The 3-term arithmetic progression battery (d=1, n=3, a=2, T(x) = {-x}),
+    with the exact violation scan and without the dimension estimators."""
     cfg = ExperimentConfig(
         pattern={"id": "ap3", "m": 16},
         construction={"M": M, "lam": lam, "seed": seed},
         trials=trials,
         out_dir=out_dir,
         do_scan=True,
-        do_dims=do_dims,
     )
-    return run_experiment(cfg, threads=threads)
+    return run_experiment(cfg)
 
 
 # ----- linear equations

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionFailure, DegenerateOverlapError
-from .torus import hausdorff_distance, load_sidecar, save_sidecar, tdist
+from .torus import hausdorff_distance, load_sidecar, save_sidecar
 
 __all__ = [
     "GridMeasure",
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _MAGIC = b"SFGM"
+_OVERSAMPLE = 4  # mollifier sub-cells per axis averaged into one grid cell
+_STAGE_SWEEP_C = 3.0  # bound constant of each salem_iterate stage's sweep
 
 
 def _freq_box(d, xi_max):
@@ -182,17 +184,18 @@ def _bump_profile(u):
     return out
 
 
-def mollifier_density(r, G, d=1, oversample=4):
+def mollifier_density(r, G, d=1):
     """Cell-averaged smooth bump phi_r of radius r centered at the origin.
 
     phi(x) = c exp(-1/(1 - |2.5 x|^2)) for |x| < 2/5 and phi_r(x) =
-    r^{-d} phi(x/r); the grid normalization pins the mass to exactly 1.
+    r^{-d} phi(x/r); each cell averages ``_OVERSAMPLE``^d sub-cells, and
+    the grid normalization pins the mass to exactly 1.
     """
     r = float(r)
     if not 1.0 / G < r:
         raise ValueError(f"grid does not resolve the bump: need 1/G < r, got G={G}, r={r}")
     # oversampled cell averages of the radial profile
-    sub = (np.arange(G * oversample) + 0.5) / (G * oversample)
+    sub = (np.arange(G * _OVERSAMPLE) + 0.5) / (G * _OVERSAMPLE)
     dist = np.minimum(sub, 1.0 - sub)  # torus distance to 0, per axis
     if d == 1:
         rad = dist
@@ -200,8 +203,8 @@ def mollifier_density(r, G, d=1, oversample=4):
         grids = np.meshgrid(*[dist] * d, indexing="ij")
         rad = np.sqrt(sum(g**2 for g in grids))
     vals = _bump_profile(rad / r)
-    # average oversample^d sub-cells into each cell
-    vals = vals.reshape(*(x for _ in range(d) for x in (G, oversample)))
+    # average _OVERSAMPLE^d sub-cells into each cell
+    vals = vals.reshape(*(x for _ in range(d) for x in (G, _OVERSAMPLE)))
     axes = tuple(range(1, 2 * d, 2))
     cell = vals.mean(axis=axes)
     total = cell.mean()  # mass with unit c and the r^{-d} factor folded in
@@ -340,23 +343,24 @@ def _restrict_to_support(config, mu):
     )
 
 
-def salem_iterate(pattern, schedule, G, gamma, builder=None, sweep_C=3.0, delta0=None):
+def salem_iterate(pattern, schedule, G, gamma):
     """Repeated density steps: build inside the current support, perturb.
 
-    Starts from the uniform measure; each stage builds a configuration,
-    rejects the points that fall outside the current support, mollifies
-    at that stage's radius and multiplies into the running measure.  The
-    schedule must have strictly decreasing radii (see
-    :func:`geometric_schedule` for the default factor-8 decay).
+    Starts from the uniform measure; each stage builds a configuration with
+    the pattern's builder (``sampler.BUILDERS``), rejects the points that
+    fall outside the current support, mollifies at that stage's radius and
+    multiplies into the running measure.  The schedule must have strictly
+    decreasing radii (see :func:`geometric_schedule` for the default
+    factor-8 decay).
 
     Returns a list of per-stage records, each holding the measure, the
-    exponential-sum sweep report, and seminorm diagnostics.
+    exponential-sum sweep report (bound constant ``_STAGE_SWEEP_C``), the
+    seminorm step between consecutive measures, and the perturbation
+    diagnostics.
     """
     from .expsum import sweep
     from .sampler import BUILDERS, derive_radius
 
-    if builder is None:
-        builder = BUILDERS[pattern.kind]
     radii = [derive_radius(p.M, p.lam) for p in schedule]
     if any(r1 >= r0 for r0, r1 in zip(radii, radii[1:])):
         raise ValueError("schedule radii must be strictly decreasing")
@@ -364,21 +368,17 @@ def salem_iterate(pattern, schedule, G, gamma, builder=None, sweep_C=3.0, delta0
     trajectory = []
     for t, params in enumerate(schedule):
         try:
-            raw = builder(pattern, params)
+            raw = BUILDERS[pattern.kind](pattern, params)
             config = _restrict_to_support(raw, mu)
         except ConstructionFailure as exc:
             raise ConstructionFailure(f"stage {t}: {exc}") from exc
         mu_next, diag = perturb(mu, config, gamma)
         step = seminorm_diff(mu_next, mu, gamma)
-        if delta0 is not None and step.value > delta0:
-            raise ConstructionFailure(
-                f"stage {t}: seminorm step {step.value:.3g} exceeds delta0 {delta0}"
-            )
         report = sweep(
             config.points,
             config.weights,
             lam=params.lam,
-            C=sweep_C,
+            C=_STAGE_SWEEP_C,
             delta=params.delta,
             kappa=params.kappa,
         )

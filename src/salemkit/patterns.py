@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetError, LayoutError
-from .torus import Cube, coord_gap, cube_distance, double_cube, tdist, wrap
+from .torus import coord_gap, cube_distance, double_cube, tdist, wrap
 
 __all__ = [
     "RoughPattern",

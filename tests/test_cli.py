@@ -134,3 +134,20 @@ def test_demo_ap3_small(tmp_path):
         ["demo", "ap3", "--trials", "2", "--seed", "0", "--out", str(tmp_path / "d")]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--config", "x.json", "--trials", "3"],
+        ["estimate-dim", "--config", "x.csv", "--seed", "1"],
+        ["sweep", "--config", "x.csv", "--threads", "2"],
+        ["demo", "ap3", "--config", "x"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_an_input_error(argv, capsys):
+    # each subcommand declares only the flags its command reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

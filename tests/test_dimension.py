@@ -1,6 +1,7 @@
 """Tests for the box-counting and Fourier-decay dimension estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_box_dimension_input_validation():
         box_dimension([[0.5]], scales=[1 / 4, 1 / 8, 1 / 16])  # too few
     with pytest.raises(ValueError):
         box_dimension([[0.5]], scales=[1 / 8, 1 / 4, 1 / 16, 1 / 32])  # not decreasing
+
+
+def test_box_dimension_refuses_scales_past_int64():
+    # 1/scale = 1e20 boxes per axis cannot be indexed in int64: a clean
+    # ValueError naming the scale, before any cast can warn or overflow
+    r = 1e-20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scale"):
+            box_dimension([[0.25], [0.5]], scales=[16 * r, 8 * r, 4 * r, 2 * r, r], thicken=r)
 
 
 def test_box_dimension_thickened_count_saturates_below_radius():

@@ -128,6 +128,21 @@ def test_run_experiment_deterministic_and_persisted(tmp_path):
     assert back.aggregate == rep1.aggregate
 
 
+def test_run_experiment_with_dimension_estimates():
+    cfg = ExperimentConfig(
+        pattern={"id": "ap3", "m": 16},
+        construction={"M": 256, "lam": 0.45, "seed": 0},
+        trials=1,
+        sweep={"C": 3.0},
+        do_dims=True,
+    )
+    rows = run_experiment(cfg).rows
+    for row in rows:
+        assert 0.0 <= row["box_dimension"] <= 1.0
+        assert 0.0 <= row["fourier_dimension"] <= 1.0
+    assert run_experiment(cfg).rows == rows
+
+
 def test_run_experiment_records_errors_per_trial():
     # lam far above the avoidable range: construction fails, row records it;
     # the battery stops once more than half of its 3 trials have failed
