@@ -109,9 +109,8 @@ def cmd_check(args):
         **(_load_json(args.config) if args.config else {}),
     }
     pattern, params = _pattern_and_params(data, args.seed)
-    trials = args.trials or 50
     hoeff = hoeffding_check(np.ones(params.M), n_samples=10_000, seed=params.seed)
-    split = split_sum_check(pattern, params, trials=max(trials, 50))
+    split = split_sum_check(pattern, params, trials=50 if args.trials is None else args.trials)
     ok = (
         not any(row["exceeds"] for row in hoeff)
         and split["reconstruction_ok"]
@@ -170,6 +169,9 @@ def cmd_iterate(args):
     data = _load_json(args.config)
     from .measures import geometric_schedule, salem_iterate
 
+    unknown = set(data) - {"pattern", "construction", "stages", "grid_G", "gamma", "factor"}
+    if unknown:
+        raise ValueError(f"unknown iterate config keys {sorted(unknown)}")
     pattern, params = _pattern_and_params(data, args.seed)
     stages = int(data.get("stages", 2))
     G = int(data.get("grid_G", 2048))

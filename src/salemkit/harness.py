@@ -657,7 +657,7 @@ def isosceles_surface_pattern():
     return SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=4.0)
 
 
-def min_isosceles_gap(points, separation_s=0.0):
+def min_isosceles_gap(points):
     """min over apexes j and legs i != k of | |g_i - g_j|^2 - |g_k - g_j|^2 |.
 
     Sorted-row-gap trick: for each apex the minimum difference of squared
@@ -671,11 +671,7 @@ def min_isosceles_gap(points, separation_s=0.0):
     for j in range(N):
         diff = g - g[j]
         d2 = (diff**2).sum(axis=1)
-        if separation_s > 0:
-            ok = np.abs(pts - pts[j]) > separation_s
-        else:
-            ok = np.arange(N) != j
-        vals = np.sort(d2[ok])
+        vals = np.sort(d2[np.arange(N) != j])
         if len(vals) >= 2:
             gaps = np.diff(vals)
             best = min(best, float(gaps.min()))

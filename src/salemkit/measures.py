@@ -355,8 +355,8 @@ def salem_iterate(pattern, schedule, G, gamma):
 
     Returns a list of per-stage records, each holding the measure, the
     exponential-sum sweep report (bound constant ``_STAGE_SWEEP_C``), the
-    seminorm step between consecutive measures, and the perturbation
-    diagnostics.
+    seminorm step between consecutive measures (the perturbation's
+    ``mu_deviation``), and the perturbation diagnostics.
     """
     from .expsum import sweep
     from .sampler import BUILDERS, derive_radius
@@ -373,7 +373,6 @@ def salem_iterate(pattern, schedule, G, gamma):
         except ConstructionFailure as exc:
             raise ConstructionFailure(f"stage {t}: {exc}") from exc
         mu_next, diag = perturb(mu, config, gamma)
-        step = seminorm_diff(mu_next, mu, gamma)
         report = sweep(
             config.points,
             config.weights,
@@ -389,7 +388,7 @@ def salem_iterate(pattern, schedule, G, gamma):
                 "config": config,
                 "sweep": report,
                 "perturb": diag,
-                "seminorm_step": step.to_dict(),
+                "seminorm_step": dict(diag["mu_deviation"]),
                 "radius": radii[t],
             }
         )

@@ -13,6 +13,7 @@ A *violation* of a pattern at margin eta is an n-tuple of distinct,
 s-separated configuration points whose relation residual is <= eta.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -123,7 +124,8 @@ def _domain_mask(tuples, domain, d, n):
 
 
 class RoughPattern:
-    """Union of occupied grid cells in tuple space T^(d*n).
+    """Union of occupied grid cells in tuple space T^(d*n); its
+    :meth:`residual` is the distance to the closed union of the cells.
 
     Parameters
     ----------
@@ -132,7 +134,7 @@ class RoughPattern:
     d : int
         Dimension of the underlying torus.
     g : int
-        Grid size; cells have sidelength 1/g (``cell_resolution``).
+        Grid size; cells have sidelength 1/g.
     cells : array_like, shape (K, d*n), integer
         Occupied cell indices, each in [0, g).
     """
@@ -158,60 +160,59 @@ class RoughPattern:
     def dn(self):
         return self.n * self.d
 
-    @property
-    def cell_resolution(self):
-        return 1.0 / self.g
-
     def _ravel(self, cells):
         keys = np.zeros(len(cells), dtype=np.int64)
         for j in range(self.dn):
             keys = keys * self.g + cells[:, j]
         return keys
 
-    def thickened_membership(self, points, threshold):
-        """Is each point within ``threshold`` of the closed union of cells?
+    def residual(self, tuples, upto=math.inf):
+        """Torus distance from each tuple (shape (K, d*n)) to the closed
+        union of cells.
 
-        ``points`` has shape (K, d*n); returns a boolean array of length K.
-        ``threshold`` may be 0 (plain closed membership).
+        Only the cells within ``ceil(upto*g) + 1`` of a tuple's own cell,
+        per coordinate, are probed; every other cell is at least
+        ``upto + 1/g`` away.  So the distance is exact wherever it is below
+        that, and +inf when the window holds no occupied cell.  A window of
+        over 100k offsets, an infinite ``upto`` among them, raises
+        :class:`BudgetError`.
         """
-        points = np.atleast_2d(wrap(points))
+        points = np.atleast_2d(wrap(tuples))
         if points.shape[1] != self.dn:
             raise ValueError(f"points must have shape (K, {self.dn})")
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        reach = int(np.ceil(threshold * self.g)) + 1
+        if not upto >= 0:
+            raise ValueError("upto must be >= 0")
+        reach = math.inf if math.isinf(upto) else int(np.ceil(upto * self.g)) + 1
         if (2 * reach + 1) ** self.dn > 100_000:
             raise BudgetError(
                 "threshold too coarse for the cell resolution: probe "
                 f"window (2*{reach}+1)^{self.dn} is too large"
             )
+        out = np.full(len(points), np.inf)
         if len(self.cells) == 0:
-            return np.zeros(len(points), dtype=bool)
-        base = np.floor(points * self.g).astype(np.int64)
-        base = np.minimum(base, self.g - 1)
+            return out
+        base = np.minimum(np.floor(points * self.g).astype(np.int64), self.g - 1)
         half = 0.5 / self.g
-        out = np.zeros(len(points), dtype=bool)
-        offsets = np.array(
-            list(product(range(-reach, reach + 1), repeat=self.dn)),
-            dtype=np.int64,
-        )
-        for off in offsets:
-            cand = (base + off[None, :]) % self.g
+        for off in product(range(-reach, reach + 1), repeat=self.dn):
+            cand = (base + np.array(off, dtype=np.int64)) % self.g
             keys = self._ravel(cand)
-            idx = np.searchsorted(self._keys, keys)
-            idx = np.minimum(idx, len(self._keys) - 1)
+            idx = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
             occupied = self._keys[idx] == keys
-            if not occupied.any():
-                continue
             centers = (cand[occupied] + 0.5) / self.g
             gap = np.abs(points[occupied] - centers)
             gap = np.minimum(gap, 1.0 - gap) - half
             np.clip(gap, 0.0, None, out=gap)
             dist = np.sqrt(np.sum(gap * gap, axis=1))
-            hit = np.zeros(len(points), dtype=bool)
-            hit[occupied] = dist <= threshold + SCAN_TOL
-            out |= hit
+            out[occupied] = np.minimum(out[occupied], dist)
         return out
+
+    def thickened_membership(self, points, threshold):
+        """Is each point (shape (K, d*n)) within ``threshold`` +
+        ``SCAN_TOL`` of the closed union of cells?  ``threshold`` may be 0
+        (plain closed membership)."""
+        if threshold < 0:
+            raise ValueError("threshold must be >= 0")
+        return self.residual(points, threshold) <= threshold + SCAN_TOL
 
     def save(self, path):
         """Write the cell list: header line ``dn g``, one cell per line."""
@@ -273,12 +274,13 @@ class SurfacePattern:
         if self.lipschitz < 0:
             raise ValueError("Lipschitz constant must be >= 0")
 
-    def residual(self, tuples):
+    def residual(self, tuples, upto=math.inf):
         """|x_n - f(x_1..x_{n-1})| in the torus metric.
 
         ``tuples`` has shape (..., d*n).  The relation is defined on the
         product of the doubled construction cubes Q_1 x ... x Q_n; tuples
-        outside that domain get residual +inf.
+        outside that domain get residual +inf.  Exact everywhere, so
+        ``upto`` is ignored.
         """
         tuples = np.asarray(tuples, dtype=float)
         prefix = tuples[..., : self.d * (self.n - 1)]
@@ -348,7 +350,7 @@ class TranslationalPattern:
         raw = np.asarray(self.T(prefix), dtype=float)
         return periodize(raw, self.period_m, self.d)
 
-    def residual(self, tuples):
+    def residual(self, tuples, upto=math.inf):
         """Distance from x_n - a*x_{n-1} to the periodized target set.
 
         The periodized set of a raw target t is the lattice t + Z^d/m, so
@@ -358,7 +360,8 @@ class TranslationalPattern:
         :meth:`targets`.  An empty target set gives +inf.  When the pattern
         carries its cube layout, the relation is defined on the product of
         the doubled cubes Q_1 x ... x Q_n only; tuples with a slot outside
-        that product get residual +inf.
+        that product get residual +inf.  Exact everywhere, so ``upto`` is
+        ignored.
         """
         tuples = np.asarray(tuples, dtype=float)
         dp = self.d * (self.n - 2)
@@ -510,14 +513,14 @@ def _probe_hits(slots, pattern, eps, budget):
 
 def _tuple_hits(slots, pattern, eps, tol, budget):
     """Index tuples of the product of ``slots`` whose residual is
-    <= ``eps + tol``; for a rough pattern, whose point lies within ``eps``
-    of the cells (residual 0).
+    <= ``eps + tol``.
 
     ``slots`` holds one (N_j, d) point array per tuple slot.  A cube-backed
     relation is defined on its doubled cubes only, so each slot is first
     cut to the points its cube holds.  The d = 1 translational and surface
     relations then go to the window probe :func:`_probe_hits`; every other
-    relation to a product enumeration in chunks of ``BRUTE_CHUNK`` tuples.
+    relation to a product enumeration in chunks of ``BRUTE_CHUNK`` tuples,
+    whose residuals need only be exact up to ``eps``.
     ``budget`` bounds the work on the cut slots.  Yields ``(idx,
     residuals)`` chunks, indices into the uncut slots; the probe may yield
     a tuple twice.
@@ -537,7 +540,6 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         for idx, r in _probe_hits([s[:, 0] for s in slots], pattern, eps + tol, budget):
             yield back(idx), r
         return
-    rough = pattern.kind == "rough"
     sizes = [len(s) for s in slots]
     if float(np.prod([float(v) for v in sizes])) > budget:
         raise BudgetError(
@@ -549,12 +551,8 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         flat = np.arange(start, min(start + BRUTE_CHUNK, total), dtype=np.int64)
         idx = np.stack(np.unravel_index(flat, sizes), axis=1)
         tuples = np.concatenate([s[idx[:, j]] for j, s in enumerate(slots)], axis=1)
-        if rough:
-            hit = pattern.thickened_membership(tuples, eps)
-            r = np.zeros(len(tuples))
-        else:
-            r = pattern.residual(tuples)
-            hit = r <= eps + tol
+        r = pattern.residual(tuples, eps)
+        hit = r <= eps + tol
         yield back(idx[hit]), r[hit]
 
 
@@ -566,11 +564,10 @@ def violation_scan(
     Returns ``(tuples, residuals)`` where ``tuples`` is an integer array of
     shape (V, n) in lexicographic order: every ordered n-tuple of distinct,
     pairwise s-separated point indices whose pattern residual is
-    <= margin + ``SCAN_TOL`` (for a rough pattern: whose point lies within
-    ``margin`` of the cells; its residual is reported as 0).  For a
-    cube-backed pattern each slot ranges over the points its doubled cube
-    holds, cut before the work is counted; raises :class:`BudgetError`
-    when that work does not fit ``budget``.
+    <= margin + ``SCAN_TOL``.  For a cube-backed pattern each slot ranges
+    over the points its doubled cube holds, cut before the work is
+    counted; raises :class:`BudgetError` when that work does not fit
+    ``budget``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != pattern.d:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, LayoutError
 from .patterns import (
+    SCAN_TOL,
     RoughPattern,
     SurfacePattern,
     TranslationalPattern,
@@ -240,22 +241,20 @@ def build_rough(pattern, params):
     M, lam = params.M, params.lam
     r = derive_radius(M, lam)
     n, d = pattern.n, pattern.d
-    rng = _stream(params.seed, 0)
-    X = rng.random((M, d))
+    X = _stream(params.seed, 0).random((M, d))
     tau_theory = 2.0 * math.sqrt(n) * r
     if params.filter_scale is not None:
         tau, rule = params.filter_scale * r, "explicit"
     else:
         budget = params.removal_budget or math.sqrt(M)
-        pilot_rng = _stream(params.seed, 10_000)
         B = 200_000
-        tup = pilot_rng.random((B, n * d))
-        # membership is an indicator, not a distance, so fit the removal
-        # probability on a small grid of thresholds instead of a CDF
+        tup = _stream(params.seed, 10_000).random((B, n * d))
+        # the residual is exact only below tau_theory + 1/g, so fit the
+        # removal probability on a small grid of thresholds instead of a
+        # CDF; each test equals thickened_membership(tup, t)
         taus = np.linspace(0.0, tau_theory, 9)
-        F = np.array(
-            [pattern.thickened_membership(tup, t).mean() for t in taus]
-        )
+        dist = pattern.residual(tup, tau_theory)
+        F = np.array([(dist <= t + SCAN_TOL).mean() for t in taus])
         target_F = budget / float(M) ** n
         # same rule-of-three guard as _cap_threshold: a zero pilot count
         # cannot certify F below 1/B
@@ -263,6 +262,9 @@ def build_rough(pattern, params):
             tau, rule = tau_theory, "theory"
         elif F[0] >= target_F:
             tau, rule = 0.0, "budget-capped(floor)"
+        elif F[-1] < target_F:
+            # under the target at tau_theory, but not certifiably
+            tau, rule = tau_theory, "budget-capped"
         else:
             k = int(np.searchsorted(F, target_F))
             # linear interpolation between bracketing thresholds
@@ -271,9 +273,8 @@ def build_rough(pattern, params):
             rule = "budget-capped"
     removed = _filter([X], pattern, tau, M)
     keep = np.setdiff1d(np.arange(M), removed)
-    pts = X[keep]
     return WeightedConfiguration(
-        points=pts,
+        points=X[keep],
         weights=np.ones(len(keep)),
         radius_r=r,
         lam=lam,
@@ -410,36 +411,41 @@ def _psi_integral(cube, d):
     return axis**d
 
 
-def _sample_psi(rng, cube, count):
-    """Draw ``count`` points with density psi_i / A_i by rejection."""
-    out = np.empty((count, cube.d))
+def _fill(count, d, propose):
+    """``count`` points of T^d from batches of ``propose(need)``, which
+    draws a batch sized for ``need`` more points and returns those it keeps."""
+    out = np.empty((count, d))
     have = 0
-    Q = double_cube(cube)
     while have < count:
-        cand = Q.sample(rng, 2 * (count - have) + 16)
-        u = rng.random(len(cand))
-        acc = cand[u < _psi_cube(cand, cube)]
+        acc = propose(count - have)
         take = min(len(acc), count - have)
         out[have : have + take] = acc[:take]
         have += take
     return out
+
+
+def _sample_psi(rng, cube, count):
+    """Draw ``count`` points with density psi_i / A_i by rejection."""
+    Q = double_cube(cube)
+
+    def propose(need):
+        cand = Q.sample(rng, 2 * need + 16)
+        return cand[rng.random(len(cand)) < _psi_cube(cand, cube)]
+
+    return _fill(count, cube.d, propose)
 
 
 def _sample_psi0(rng, cubes, count, d):
     """Draw from the residual bump psi_0 = 1 - sum_i psi_i by rejection."""
-    out = np.empty((count, d))
-    have = 0
-    while have < count:
-        cand = rng.random((4 * (count - have) + 16, d))
+
+    def propose(need):
+        cand = rng.random((4 * need + 16, d))
         density = np.ones(len(cand))
         for c in cubes:
             density -= _psi_cube(cand, c)
-        u = rng.random(len(cand))
-        acc = cand[u < density]
-        take = min(len(acc), count - have)
-        out[have : have + take] = acc[:take]
-        have += take
-    return out
+        return cand[rng.random(len(cand)) < density]
+
+    return _fill(count, d, propose)
 
 
 def build_surface(pattern, params):
@@ -472,19 +478,16 @@ def build_surface(pattern, params):
 
 def _complement_sample(rng, cubes, count, d):
     """Uniform sample on T^d minus the union of doubled cubes."""
-    out = np.empty((count, d))
-    have = 0
     doubled = [double_cube(c) for c in cubes]
-    while have < count:
-        cand = rng.random((2 * (count - have) + 16, d))
+
+    def propose(need):
+        cand = rng.random((2 * need + 16, d))
         mask = np.ones(len(cand), dtype=bool)
         for q in doubled:
             mask &= ~q.contains(cand)
-        acc = cand[mask]
-        take = min(len(acc), count - have)
-        out[have : have + take] = acc[:take]
-        have += take
-    return out
+        return cand[mask]
+
+    return _fill(count, d, propose)
 
 
 def build_translational(pattern, params):

@@ -109,6 +109,31 @@ def test_check_subcommand(tmp_path):
     assert payload["split_sum"]["reconstruction_ok"] is True
 
 
+@pytest.mark.parametrize("trials", ["10", "0"])
+def test_check_refuses_fewer_than_50_trials(trials, capsys):
+    assert main(["check", "--trials", trials]) == 2
+    assert ">= 50 trials" in capsys.readouterr().err
+
+
+def test_iterate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
+    import salemkit.measures
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("iterate built a stage")
+
+    monkeypatch.setattr(salemkit.measures, "salem_iterate", no_build)
+    cfg = {
+        "pattern": {"id": "ap3", "m": 16},
+        "construction": {"M": 128, "lam": 0.45, "seed": 2},
+        "gama": 0.2,
+    }
+    path = tmp_path / "it.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["iterate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "'gama'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_iterate_writes_stage_measures(tmp_path):
     cfg = {
         "pattern": {"id": "ap3", "m": 16},

@@ -113,28 +113,40 @@ def test_rough_membership_exact_and_thickened():
     assert pat.thickened_membership(p, 0.02)[0]
 
 
+def box_distance(pat, pts):
+    """Oracle: torus distance from each point to the union of the cells,
+    each taken as the closed box [c/g, (c+1)/g] per coordinate."""
+    delta = (pts[:, None, :] - pat.cells[None, :, :] / pat.g) % 1.0
+    gap = np.where(delta <= 1 / pat.g, 0.0, np.minimum(delta - 1 / pat.g, 1.0 - delta))
+    return np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
+
+
 def test_rough_membership_matches_bruteforce_distance():
     rng = np.random.default_rng(5)
     g = 6
     cells = rng.integers(0, g, size=(7, 2))
     pat = RoughPattern(n=2, d=1, g=g, cells=cells)
     pts = rng.random((200, 2))
+    want = box_distance(pat, pts)
     for thr in (0.0, 0.03, 0.09):
         got = pat.thickened_membership(pts, thr)
-        # oracle: exact distance to each cell as a box, min over cells
-        want = np.zeros(len(pts), dtype=bool)
-        for c in pat.cells:
-            lo = c / g
-            for k, p in enumerate(pts):
-                gap = 0.0
-                for j in range(2):
-                    delta = abs(((p[j] - lo[j]) % 1.0))
-                    # distance to interval [0, 1/g) in wrap coordinates
-                    dj = 0.0 if delta <= 1 / g else min(delta - 1 / g, 1.0 - delta)
-                    gap += dj * dj
-                if math.sqrt(gap) <= thr + 1e-15:
-                    want[k] = True
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, want <= thr + 1e-15)
+
+
+def test_rough_residual_is_the_box_distance_within_its_reach():
+    rng = np.random.default_rng(8)
+    g = 24
+    pat = RoughPattern(n=2, d=1, g=g, cells=rng.integers(0, g, size=(9, 2)))
+    pts = rng.random((400, 2))
+    want = box_distance(pat, pts)
+    for upto in (0.0, 0.03, 0.09):
+        got = pat.residual(pts, upto)
+        near = want < upto + 1 / g
+        assert near.any() and not near.all()
+        np.testing.assert_allclose(got[near], want[near], rtol=0, atol=1e-12)
+        assert (got[~near] > upto).all()
+    with pytest.raises(BudgetError):
+        pat.residual(pts, math.inf)
 
 
 def test_rough_save_load_roundtrip(tmp_path):
@@ -481,6 +493,16 @@ def test_scan_rough_matches_oracle():
         tuple(t) for t in oracle_scan(pts, pat, 0.0)
     )
     assert (0, 1) in {tuple(t) for t in tuples}
+
+
+def test_scan_rough_reports_box_distances():
+    rng = np.random.default_rng(22)
+    pat = RoughPattern(n=2, d=1, g=8, cells=[[1, 6], [4, 4]])
+    pts = rng.random((30, 1))
+    tuples, resid = violation_scan(pts, pat, margin=0.05)
+    want = box_distance(pat, pts[tuples, 0])
+    assert (want > 0).any()
+    np.testing.assert_allclose(resid, want, rtol=0, atol=1e-12)
 
 
 def test_scan_budget_error():

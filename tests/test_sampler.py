@@ -118,6 +118,33 @@ def test_rough_construction_failure_when_pattern_everywhere():
         build_rough(pat, ConstructionParams(M=32, lam=0.4, seed=1, filter_scale=1.0))
 
 
+def test_budget_capped_rough_build_keeps_the_nine_membership_rule():
+    # the pilot takes one residual pass; recompute the 9-point rule from
+    # nine thickened_membership calls on the same pilot tuples
+    from salemkit.sampler import _stream
+
+    pat = RoughPattern(n=2, d=1, g=64, cells=[[10, 40]])
+    prov = build_rough(pat, ConstructionParams(M=128, lam=0.9, seed=1)).provenance
+    assert prov["tau_rule"] == "budget-capped"
+    tup = _stream(1, 10_000).random((200_000, 2))
+    taus = np.linspace(0.0, prov["tau_theory"], 9)
+    F = np.array([pat.thickened_membership(tup, t).mean() for t in taus])
+    target = math.sqrt(128) / 128.0**2
+    k = int(np.searchsorted(F, target))
+    t0, t1, f0, f1 = taus[k - 1], taus[k], F[k - 1], F[k]
+    assert 0 < k < 9 and f0 < f1
+    assert prov["tau_used"] == t0 + (target - f0) * (t1 - t0) / (f1 - f0)
+
+
+def test_rough_build_caps_at_theory_when_the_pilot_cannot_certify_it():
+    # the pilot removal rate at tau_theory is under the target, but by
+    # less than the rule-of-three margin 3/B
+    pat = RoughPattern(n=2, d=1, g=64, cells=[[10, 40]])
+    prov = build_rough(pat, ConstructionParams(M=128, lam=0.7815, seed=0)).provenance
+    assert prov["tau_rule"] == "budget-capped"
+    assert prov["tau_used"] == prov["tau_theory"]
+
+
 # ------------------------------------------------------------------- surface
 
 
