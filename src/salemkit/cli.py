@@ -200,34 +200,17 @@ def cmd_iterate(args):
 
 
 def cmd_demo(args):
-    out = args.out
+    # each demo keeps its own defaults for what the command line leaves out
+    given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
     if args.which == "ap3":
-        report = demo_ap3(
-            trials=args.trials or 50,
-            seed=args.seed or 0,
-            out_dir=out,
-        )
+        report = demo_ap3(out_dir=args.out, **given)
         return _verdict(report, _battery_ok(report.aggregate))
     if args.which == "linear-eq":
-        report = demo_linear_equations(
-            coeff_bound=2,
-            M=1024,
-            lam=0.45,
-            seed=args.seed or 0,
-            trials=args.trials or 1,
-            out_dir=out,
-        )
+        report = demo_linear_equations(out_dir=args.out, **given)
         viol = sum(r["scan_violations"] for r in report.rows)
         return _verdict(report, viol == 0)
     if args.which == "isosceles-parabola":
-        report = demo_isosceles(
-            route="surface",
-            M=512,
-            lam=4.0 / 9.0,
-            seed=args.seed or 0,
-            trials=args.trials or 1,
-            out_dir=out,
-        )
+        report = demo_isosceles(out_dir=args.out, **given)
         return _verdict(report, all(r["gap_positive"] for r in report.rows))
     raise ValueError(f"unknown demo {args.which!r}")
 

@@ -8,13 +8,14 @@ table it was fitted on.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 __all__ = ["DimensionEstimate", "box_dimension", "fourier_dimension"]
 
 _WINDOW_TRIM = 2  # usable annuli trimmed from each end of the Fourier fit
+_J_TOP = 52  # the last annulus 2^52 <= |xi| < 2^53 whose integers are exact floats
 
 
 @dataclass
@@ -27,14 +28,7 @@ class DimensionEstimate:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "scales": list(self.scales),
-            "table": self.table,
-            "residual": self.residual,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _count_boxes(points, scale, thicken):
@@ -122,7 +116,9 @@ def fourier_dimension(source):
     takes the plan of ``expsum.config_annulus_sups``: full shells while they
     are small, deterministic subsamples beyond (``sampled`` in the table),
     usable up to |xi| ~ 1/r where the mollification of radius r starts
-    suppressing the sums.
+    suppressing the sums, and stops at j = 52 (|xi| < 2^53), beyond which
+    integers are no longer exact floats; ``notes["j_cap"]`` records that
+    stop when r < 2^-52 makes it bind.
     """
     from .expsum import config_annulus_sups, frequency_plan, plan_magnitudes
     from .measures import GridMeasure
@@ -142,9 +138,11 @@ def fourier_dimension(source):
         d = source.d
         r = source.radius_r
         j_max = int(math.floor(math.log2(1.0 / max(r, 1e-300))))
-        sups = config_annulus_sups(source.points, source.weights, range(j_max + 1))
+        sups = config_annulus_sups(source.points, source.weights, range(min(j_max, _J_TOP) + 1))
         notes["source"] = "config"
         notes["radius_r"] = r
+        if j_max > _J_TOP:
+            notes["j_cap"] = _J_TOP
     table = []
     exponents = {}
     for j in sorted(sups):

@@ -29,23 +29,27 @@ keeps in its notes.  A d = 1 plan over finite points and weights that covers
 every integer 1..K in order is screened by a type-1 non-uniform FFT with a
 Gaussian kernel (Dutt & Rokhlin, SISC 1993; Greengard & Lee, SIAM Rev. 46,
 2004) in O(N w + K log K), which carries an a-priori bound eps on its
-distance from the exact reference, the direct sum.  Every frequency on
-which a reported number can depend (near an annulus maximum, near the
-maximum of |S| minus the bound, or within eps of the bound) is then
-confirmed by a direct sum, reduced row by row so that its bits do not
-depend on which other frequencies are confirmed with it.  Sups, argmaxes,
-violation counts and the calibration statistic are thus those of direct
-sums over all of 1..K.  Grid measures read their transform off the FFT.
-Every other plan goes through :func:`weighted_exp_sum`, which in d >= 2 splits
+distance from the exact reference, :func:`weighted_exp_sum`.  Every
+frequency on which a reported number can depend (near an annulus maximum,
+near the maximum of |S| minus the bound, or within eps of the bound) is
+then confirmed by :func:`weighted_exp_sum`.  Sups, argmaxes, violation
+counts and the calibration statistic are thus those of
+:func:`weighted_exp_sum` over all of 1..K, bit for bit.  Grid measures read
+their transform off the FFT.  Every other plan goes through
+:func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
 box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
 the phase tables A[p, prefix] = w_p e(prefix . x'_p) and E[p, l] = e(l x_{p,d})
 and takes S = A^T E by matrix products over blocks of at most
 ``_TABLE_ENTRIES`` complex entries, so memory stays bounded at any N.
-Sparser sets, such as the subsampled annuli, take the direct sum with one
-complex exponential per (frequency, point) pair.  Both paths reduce every
-phase modulo 1 before exponentiating; they agree to float rounding.
+Sparser sets, such as the subsampled annuli, and every d = 1 set take the
+direct sum with one complex exponential per (frequency, point) pair.
+Every direct sum is reduced row by row: the terms of each frequency are
+summed on their own, so a d = 1 value has the same bits whichever
+frequencies it is evaluated with, alone, in any subset or in any order.
+Both paths reduce every phase modulo 1 before exponentiating; they agree
+to float rounding.
 """
 
 import functools
@@ -109,13 +113,12 @@ def weighted_exp_sum(points, weights, xi):
     return out[0] if scalar else out
 
 
-def _direct_sum(points, weights, xi, rowwise=False):
+def _direct_sum(points, weights, xi):
     """sum_p w_p e(xi . x_p), one complex exponential per (xi, point) pair.
 
-    ``rowwise`` sums the terms of each frequency on their own (numpy's
-    pairwise sum along a row), so an entry has the same bits whichever
-    frequencies are evaluated with it.  The default matrix product does not
-    promise that: a one-row product can take another BLAS kernel.
+    The terms of each frequency are summed on their own (numpy's pairwise
+    sum along a row), so an entry has the same bits whichever frequencies
+    are evaluated with it.
     """
     N = len(points)
     out = np.empty(len(xi), dtype=complex)
@@ -125,11 +128,8 @@ def _direct_sum(points, weights, xi, rowwise=False):
         # accurate even for very large |xi|
         phase = (xi[i : i + chunk] @ points.T) % 1.0
         terms = np.exp(2j * np.pi * phase)
-        if rowwise:
-            terms *= weights
-            out[i : i + chunk] = terms.sum(axis=1)
-        else:
-            out[i : i + chunk] = terms @ weights
+        terms *= weights
+        out[i : i + chunk] = terms.sum(axis=1)
     return out
 
 
@@ -202,17 +202,10 @@ def _prefix_groups(head):
     return lo + np.stack([keys] + cols[::-1], axis=1), p_of
 
 
-def _direct_mags_1d(x, a, freqs):
-    """|S(xi)| at the integers ``freqs`` (d = 1) by row-wise direct sums:
-    every entry has the same bits whichever frequencies it is evaluated
-    with."""
-    xi = np.asarray(freqs, dtype=float).reshape(-1, 1)
-    return np.abs(_direct_sum(x.reshape(-1, 1), a, xi, rowwise=True)) / len(x)
-
-
 def _screen_1d(x, a, K):
     """Screened |S(xi)| for xi = 1..K and a bound eps on its distance from
-    the direct sum :func:`_direct_mags_1d`: a type-1 Gaussian NUFFT.
+    ``abs(weighted_exp_sum(x, a, xi))``, a direct sum reduced row by row: a
+    type-1 Gaussian NUFFT.
 
     Method (Greengard & Lee 2004, with x in [0, 1)).  Each point is spread
     onto a real grid of Mr nodes (Mr >= 2 R (K+1), a power of two; R = 2)
@@ -248,8 +241,10 @@ def _screen_1d(x, a, K):
       phase xi x (xi <= K) rounded and reduced modulo 1, its product by
       2 pi, the complex exponential and the product by a_k (together at
       most 2 pi (X K + 3) + 4.5 per unit of |a_k| u), the N-term complex
-      sum in any order (sqrt(2) (N - 1) u A) and the final abs and
-      division.
+      sum in any order (sqrt(2) (N - 1) u A), and the division by N before
+      the abs: numpy divides each component by the complex N + 0i as a
+      product with the rounded 1/N (2 u), and the abs adds 1 u, so 3 u A
+      of the 6 covers them.
     """
     N = len(x)
     w = _NUFFT_HALFWIDTH
@@ -290,15 +285,16 @@ def _screen_confirm_1d(points, weights, xis, bound):
 
     The NUFFT screen gives every entry within eps of the direct sum.  In
     each annulus, with tol = eps plus a rounding slack of 2^-50 times the
-    largest magnitude in play, the direct sum confirms every xi whose
-    screened value is within 2 tol of the annulus maximum, whose value minus
-    ``bound(xi)`` (or minus 0 without a bound) is within 2 tol of its
-    maximum, or, with a bound, within tol of the bound.  Every other entry
-    is then strictly below the maxima and on the same side of the bound as
-    the exact value, so the maximum, the first argmax, the maximum of the
-    excess over the bound, its first argmax and the count of entries above
-    the bound are those of the direct sums over all of 1..K, bit for bit:
-    :func:`_direct_mags_1d` gives an entry the same bits in any batch.
+    largest magnitude in play, :func:`weighted_exp_sum` confirms every xi
+    whose screened value is within 2 tol of the annulus maximum, whose
+    value minus ``bound(xi)`` (or minus 0 without a bound) is within 2 tol
+    of its maximum, or, with a bound, within tol of the bound.  Every other
+    entry is then strictly below the maxima and on the same side of the
+    bound as the exact value, so the maximum, the first argmax, the maximum
+    of the excess over the bound, its first argmax and the count of entries
+    above the bound are those of ``abs(weighted_exp_sum)`` over all of
+    1..K, bit for bit: its direct sum is reduced row by row, so an entry
+    has the same bits in any batch.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
     a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
@@ -316,7 +312,7 @@ def _screen_confirm_1d(points, weights, xis, bound):
             sel |= np.abs(excess) <= tol
         need[s:e] = sel
     freqs = np.flatnonzero(need) + 1
-    mags[need] = _direct_mags_1d(x, a, freqs)
+    mags[need] = np.abs(weighted_exp_sum(x[:, None], a, freqs[:, None]))
     evaluation = {"evaluator": "nufft-screen+direct", "eps": eps, "reevaluated": len(freqs)}
     return np.split(mags, ends[:-1]), evaluation
 
@@ -417,10 +413,13 @@ def frequency_plan(d, j_list, top, cap=math.inf, samples=0):
     is the canonical lattice shell, in lexicographic order, when it holds at
     most ``cap`` frequencies; otherwise it is the deterministic subsample of
     ``samples`` frequencies and ``sampled`` is True.  No shell over the cap
-    is built.
+    is built.  An annulus reaching beyond |xi| = 2^53, where integers are no
+    longer exact floats, raises ``ValueError``.
     """
     for j in j_list:
         lo, hi = float(2**j), float(min(2 ** (j + 1), top))
+        if hi > 2.0**53:
+            raise ValueError(f"annulus j = {j} reaches beyond |xi| = 2^53")
         xi = _canonical_lattice_shell(d, lo, hi, cap)
         sampled = xi is None
         if sampled:
@@ -444,7 +443,7 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
     ``evaluation`` records the ``evaluator`` that ran
     ("nufft-screen+direct", "direct/phase-table" or "grid"), its ``eps`` (0
     when every entry is exact) and the number of frequencies
-    ``reevaluated`` by direct sums after the screen.
+    ``reevaluated`` by :func:`weighted_exp_sum` after the screen.
 
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
@@ -453,12 +452,13 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
     weights whose frequencies are exactly 1..K, in order.
 
     Such a plan is screened by a Gaussian NUFFT, and each annulus's ``mags``
-    is exact (bit-equal to a direct sum over all of 1..K) in its maximum
-    and first argmax, and within eps of it elsewhere.  ``_bound`` (private:
-    the sweep and its calibration pass it) maps an annulus's ``xi`` to the
-    bound its magnitudes are tested against; with it, the maximum and first
-    argmax of ``mags - _bound(xi)`` and the count of ``mags > _bound(xi)``
-    are exact too.  eps is derived in :func:`_screen_1d`.
+    is exact (bit-equal to :func:`weighted_exp_sum` over all of 1..K) in
+    its maximum and first argmax, and within eps of it elsewhere.
+    ``_bound`` (private: the sweep and its calibration pass it) maps an
+    annulus's ``xi`` to the bound its magnitudes are tested against; with
+    it, the maximum and first argmax of ``mags - _bound(xi)`` and the count
+    of ``mags > _bound(xi)`` are exact too.  eps is derived in
+    :func:`_screen_1d`.
     """
     exact = {"eps": 0.0, "reevaluated": 0}
     if hasattr(source, "transform"):
@@ -521,9 +521,7 @@ class SweepReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = asdict(self)
-        out["annuli"] = [asdict(a) if isinstance(a, AnnulusStat) else a for a in self.annuli]
-        return out
+        return asdict(self)
 
 
 def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1):

@@ -221,8 +221,10 @@ def _run_trials(trials, trial_row, meta, out_dir, stem, errors=()):
     have failed; any other exception propagates.  Wall-clock time goes to
     ``meta["runtime_s_per_trial"]``, never to a row, so rows are
     rerun-identical.  The report is saved under ``stem`` when ``out_dir``
-    is set.
+    is set.  Fewer than one trial raises ``ValueError``.
     """
+    if trials < 1:
+        raise ValueError("trial count must be >= 1")
     rows = []
     runtimes = []
     for trial in range(trials):
@@ -387,9 +389,11 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
         raise ValueError("split-sum statistics need >= 50 trials")
     if pattern.kind not in ("surface", "translational"):
         raise ValueError("split sums apply to stratified constructions")
+    if pattern.d != 1:
+        raise ValueError(f"split sums are implemented for d = 1 only, not d = {pattern.d}")
     builder = BUILDERS[pattern.kind]
     M = params0.M
-    n, d = pattern.n, pattern.d
+    n = pattern.n
     # sample test frequencies from the upper part of the sweep range: the
     # removed stratum lives in a cube of volume |Q_n|, so mean H carries an
     # O(1/(|xi| |Q_n|)) localization bias that only dies off at large |xi|

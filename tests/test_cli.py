@@ -161,6 +161,30 @@ def test_demo_ap3_small(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("which", ["ap3", "linear-eq", "isosceles-parabola"])
+def test_demo_refuses_zero_trials(which, capsys):
+    # refused before any build: neither read as the demo's default count nor
+    # an empty report that passes every per-row verdict vacuously
+    assert main(["demo", which, "--trials", "0"]) == 2
+    assert "trial count must be >= 1" in capsys.readouterr().err
+
+
+def test_demo_passes_only_the_flags_given(monkeypatch):
+    from salemkit import cli
+    from salemkit.harness import TrialReport
+
+    seen = []
+
+    def demo(**kwargs):
+        seen.append(kwargs)
+        return TrialReport(rows=[], aggregate={})
+
+    monkeypatch.setattr(cli, "demo_linear_equations", demo)
+    assert main(["demo", "linear-eq"]) == 0
+    assert main(["demo", "linear-eq", "--seed", "0", "--trials", "3"]) == 0
+    assert seen == [{"out_dir": None}, {"out_dir": None, "seed": 0, "trials": 3}]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """Tests for the box-counting and Fourier-decay dimension estimators."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -171,6 +172,21 @@ def test_fourier_dimension_table_and_window_reported():
     assert js == sorted(js)
     d = est.to_dict()
     assert d["value"] == est.value
+
+
+def test_fourier_dimension_stops_at_the_last_exact_annulus():
+    # below r = 2^-52 the plan would reach |xi| >= 2^53, where integers are
+    # no longer exact floats; the table stops at j = 52 and says so
+    rng = np.random.default_rng(10)
+    cfg = WeightedConfiguration(
+        points=rng.random((64, 1)), weights=np.ones(64), radius_r=2.0**-70, lam=0.5
+    )
+    t0 = time.perf_counter()
+    est = fourier_dimension(cfg)
+    assert time.perf_counter() - t0 < 30
+    assert est.table[-1]["j"] == 52 and est.notes["j_cap"] == 52
+    cfg.radius_r = 2.0**-52
+    assert "j_cap" not in fourier_dimension(cfg).notes
 
 
 def test_fourier_below_box_ordering():

@@ -13,7 +13,6 @@ from salemkit.expsum import (
     _SUPS_SAMPLES,
     _canonical_lattice_shell,
     _decay,
-    _direct_mags_1d,
     _direct_sum,
     _prefix_groups,
     _screen_1d,
@@ -91,29 +90,36 @@ def test_exp_sum_single_atom():
     np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
 
 
+def _mags(points, weights, freqs):
+    """|weighted_exp_sum| at the integers ``freqs`` (d = 1)."""
+    x = np.asarray(points, dtype=float).reshape(-1, 1)
+    return np.abs(weighted_exp_sum(x, weights, np.asarray(freqs).reshape(-1, 1)))
+
+
 def _full_direct(points, weights, K):
     """|S(xi)| for xi = 1..K (d = 1), every entry a direct sum."""
-    x = np.asarray(points, dtype=float).reshape(-1)
-    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float)
-    return _direct_mags_1d(x, a, np.arange(1, K + 1))
+    return _mags(points, weights, np.arange(1, K + 1))
 
 
 @pytest.mark.parametrize("N", [7, 300, 8144])
 def test_direct_sums_have_the_same_bits_in_any_batch(N):
     # a confirmed frequency must get the bits of the full 1..K evaluation
-    # whether it is evaluated alone, with a few others or in any order
+    # whether it is evaluated alone, with a few others or in any order;
+    # so must a frequency of an annulus far beyond any sweep range
     rng = np.random.default_rng(N)
     x, a = rng.random(N), rng.random(N) + 0.5
     K = 2000
-    full = _direct_mags_1d(x, a, np.arange(1, K + 1))
-    for k in rng.integers(1, K + 1, size=20):
-        assert _direct_mags_1d(x, a, [k])[0] == full[k - 1], k
-    for size in (2, 3, 17, 500):
-        sub = rng.choice(K, size=size, replace=False) + 1
-        assert np.array_equal(_direct_mags_1d(x, a, sub), full[sub - 1]), size
-    # and they are the sums the matrix product gives, to rounding
-    xi = np.arange(1.0, K + 1)[:, None]
-    np.testing.assert_allclose(full, np.abs(weighted_exp_sum(x[:, None], a, xi)), rtol=0, atol=1e-12)
+    for freqs in (np.arange(1, K + 1), _subsample_annulus(1, 2.0**29, 2.0**30, 256)[:, 0]):
+        full = _mags(x, a, freqs)
+        for i in rng.integers(0, len(freqs), size=20):
+            assert _mags(x, a, freqs[i : i + 1])[0] == full[i], freqs[i]
+        for size in (2, 3, 17, 200):
+            sub = rng.choice(len(freqs), size=size, replace=False)
+            assert np.array_equal(_mags(x, a, freqs[sub]), full[sub]), size
+    # and they are the compensated sums, to rounding
+    xi = rng.integers(1, K + 1, size=5)
+    want = [abs(oracle_exp_sum(x[:, None], a, [k])) for k in xi]
+    np.testing.assert_allclose(_mags(x, a, xi), want, rtol=0, atol=1e-12)
 
 
 def test_sweep_thread_count_does_not_change_bits():
@@ -229,6 +235,16 @@ def test_d2_sweep_exhaustive_agreement_with_subsample_off():
     assert seen == [3, 4, 5]
 
 
+def test_plan_refuses_annuli_beyond_2_53():
+    # beyond 2^53 integers are no longer exact floats, and the shell's
+    # integer root search would not settle
+    with pytest.raises(ValueError, match="2\\^53"):
+        list(frequency_plan(1, [53], math.inf, _SUPS_CAP, _SUPS_SAMPLES))
+    ((j, lo, hi, xi, sampled),) = frequency_plan(1, [52], math.inf, _SUPS_CAP, _SUPS_SAMPLES)
+    assert (j, lo, hi, sampled) == (52, 2.0**52, 2.0**53, True)
+    assert len(xi) == _SUPS_SAMPLES
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_shell_cap_refuses_exactly_the_shells_over_it(d):
     # the shell is refused at its first coordinate stage over the cap; for
@@ -329,11 +345,13 @@ def _parent_fields(report):
 # calibration and dimension paths shared one frequency plan; the plan must
 # reproduce every one of them bit for bit.  The "d1 sweep" and "d1 calibration"
 # digests were retaken when the direct sum replaced the phase recurrence as
-# the exact reference: only their floats moved, in the last bits.
+# the exact reference, and the "d1 sweep" and "d1 config fourier" digests
+# when every direct sum came to be reduced row by row: only their floats
+# moved, in the last bits.
 ORACLE = {
-    "d1 sweep": "dc0774c45cb477058cac5b070714316229f3f0f7771711376612e47c1202d6a4",
+    "d1 sweep": "cbcc5a9e75e7c119bf530d2148caa3c6baa4034f8f46120e0b9a71c06c3ef21b",
     "d1 calibration": "3175c6f6e305f7c21f2e5345cf17737ec4794b1d231066e5e073348c7cb7a6d4",
-    "d1 config fourier": "e6d68db3eccdb45d01ec7785f6cfd7f8828c2593d281b0b1cd0c9d9338b54f7a",
+    "d1 config fourier": "9c704654808e5894222a6cf69f52cbe8d17978cf1398f7db3c3d6354b3a0f280",
     "d1 grid fourier": "f04962f52c98e99aab3bdd3a802226e0358eafe63d6d49f4546f4f2c969eac1d",
     "d2 config fourier": "c48e91b056759a04164c8e04f75bc3b421d7f285c39ef54d258d1e33f1120b54",
     "d2 sweep": "c921ee0bd73cee3daa1ec0698a817389b77d1e9ce06b65c40d37401702d2ccca",

@@ -358,6 +358,25 @@ def test_split_sum_refuses_a_configuration_without_build_record(monkeypatch):
         split_sum_check(ap3_pattern(m=16), ConstructionParams(M=32, lam=0.3), trials=50, n_xi=3)
 
 
+def test_split_sum_refuses_d2_before_any_build(monkeypatch):
+    # the test frequencies are one-dimensional, so a d = 2 stratified
+    # pattern is refused up front rather than on its first trial's sums
+    from salemkit.patterns import TranslationalPattern
+    from salemkit.torus import Cube
+
+    def build(pattern, params):
+        raise AssertionError("no build may start")
+
+    monkeypatch.setitem(sampler.BUILDERS, "translational", build)
+    side = 1.0 / 32
+    pattern = TranslationalPattern(
+        d=2, n=3, a=2, period_m=8, T=lambda x: (-np.asarray(x))[..., None, :],
+        lipschitz=1.0, cubes=[Cube([c - side / 2] * 2, side) for c in (1 / 6, 1 / 2, 5 / 6)],
+    )
+    with pytest.raises(ValueError, match="d = 1 only"):
+        split_sum_check(pattern, ConstructionParams(M=32, lam=0.3), trials=50)
+
+
 def test_split_sum_requires_enough_trials():
     with pytest.raises(ValueError):
         split_sum_check(ap3_pattern(), ConstructionParams(M=32, lam=0.3), trials=10)
