@@ -184,6 +184,8 @@ def cmd_iterate(args):
     for rec in trajectory:
         path = os.path.join(out, f"stage{rec['stage']}.sfgm")
         rec["measure"].save(path, provenance={"stage": rec["stage"]})
+        config_path = os.path.join(out, f"stage{rec['stage']}.csv")
+        rec["config"].save(config_path)
         rows.append(
             {
                 "stage": rec["stage"],
@@ -192,6 +194,7 @@ def cmd_iterate(args):
                 "sweep_violations": rec["sweep"].n_violations,
                 "seminorm_step": rec["seminorm_step"]["value"],
                 "measure_file": path,
+                "config_file": config_path,
             }
         )
     _write_json(os.path.join(out, "iterate.json"), {"stages": rows})

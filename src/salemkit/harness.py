@@ -147,7 +147,7 @@ class ExperimentConfig:
 # ------------------------------------------------------------------- report
 
 
-_AGGREGATED = ("N", "removed_count", "P_hat", "sweep_sup_stat")
+_AGGREGATED = ("N", "removed_count", "P_hat", "sweep_sup_stat", "min_functional_gap")
 
 
 def _aggregate(rows):
@@ -165,7 +165,10 @@ def _aggregate(rows):
                 sum(r["scan_violations"] for r in ok)
             )
         for key in _AGGREGATED:
-            vals = [r[key] for r in ok if r.get(key) is not None]
+            # an infinite value (the gap of fewer than three points) would
+            # turn every interpolated quantile into NaN
+            vals = [r.get(key) for r in ok]
+            vals = [v for v in vals if v is not None and not math.isinf(v)]
             if vals:
                 qs = np.quantile(vals, [0.0, 0.5, 0.9, 1.0])
                 agg[key + "_quantiles"] = {

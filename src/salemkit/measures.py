@@ -7,6 +7,7 @@ seminorm reports the frequency box it actually scanned.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -158,10 +159,21 @@ class GridMeasure:
             magic = fh.read(4)
             if magic != _MAGIC:
                 raise ValueError(f"{path}: bad magic {magic!r}")
-            d, G = struct.unpack("<ii", fh.read(8))
-            data = np.frombuffer(fh.read(8 * G**d), dtype="<f8")
-        if data.size != G**d:
-            raise ValueError(f"{path}: truncated density block")
+            header = fh.read(8)
+            if len(header) != 8:
+                raise ValueError(f"{path}: truncated header")
+            d, G = struct.unpack("<ii", header)
+            nbytes = os.fstat(fh.fileno()).st_size - 12
+            # checked against the file's size before anything of size G^d
+            # is allocated, and before G**d is formed for a d too large
+            # for the file (G >= 2 needs G^d >= 2^d cells)
+            too_long = G > 1 and d > nbytes.bit_length()
+            if d < 1 or G < 1 or too_long or 8 * G**d != nbytes:
+                raise ValueError(
+                    f"{path}: header d={d}, G={G} does not match a {nbytes}-byte "
+                    "density block (needs d >= 1, G >= 1 and 8 G^d bytes)"
+                )
+            data = np.frombuffer(fh.read(nbytes), dtype="<f8")
         return cls(data.reshape((G,) * d).astype(float))
 
     @classmethod

@@ -1,11 +1,15 @@
 """CLI smoke tests via main() return codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from salemkit.cli import main
+from salemkit.cli import build_parser, main
+from salemkit.sampler import WeightedConfiguration
 
 
 @pytest.fixture
@@ -134,7 +138,17 @@ def test_iterate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_iterate_writes_stage_measures(tmp_path):
+def test_iterate_writes_stage_measures(tmp_path, monkeypatch):
+    import salemkit.measures
+
+    built = []
+    real = salemkit.measures.salem_iterate
+
+    def keep(*args, **kwargs):
+        built.extend(real(*args, **kwargs))
+        return built
+
+    monkeypatch.setattr(salemkit.measures, "salem_iterate", keep)
     cfg = {
         "pattern": {"id": "ap3", "m": 16},
         "construction": {"M": 128, "lam": 0.45, "seed": 2},
@@ -150,8 +164,20 @@ def test_iterate_writes_stage_measures(tmp_path):
     assert code == 0
     summary = json.loads((out / "iterate.json").read_text())
     assert len(summary["stages"]) == 2
-    assert (out / "stage0.sfgm").exists()
-    assert (out / "stage1.sfgm").exists()
+    for t, row in enumerate(summary["stages"]):
+        assert row["measure_file"] == str(out / f"stage{t}.sfgm")
+        assert row["config_file"] == str(out / f"stage{t}.csv")
+        for name in (f"stage{t}.sfgm", f"stage{t}.csv"):
+            assert (out / name).exists()
+            assert (out / (name + ".json")).exists()
+        # the saved stage is the built one, so estimate-dim on it sees the
+        # same points, weights and radius as box_dimension in memory
+        saved = WeightedConfiguration.load(row["config_file"])
+        config = built[t]["config"]
+        assert saved.N == row["N"]
+        assert saved.radius_r == config.radius_r
+        assert np.array_equal(saved.points, config.points)
+        assert np.array_equal(saved.weights, config.weights)
 
 
 def test_demo_ap3_small(tmp_path):
@@ -183,6 +209,59 @@ def test_demo_passes_only_the_flags_given(monkeypatch):
     assert main(["demo", "linear-eq"]) == 0
     assert main(["demo", "linear-eq", "--seed", "0", "--trials", "3"]) == 0
     assert seen == [{"out_dir": None}, {"out_dir": None, "seed": 0, "trials": 3}]
+
+
+@pytest.mark.parametrize(
+    "which, name, M, failing",
+    [
+        ("linear-eq", "demo_linear_equations", 256, {"scan_violations": 1}),
+        ("isosceles-parabola", "demo_isosceles", 128, {"gap_positive": False}),
+    ],
+    ids=["linear-eq", "isosceles-parabola"],
+)
+def test_demo_verdict_on_a_real_report(which, name, M, failing, monkeypatch, capsys):
+    from salemkit import cli
+
+    real = getattr(cli, name)
+    reports = []
+
+    def small(**kwargs):
+        reports.append(real(M=M, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, name, small)
+    assert main(["demo", which, "--trials", "2"]) == 0
+    agg = json.loads(capsys.readouterr().out)
+    assert agg["trials"] == 2 and agg["failed_trials"] == 0
+    if which == "isosceles-parabola":
+        # the aggregate carries the number the verdict tests
+        assert agg["min_functional_gap_quantiles"]["min"] > 0
+    # one failing row fails the verdict
+    report = reports[0]
+    report.rows[1].update(failing)
+    monkeypatch.setattr(cli, name, lambda **kwargs: report)
+    assert main(["demo", which]) == 1
+
+
+def test_readme_commands_parse():
+    # every `salemkit ...` line in the README's sh blocks names a subcommand
+    # and only flags it declares, so an example cannot drift from the CLI
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.splitlines()
+    ]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["salemkit"]]
+    assert commands
+    parser = build_parser()
+    bad = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            bad.append(" ".join(argv))
+    assert not bad
 
 
 @pytest.mark.parametrize(

@@ -606,3 +606,6 @@ def test_demo_isosceles_rough_route():
     row = rep.rows[0]
     assert row["gap_positive"]
     assert row["N"] >= 48
+    for key, qs in rep.aggregate.items():
+        if key.endswith("_quantiles"):
+            assert not any(math.isnan(q) for q in qs.values()), key

@@ -1,10 +1,13 @@
 """Tests for grid measures, mollification, and the perturbation step."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
+from salemkit.cli import main
 from salemkit.errors import ConstructionFailure, DegenerateOverlapError
 from salemkit.measures import (
     GridMeasure,
@@ -199,11 +202,27 @@ def test_sfgm_header_layout(tmp_path):
     assert len(raw) == 12 + 8 * 8
 
 
-def test_sfgm_bad_magic(tmp_path):
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        (b"NOPE" + struct.pack("<ii", 1, 8) + bytes(64), "bad magic"),
+        (b"SFGM" + struct.pack("<ii", 40, 2) + bytes(64), "d=40, G=2"),
+        (b"SFGM" + struct.pack("<ii", -1, 2) + bytes(64), "d=-1, G=2"),
+        (b"SFGM" + struct.pack("<ii", 1, 0) + bytes(64), "d=1, G=0"),
+        (b"SFGM" + struct.pack("<ii", 1, 16) + bytes(64), "d=1, G=16"),
+        (b"SFGM" + struct.pack("<i", 1), "truncated header"),
+    ],
+    ids=["magic", "d40", "d-1", "G0", "truncated", "short-header"],
+)
+def test_sfgm_bad_magic(tmp_path, capsys, raw, named):
+    # refused from the file's size, before anything of G^d cells is
+    # allocated, with the header named; the CLI reads it as an input error
     path = tmp_path / "bad.sfgm"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(named)):
         GridMeasure.load(path)
+    assert main(["estimate-dim", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- perturb
