@@ -605,39 +605,49 @@ _PARABOLA_C = math.sqrt(5.0)  # sup |gamma'| on [0, 1] for gamma(t) = (t, t^2)
 ISO_EPSILON = 1.0 / (2.0 * _PARABOLA_C**3)
 
 
-def _gamma(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([t, t * t], axis=-1)
+def _sq_chord(s, t, t_sq=None):
+    """|gamma(s) - gamma(t)|^2 for gamma(t) = (t, t^2), given t_sq = t * t or not;
+    bit-equal to ``((gamma(s) - gamma(t))**2).sum(-1)``, which adds x0 + x1."""
+    dx = s - t
+    dy = s * s - (t * t if t_sq is None else t_sq)
+    return dx * dx + dy * dy
 
 
 def isosceles_functional(t1, t2, t3):
     """F = |gamma(t1) - gamma(t2)|^2 - |gamma(t2) - gamma(t3)|^2 (apex t2)."""
-    a = _gamma(t1) - _gamma(t2)
-    b = _gamma(t3) - _gamma(t2)
-    return (a**2).sum(axis=-1) - (b**2).sum(axis=-1)
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
+    return _sq_chord(t1, t2) - _sq_chord(t3, t2)
 
 
-def _solve_third_leg(t1, t2, lo, hi, iters=80):
+_THIRD_LEG_STEPS = 80  # bisection cap for a bracket that never settles
+
+
+def _solve_third_leg(t1, t2, lo, hi):
     """Bisect for t3 in [lo, hi] with |gamma(t3)-gamma(t2)| = |gamma(t1)-gamma(t2)|.
 
     The squared chord length from gamma(t2) is strictly increasing in t3
-    on t3 > t2 >= 0, so the root is unique when bracketed.
+    on t3 > t2 >= 0, so the root is unique when bracketed.  The fixed leg
+    and t2 * t2 are computed once.  A step depends on (lo, hi) alone (the
+    sign of F(lo) never changes), so after a step that moves no lo and no
+    hi every later step repeats it: stopping there returns the bits of the
+    full bisection.  A bracket that has not settled by then (a NaN, which
+    never equals itself, or a root far below the bracket's width) stops at
+    the ``_THIRD_LEG_STEPS`` cap.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    lo = np.full_like(t2, lo) if np.isscalar(lo) else np.asarray(lo, float)
-    hi = np.full_like(t2, hi) if np.isscalar(hi) else np.asarray(hi, float)
-    f_lo = isosceles_functional(t1, t2, lo)
-    f_hi = isosceles_functional(t1, t2, hi)
-    if np.any(np.sign(f_lo) == np.sign(f_hi)):
+    t1, t2, lo, hi = np.broadcast_arrays(*(np.asarray(x, float) for x in (t1, t2, lo, hi)))
+    t2_sq = t2 * t2
+    leg = _sq_chord(t1, t2, t2_sq)
+    sign_lo = np.sign(leg - _sq_chord(lo, t2, t2_sq))
+    if np.any(sign_lo == np.sign(leg - _sq_chord(hi, t2, t2_sq))):
         raise RuntimeError("isosceles solver: root not bracketed on a probe")
-    for _ in range(iters):
+    for _ in range(_THIRD_LEG_STEPS):
         mid = 0.5 * (lo + hi)
-        f_mid = isosceles_functional(t1, t2, mid)
-        neg = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(neg, mid, lo)
-        f_lo = np.where(neg, f_mid, f_lo)
-        hi = np.where(neg, hi, mid)
+        neg = np.sign(leg - _sq_chord(mid, t2, t2_sq)) == sign_lo
+        new_lo = np.where(neg, mid, lo)
+        new_hi = np.where(neg, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -672,12 +682,10 @@ def min_isosceles_gap(points):
     is O(N^2 log N) instead of O(N^3).
     """
     pts = np.asarray(points, dtype=float).reshape(-1)
-    g = _gamma(pts)
     N = len(pts)
     best = math.inf
     for j in range(N):
-        diff = g - g[j]
-        d2 = (diff**2).sum(axis=1)
+        d2 = _sq_chord(pts, pts[j])
         vals = np.sort(d2[np.arange(N) != j])
         if len(vals) >= 2:
             gaps = np.diff(vals)
@@ -713,6 +721,7 @@ def demo_isosceles(
             route=route,
             N=config.N,
             removed_count=config.provenance.get("n_removed"),
+            n_on_arc=int(in_work.sum()),
             min_functional_gap=gap,
             gap_positive=gap > 0,
         )
@@ -730,25 +739,10 @@ def _isosceles_rough_pattern(g=1024):
     """
     eps = ISO_EPSILON
     k = int(math.ceil(eps * g))
-    axis = np.arange(k)
-    c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    cells = np.stack([c1.ravel(), c2.ravel(), c3.ravel()], axis=1)
-    # evaluate F at the 8 corners of each cell
-    signs_pos = np.zeros(len(cells), dtype=bool)
-    signs_neg = np.zeros(len(cells), dtype=bool)
-    small = np.zeros(len(cells), dtype=bool)
+    cells = np.indices((k, k, k)).reshape(3, -1).T
+    # F at the 8 corners of each cell
+    v = np.array([isosceles_functional(*((cells + c) / g).T) for c in np.ndindex(2, 2, 2)])
     # |grad F| <= ~6 eps on the box; cell diagonal sqrt(3)/g
     margin = 6.0 * eps * math.sqrt(3.0) / g
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                v = isosceles_functional(
-                    (cells[:, 0] + dx) / g,
-                    (cells[:, 1] + dy) / g,
-                    (cells[:, 2] + dz) / g,
-                )
-                signs_pos |= v > 0
-                signs_neg |= v < 0
-                small |= np.abs(v) <= margin
-    occupied = cells[(signs_pos & signs_neg) | small]
+    occupied = cells[((v > 0).any(0) & (v < 0).any(0)) | (np.abs(v) <= margin).any(0)]
     return RoughPattern(n=3, d=1, g=g, cells=occupied)
