@@ -58,6 +58,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .torus import wrap
+
 __all__ = [
     "weighted_exp_sum",
     "frequency_plan",
@@ -98,9 +100,7 @@ def weighted_exp_sum(points, weights, xi):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
-    if weights is None:
-        weights = np.ones(N)
-    weights = np.asarray(weights, dtype=float)
+    weights = _weights(weights, points)
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 1
     xi = np.atleast_2d(xi)
@@ -111,6 +111,18 @@ def weighted_exp_sum(points, weights, xi):
         out = _direct_sum(points, weights, xi)
     out /= N
     return out[0] if scalar else out
+
+
+def _weights(weights, points):
+    """One float weight per row of the (N, d) ``points``; unit weights
+    for None.  Any other shape than (N,) raises, as a single weight would
+    broadcast."""
+    if weights is None:
+        return np.ones(len(points))
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(points),):
+        raise ValueError(f"weights of shape {weights.shape} for points of shape {points.shape}")
+    return weights
 
 
 def _direct_sum(points, weights, xi):
@@ -126,7 +138,7 @@ def _direct_sum(points, weights, xi):
     for i in range(0, len(xi), chunk):
         # reduce xi.x modulo 1 before exponentiating; keeps the phase
         # accurate even for very large |xi|
-        phase = (xi[i : i + chunk] @ points.T) % 1.0
+        phase = wrap(xi[i : i + chunk] @ points.T)
         terms = np.exp(2j * np.pi * phase)
         terms *= weights
         out[i : i + chunk] = terms.sum(axis=1)
@@ -167,14 +179,14 @@ def _separable_sum(points, weights, xi):
     b = 0
     for p0 in range(0, P, pb):
         A = weights[:, None] * np.exp(
-            2j * np.pi * ((x_head @ prefixes[p0 : p0 + pb].T) % 1.0)
+            2j * np.pi * wrap(x_head @ prefixes[p0 : p0 + pb].T)
         )
         for l0 in range(0, L, lb):
             sel = order[bounds[b] : bounds[b + 1]]
             b += 1
             if len(sel) == 0:
                 continue
-            E = np.exp(2j * np.pi * (np.multiply.outer(x_last, ls[l0 : l0 + lb]) % 1.0))
+            E = np.exp(2j * np.pi * wrap(np.multiply.outer(x_last, ls[l0 : l0 + lb])))
             out[sel] = (A.T @ E)[p_of[sel] - p0, l_of[sel] - l0]
     return out
 
@@ -252,7 +264,7 @@ def _screen_1d(x, a, K):
     beta = math.pi * (_NUFFT_R - 0.5) / (_NUFFT_R * w)
     c = math.pi**2 / (beta * Mr * Mr)
     gain = math.sqrt(beta / math.pi)
-    pos = (x - np.floor(x)) * Mr
+    pos = wrap(x) * Mr
     node0 = np.floor(pos)
     frac = pos - node0
     node0 = node0.astype(np.int64)
@@ -297,7 +309,7 @@ def _screen_confirm_1d(points, weights, xis, bound):
     has the same bits in any batch.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
-    a = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+    a = _weights(weights, points)
     ends = np.cumsum([len(xi) for xi in xis])
     K = int(ends[-1])
     mags, eps = _screen_1d(x, a, K)

@@ -33,9 +33,9 @@ __all__ = [
 
 # Cap on exact enumeration work before a scan refuses to run.
 DEFAULT_SCAN_BUDGET = 200_000_000
-# index tuples per chunk of the product enumeration behind the scan and
-# the incidence set; a chunk of 250k d=2 triples takes about 30 MB of
-# temporaries
+# candidates per chunk of the tuple search behind the scan and the
+# incidence set (tuples of the product enumeration, window queries of the
+# d=1 probe); a chunk of 250k d=2 triples takes about 30 MB of temporaries
 BRUTE_CHUNK = 250_000
 # absolute slack of the exact scans: a tuple is a violation at margin eta
 # when its residual is <= eta + SCAN_TOL
@@ -424,17 +424,7 @@ def window_probe(xs, q, tau, period):
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
-def slot_product(slots):
-    """Row-major tuples of the product of the index arrays ``slots``; a
-    single empty tuple when there are none."""
-    sizes = [len(s) for s in slots]
-    grid = np.indices(sizes).reshape(len(sizes), int(np.prod(sizes))).T
-    for j, s in enumerate(slots):
-        grid[:, j] = s[grid[:, j]]
-    return grid
-
-
-def _window_candidates(windows, chunk=BRUTE_CHUNK):
+def _window_candidates(windows, chunk):
     """``(query, sorted position)`` pairs inside the windows of
     :func:`window_probe`, about ``chunk`` pairs at a time."""
     qi, lo, hi = windows
@@ -450,65 +440,14 @@ def _window_candidates(windows, chunk=BRUTE_CHUNK):
         w0 = w1
 
 
-def _probe_hits(slots, pattern, eps, budget):
-    """Index tuples into the d = 1 slot arrays whose residual is <= ``eps``.
-
-    ``slots`` holds one coordinate array per tuple slot.  Every prefix of
-    the leading slots becomes window queries on the sorted last slot: the
-    translational relation folded modulo the periodization grid 1/m (one
-    query per prefix, x_{n-1} and raw target), the surface relation at
-    f(prefix).  The windows are a few ulps wider than ``eps`` and every
-    candidate is rechecked with the exact residual in bounded chunks, so
-    the result equals a full enumeration.  Yields ``(idx, residuals)``
-    chunks; a tuple met through two windows comes twice.
-    """
-    n = pattern.n
-    translational = pattern.kind == "translational"
-    heads = slots[: n - 2] if translational else slots[: n - 1]
-    fan = len(slots[n - 2]) if translational else 1
-    if float(np.prod([float(len(s)) for s in heads])) * fan > budget:
-        raise BudgetError(f"{pattern.kind} probe over budget")
-    prefix_idx = slot_product([np.arange(len(s)) for s in heads])
-    args = np.zeros((len(prefix_idx), len(heads)))
-    for j, s in enumerate(heads):
-        args[:, j] = s[prefix_idx[:, j]]
-    if translational:
-        a, period = pattern.a_float, 1.0 / pattern.period_m
-        raw = np.asarray(pattern.T(args), dtype=float).reshape(len(args), -1)
-        K = raw.shape[1]
-        fan *= K
-        if float(len(args)) * fan > budget:
-            raise BudgetError("translational probe over budget")
-        span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
-        xlast = wrap(slots[n - 1]) % period
-    else:
-        period, span = 1.0, 2.0
-        xlast = wrap(slots[n - 1])
-    order = np.argsort(xlast, kind="stable")
-    xs = xlast[order]
-    # the fold and the residual round differently, by a few ulps of the
-    # largest value either forms
-    halfwidth = eps + 16.0 * np.spacing(span)
-    chunk = max(1, 4_000_000 // max(fan, 1))
-    for p0 in range(0, len(args), chunk):
-        if translational:
-            base = a * slots[n - 2][None, :, None] + raw[p0 : p0 + chunk][:, None, :]
-            q = (wrap(base) % period).reshape(-1)
-        else:
-            q = wrap(np.asarray(pattern.f(args[p0 : p0 + chunk]), dtype=float).reshape(-1))
-        for qi, pos in _window_candidates(window_probe(xs, q, halfwidth, period)):
-            b, rem = np.divmod(qi, fan)
-            cols = [prefix_idx[p0 + b]]
-            if translational:
-                cols.append((rem // K)[:, None])
-            idx = np.concatenate(cols + [order[pos][:, None]], axis=1)
-            tuples = np.stack([s[idx[:, j]] for j, s in enumerate(slots)], axis=1)
-            r = pattern.residual(tuples)
-            hit = r <= eps
-            yield idx[hit], r[hit]
-
-
 # ----------------------------------------------------- exact tuple search
+
+
+def _gather(slots, idx):
+    """Coordinates of the index tuples ``idx`` into ``slots``, one row per
+    tuple; an empty row when there are no slots."""
+    cols = [s[idx[:, j]] for j, s in enumerate(slots)]
+    return np.concatenate([np.empty((len(idx), 0))] + cols, axis=1)
 
 
 def _tuple_hits(slots, pattern, eps, tol, budget):
@@ -517,13 +456,19 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
 
     ``slots`` holds one (N_j, d) point array per tuple slot.  A cube-backed
     relation is defined on its doubled cubes only, so each slot is first
-    cut to the points its cube holds.  The d = 1 translational and surface
-    relations then go to the window probe :func:`_probe_hits`; every other
-    relation to a product enumeration in chunks of ``BRUTE_CHUNK`` tuples,
-    whose residuals need only be exact up to ``eps``.
-    ``budget`` bounds the work on the cut slots.  Yields ``(idx,
-    residuals)`` chunks, indices into the uncut slots; the probe may yield
-    a tuple twice.
+    cut to the points its cube holds; ``budget`` bounds the work on the cut
+    slots.  One loop serves every relation: it enumerates prefixes of the
+    leading slots lazily, about ``BRUTE_CHUNK`` candidates at a time, and
+    rechecks every candidate tuple with the residual, which need only be
+    exact up to ``eps``.  A d = 1 translational or surface relation gets
+    its candidates from window queries on the sorted last slot: the
+    translational relation folded modulo the periodization grid 1/m (one
+    query per prefix x_1..x_{n-2}, x_{n-1} and raw target), the surface
+    relation at f(x_1..x_{n-1}).  The windows are a few ulps wider than
+    ``eps + tol``, so the result equals a full enumeration.  Every other
+    relation pairs each prefix x_1..x_{n-1} with the whole last slot.
+    Yields ``(idx, residuals)`` chunks, indices into the uncut slots; the
+    probe may yield a tuple twice.
     """
     domain = getattr(pattern, "_domain", None)
     keep = [np.arange(len(s)) for s in slots]
@@ -532,28 +477,62 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         slots = [s[k] for s, k in zip(slots, keep)]
     if any(len(s) == 0 for s in slots):
         return
+    n = pattern.n
+    probe = pattern.d == 1 and pattern.kind in ("translational", "surface")
+    translational = probe and pattern.kind == "translational"
+    heads = slots[: n - 2] if translational else slots[: n - 1]
+    sizes = [len(s) for s in heads]
 
-    def back(idx):
-        return np.stack([k[idx[:, j]] for j, k in enumerate(keep)], axis=1)
+    def prefixes(start, stop):
+        # a leading axis of length 1 lets the empty prefix of n = 2 unravel
+        flat = np.arange(start, stop, dtype=np.int64)
+        return np.stack(np.unravel_index(flat, [1] + sizes), axis=1)[:, 1:]
 
-    if pattern.d == 1 and pattern.kind in ("translational", "surface"):
-        for idx, r in _probe_hits([s[:, 0] for s in slots], pattern, eps + tol, budget):
-            yield back(idx), r
-        return
-    sizes = [len(s) for s in slots]
-    if float(np.prod([float(v) for v in sizes])) > budget:
+    # candidates per prefix: a query per x_{n-1} and raw target, a query,
+    # or a tuple per last-slot point
+    if translational:
+        a, period = pattern.a_float, 1.0 / pattern.period_m
+        xprev = slots[n - 2][:, 0]
+        K = np.asarray(pattern.T(_gather(heads, prefixes(0, 1))), dtype=float).size
+        per = len(xprev) * K
+    else:
+        period, span = 1.0, 2.0
+        per = 1 if probe else len(slots[-1])
+    if float(np.prod([float(v) for v in sizes])) * per > budget:
         raise BudgetError(
-            f"exact enumeration needs {' x '.join(map(str, sizes))} tuple "
-            f"evaluations; over budget {budget}"
+            f"{pattern.kind} search needs {' x '.join(map(str, sizes))} prefixes "
+            f"x {per} candidates; over budget {budget}"
         )
-    total = int(np.prod(sizes))
-    for start in range(0, total, BRUTE_CHUNK):
-        flat = np.arange(start, min(start + BRUTE_CHUNK, total), dtype=np.int64)
-        idx = np.stack(np.unravel_index(flat, sizes), axis=1)
-        tuples = np.concatenate([s[idx[:, j]] for j, s in enumerate(slots)], axis=1)
-        r = pattern.residual(tuples, eps)
-        hit = r <= eps + tol
-        yield back(idx[hit]), r[hit]
+    if probe:
+        xlast = wrap(slots[-1][:, 0]) % period if translational else wrap(slots[-1][:, 0])
+        order = np.argsort(xlast, kind="stable")
+        xs = xlast[order]
+    total, step = int(np.prod(sizes)), max(1, BRUTE_CHUNK // max(per, 1))
+    for start in range(0, total, step):
+        pre = prefixes(start, min(start + step, total))
+        if probe:
+            if translational:
+                raw = np.asarray(pattern.T(_gather(heads, pre)), dtype=float)
+                raw = raw.reshape(len(pre), K)
+                span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
+                q = wrap(a * xprev[None, :, None] + raw[:, None, :]) % period
+            else:
+                q = wrap(np.asarray(pattern.f(_gather(heads, pre)), dtype=float))
+            # the fold and the residual round differently, by a few ulps
+            # of the largest value either forms
+            halfwidth = eps + tol + 16.0 * np.spacing(span)
+            windows = window_probe(xs, q, halfwidth, period)
+            batches = ((qi, order[pos]) for qi, pos in _window_candidates(windows, BRUTE_CHUNK))
+        else:
+            qi = np.arange(len(pre) * per, dtype=np.int64)
+            batches = [(qi, qi % per)]
+        for qi, last in batches:
+            b, rem = np.divmod(qi, per)
+            mid = [(rem // K)[:, None]] if translational else []
+            idx = np.concatenate([pre[b]] + mid + [last[:, None]], axis=1)
+            r = pattern.residual(_gather(slots, idx), eps)
+            hit = r <= eps + tol
+            yield np.stack([k[idx[hit, j]] for j, k in enumerate(keep)], axis=1), r[hit]
 
 
 def violation_scan(

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -420,6 +421,20 @@ def test_exp_sum_matches_point_loop(case, weighted):
         assert np.array_equal(got, _direct_sum(pts, w, xi.astype(float)) / 97)
     else:
         assert _separable_sum(pts, w, xi.astype(float)) is not None
+
+
+def test_weights_of_the_wrong_length_raise():
+    # one weight for 500 points would broadcast, and the sweep's screen
+    # would take its error bound eps from that one weight
+    pts = np.random.default_rng(14).random((500, 1))
+    for ws in ([1.0], np.ones(499), np.ones((500, 1))):
+        shape = re.escape(str(np.shape(ws)))
+        with pytest.raises(ValueError, match=shape + r".*\(500, 1\)"):
+            weighted_exp_sum(pts, ws, np.arange(1, 5)[:, None])
+        with pytest.raises(ValueError, match=shape + r".*\(500, 1\)"):
+            sweep(pts, ws, lam=0.45, C=1.0)
+    with pytest.raises(ValueError, match=r"\(1,\).*\(40, 2\)"):
+        sweep(pts[:80].reshape(40, 2), [1.0], lam=0.9, C=1.0, xi_max=20)
 
 
 def test_exp_sum_blocks_agree_with_point_loop(monkeypatch):

@@ -387,27 +387,76 @@ def test_d2_scan_budget_counts_the_cube_cut_product():
     assert {(0, 5, 10), (1, 6, 11)} <= set(want)
 
 
-def test_d2_brute_paths_do_not_depend_on_chunk_size(monkeypatch):
+def test_tuple_search_does_not_depend_on_chunk_size(monkeypatch):
+    # BRUTE_CHUNK sizes the product enumeration's chunks and the d = 1
+    # probe's query chunks and recheck batches alike
     from salemkit import patterns
+    from salemkit.harness import isosceles_surface_pattern
+    from salemkit.sampler import ConstructionParams, build_surface
 
-    pat = TranslationalPattern(
+    d2 = TranslationalPattern(
         d=2, n=3, a=2, period_m=8,
         T=lambda x: (-np.asarray(x))[..., None, :], lipschitz=1.0,
     )
     rng = np.random.default_rng(9)
     points = rng.random((24, 2))
     pools = [rng.random((11, 2)) for _ in range(3)]
-    runs = []
-    for chunk in (7, 1000, 10**6):
-        monkeypatch.setattr(patterns, "BRUTE_CHUNK", chunk)
-        tuples, resid = violation_scan(points, pat, margin=0.03)
-        hits = incidence_index_set(pools, pat, 0.03, 10**9)
-        runs.append((tuples, resid, hits))
-    assert len(runs[0][0]) > 10 and len(runs[0][2]) > 0
-    for tuples, resid, hits in runs[1:]:
-        assert np.array_equal(tuples, runs[0][0])
-        assert np.array_equal(resid, runs[0][1])
-        assert np.array_equal(hits, runs[0][2])
+    iso = isosceles_surface_pattern()
+    iso_points = build_surface(iso, ConstructionParams(M=16, lam=4 / 9, seed=0)).points
+    ap3 = ap3_pattern(m=3, with_cubes=False)
+    ap3_points = rng.random((40, 1))
+    cases = [
+        (d2, points, pools, 0.03),
+        (ap3, ap3_points, [rng.random((15, 1)) for _ in range(3)], 2e-3),
+        (iso, iso_points, [iso_points] * 3, 1e-3),
+    ]
+    for pat, points, pools, margin in cases:
+        runs = []
+        for chunk in (1, 7, 1000, 10**6):
+            monkeypatch.setattr(patterns, "BRUTE_CHUNK", chunk)
+            tuples, resid = violation_scan(points, pat, margin=margin)
+            hits = incidence_index_set(pools, pat, margin, 10**9)
+            runs.append((tuples, resid, hits))
+        assert len(runs[0][0]) > 10 and len(runs[0][2]) > 0
+        for tuples, resid, hits in runs[1:]:
+            assert np.array_equal(tuples, runs[0][0])
+            assert np.array_equal(resid, runs[0][1])
+            assert np.array_equal(hits, runs[0][2])
+
+
+def test_d1_probe_budget_counts_prefixes_times_queries():
+    # a translational probe makes one query per x1, x2 (and raw target), a
+    # surface probe one per x1, x2; the cube cut comes first
+    rng = np.random.default_rng(5)
+    ap3 = ap3_pattern(m=1, with_cubes=False)
+    f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
+    cubes = [Cube([0.0], 0.02), Cube([0.3], 0.02), Cube([0.6], 0.02)]
+    surface = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    in_cubes = np.concatenate([c.corner + c.side * rng.random((10, 1)) for c in cubes])
+    cases = ((ap3, rng.random((30, 1)), 30 * 30), (surface, wrap(in_cubes), 10 * 10))
+    for pat, points, work in cases:
+        violation_scan(points, pat, margin=0.01, budget=work)
+        with pytest.raises(BudgetError, match=f"{pat.kind} search"):
+            violation_scan(points, pat, margin=0.01, budget=work - 1)
+
+
+def test_d1_scan_memory_is_bounded():
+    # the margin-0 scan of the seed-0 M=2048 3-AP build makes 4M window
+    # queries; they come BRUTE_CHUNK at a time
+    from salemkit.harness import ap3_pattern as harness_ap3
+    from salemkit.sampler import ConstructionParams, build_translational
+
+    pat = harness_ap3(16)
+    cfg = build_translational(pat, ConstructionParams(M=2048, lam=0.45, seed=0))
+    assert cfg.N == 8144
+    tracemalloc.start()
+    try:
+        tuples, _ = violation_scan(cfg.points, pat, margin=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tuples) == 0
+    assert peak < 32e6
 
 
 # ---------------------------------------------------------------- scans
