@@ -118,7 +118,8 @@ def fourier_dimension(source):
     usable up to |xi| ~ 1/r where the mollification of radius r starts
     suppressing the sums, and stops at j = 52 (|xi| < 2^53), beyond which
     integers are no longer exact floats; ``notes["j_cap"]`` records that
-    stop when r < 2^-52 makes it bind.
+    stop when r < 2^-52 makes it bind.  In d = 1 the annuli below 2^17 take
+    one NUFFT screen, the rest direct sums; the sups are exact either way.
     """
     from .expsum import config_annulus_sups, frequency_plan, plan_magnitudes
     from .measures import GridMeasure

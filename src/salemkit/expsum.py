@@ -25,18 +25,22 @@ verdict tests.
 
 Evaluation.  :func:`plan_magnitudes` is the one evaluator: it returns a
 plan's magnitudes with a record of the evaluator that ran, which a sweep
-keeps in its notes.  A d = 1 plan over finite points and weights that covers
-every integer 1..K in order is screened by a type-1 non-uniform FFT with a
+keeps in its notes.  Over finite d = 1 points and weights, the leading
+annuli of a plan whose frequencies all lie in 1..top are screened by one
+type-1 non-uniform FFT over 1..K, K their largest frequency, with a
 Gaussian kernel (Dutt & Rokhlin, SISC 1993; Greengard & Lee, SIAM Rev. 46,
 2004) in O(N w + K log K), which carries an a-priori bound eps on its
-distance from the exact reference, :func:`weighted_exp_sum`.  Every
+distance from the exact reference, :func:`weighted_exp_sum`.  top is the
+larger of ``_SCREEN_TOP`` = 2^17 and the end of the plan's leading run
+1, 2, 3, ..., so a whole sweep or pilot keeps its K and eps; 2^17 bounds the
+screen's memory (11 MB at N = 3697, against 38 MB at 2^19).  Every
 frequency on which a reported number can depend (near an annulus maximum,
 near the maximum of |S| minus the bound, or within eps of the bound) is
-then confirmed by :func:`weighted_exp_sum`.  Sups, argmaxes, violation
-counts and the calibration statistic are thus those of
-:func:`weighted_exp_sum` over all of 1..K, bit for bit.  Grid measures read
-their transform off the FFT.  Every other plan goes through
-:func:`weighted_exp_sum`, which in d >= 2 splits
+then confirmed by :func:`weighted_exp_sum`.  Sups, argmaxes, worst
+excesses, violation counts and the calibration statistic are thus those of
+:func:`weighted_exp_sum`, bit for bit; other entries are within eps.  Grid
+measures read their transform off the FFT.  Every other annulus goes
+through :func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
 box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
@@ -44,15 +48,17 @@ the phase tables A[p, prefix] = w_p e(prefix . x'_p) and E[p, l] = e(l x_{p,d})
 and takes S = A^T E by matrix products over blocks of at most
 ``_TABLE_ENTRIES`` complex entries, so memory stays bounded at any N.
 Sparser sets, such as the subsampled annuli, and every d = 1 set take the
-direct sum with one complex exponential per (frequency, point) pair.
-Every direct sum is reduced row by row: the terms of each frequency are
-summed on their own, so a d = 1 value has the same bits whichever
-frequencies it is evaluated with, alone, in any subset or in any order.
+direct sum with one complex exponential per (frequency, point) pair, in
+d = 1 in cache-sized chunks.  Every direct sum is reduced row by row: the
+terms of each frequency are summed on their own, so a d = 1 value has the
+same bits whichever frequencies it is evaluated with, alone, in any subset,
+in any order or in any chunk.
 Both paths reduce every phase modulo 1 before exponentiating; they agree
 to float rounding.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -71,7 +77,9 @@ __all__ = [
     "config_annulus_sups",
 ]
 
-_TABLE_ENTRIES = 4_000_000  # complex entries per phase table or product block
+# complex entries per phase table or product block; a d = 1 direct sum
+# takes 1/64 of it per chunk, where its bits do not depend on the chunk
+_TABLE_ENTRIES = 4_000_000
 # Plan caps and subsample sizes.  2^18 is the largest shell a sweep has
 # ever enumerated in full; it keeps every d = 1 sweep below xi_max = 2^19
 # whole.  The sups cap of 384 keeps in full exactly the annuli the
@@ -83,6 +91,9 @@ _SUPS_CAP, _SUPS_SAMPLES = 384, 256
 # (Greengard & Lee's R = 2, M_sp = 12), and points spread per bincount call
 _NUFFT_R, _NUFFT_HALFWIDTH = 2, 12
 _SPREAD_CHUNK = 2**15
+# top of the d = 1 screen beyond a plan's leading run 1..K: at N = 3697
+# it takes 13 ms and 11 MB, against 58 ms and 38 MB at 2^19
+_SCREEN_TOP = 2**17
 
 
 def weighted_exp_sum(points, weights, xi):
@@ -132,9 +143,9 @@ def _direct_sum(points, weights, xi):
     sum along a row), so an entry has the same bits whichever frequencies
     are evaluated with it.
     """
-    N = len(points)
+    N, d = points.shape
     out = np.empty(len(xi), dtype=complex)
-    chunk = max(1, _TABLE_ENTRIES // max(N, 1))
+    chunk = max(1, (_TABLE_ENTRIES if d > 1 else _TABLE_ENTRIES // 64) // max(N, 1))
     for i in range(0, len(xi), chunk):
         # reduce xi.x modulo 1 before exponentiating; keeps the phase
         # accurate even for very large |xi|
@@ -292,41 +303,40 @@ def _screen_1d(x, a, K):
 
 
 def _screen_confirm_1d(points, weights, xis, bound):
-    """|S(xi)| over the annuli ``xis`` that tile 1..K in order, for finite
-    points and weights, and the evaluation record.
+    """|S(xi)| over the annuli ``xis`` of integer frequencies in 1..K, K
+    the largest, for finite points and weights, and the evaluation record.
 
-    The NUFFT screen gives every entry within eps of the direct sum.  In
-    each annulus, with tol = eps plus a rounding slack of 2^-50 times the
-    largest magnitude in play, :func:`weighted_exp_sum` confirms every xi
-    whose screened value is within 2 tol of the annulus maximum, whose
-    value minus ``bound(xi)`` (or minus 0 without a bound) is within 2 tol
-    of its maximum, or, with a bound, within tol of the bound.  Every other
-    entry is then strictly below the maxima and on the same side of the
-    bound as the exact value, so the maximum, the first argmax, the maximum
-    of the excess over the bound, its first argmax and the count of entries
-    above the bound are those of ``abs(weighted_exp_sum)`` over all of
-    1..K, bit for bit: its direct sum is reduced row by row, so an entry
+    The NUFFT screen over 1..K gives every entry within eps of the direct
+    sum.  In each annulus, with tol = eps plus a rounding slack of 2^-50
+    times the largest magnitude in play, :func:`weighted_exp_sum` confirms
+    every xi whose screened value is within 2 tol of the annulus maximum,
+    whose value minus ``bound(xi)`` (or minus 0 without a bound) is within
+    2 tol of its maximum, or, with a bound, within tol of the bound.  Every
+    other entry is then strictly below the maxima and on the same side of
+    the bound as the exact value, so the maximum, the first argmax, the
+    maximum of the excess over the bound, its first argmax and the count of
+    entries above the bound are those of ``abs(weighted_exp_sum)`` over the
+    annulus, bit for bit: its direct sum is reduced row by row, so an entry
     has the same bits in any batch.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
     a = _weights(weights, points)
-    ends = np.cumsum([len(xi) for xi in xis])
-    K = int(ends[-1])
-    mags, eps = _screen_1d(x, a, K)
-    need = np.empty(K, dtype=bool)
-    for xi, s, e in zip(xis, np.concatenate([[0], ends[:-1]]), ends):
-        m = mags[s:e]
+    rows = [xi[:, 0] - 1 for xi in xis]
+    mags, eps = _screen_1d(x, a, max(int(r.max()) for r in rows) + 1)
+    need = np.zeros(len(mags), dtype=bool)
+    for xi, r in zip(xis, rows):
+        m = mags[r]
         b = np.zeros(len(xi)) if bound is None else bound(xi)
         excess = m - b
         tol = eps + 2.0**-50 * (m.max() + eps + np.abs(b).max())
         sel = (m >= m.max() - 2 * tol) | (excess >= excess.max() - 2 * tol)
         if bound is not None:
             sel |= np.abs(excess) <= tol
-        need[s:e] = sel
+        need[r[sel]] = True
     freqs = np.flatnonzero(need) + 1
     mags[need] = np.abs(weighted_exp_sum(x[:, None], a, freqs[:, None]))
     evaluation = {"evaluator": "nufft-screen+direct", "eps": eps, "reevaluated": len(freqs)}
-    return np.split(mags, ends[:-1]), evaluation
+    return [mags[r] for r in rows], evaluation
 
 
 def _canonical_lattice_shell(d, lo, hi, cap=math.inf):
@@ -460,12 +470,14 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
     A point-set plan takes :func:`weighted_exp_sum` annulus by annulus,
-    exact in every entry, unless it is a d = 1 plan with finite points and
-    weights whose frequencies are exactly 1..K, in order.
+    exact in every entry, except, for finite d = 1 points and weights, its
+    leading annuli with integer frequencies in 1..top: top is the larger
+    of ``_SCREEN_TOP`` (2^17, for the screen's memory) and the end of the
+    plan's leading run of frequencies 1, 2, 3, ..., so a sweep keeps its range.
 
-    Such a plan is screened by a Gaussian NUFFT, and each annulus's ``mags``
-    is exact (bit-equal to :func:`weighted_exp_sum` over all of 1..K) in
-    its maximum and first argmax, and within eps of it elsewhere.
+    Those annuli are screened by one Gaussian NUFFT, and each annulus's
+    ``mags`` is exact (bit-equal to :func:`weighted_exp_sum`) in its
+    maximum and first argmax, and within eps of it elsewhere.
     ``_bound`` (private: the sweep and its calibration pass it) maps an
     annulus's ``xi`` to the bound its magnitudes are tested against; with
     it, the maximum and first argmax of ``mags - _bound(xi)`` and the count
@@ -478,18 +490,18 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
         return {"evaluator": "grid", **exact}, rows
     plan = list(plan)
     xis = [annulus[3] for annulus in plan]
-    K = sum(map(len, xis))
-    if (
-        xis
-        and source.shape[1] == 1
-        and np.isfinite(source).all()
-        and (weights is None or np.isfinite(weights).all())
-        and np.array_equal(np.concatenate(xis)[:, 0], np.arange(1, K + 1))
-    ):
-        mags, evaluation = _screen_confirm_1d(source, weights, xis, _bound)
-    else:
-        mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
-        evaluation = {"evaluator": "direct/phase-table", **exact}
+    n, mags, evaluation = 0, [], {"evaluator": "direct/phase-table", **exact}
+    d1 = bool(xis) and source.shape[1] == 1
+    if d1 and np.isfinite(source).all() and (weights is None or np.isfinite(weights).all()):
+        # screen the n leading annuli within 1..top, top the larger of
+        # _SCREEN_TOP and the end of the plan's leading run 1, 2, 3, ...
+        f = np.concatenate(xis)[:, 0]
+        top = max(_SCREEN_TOP, int(np.argmin(np.append(f == np.arange(1, len(f) + 1), False))))
+        fits = [xi.dtype.kind in "iu" and len(xi) > 0 and 1 <= xi.min() and xi.max() <= top for xi in xis]
+        n = int(np.argmin(fits + [False]))
+    if n:
+        mags, evaluation = _screen_confirm_1d(source, weights, xis[:n], _bound)
+    mags = itertools.chain(mags, (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis[n:]))
     return evaluation, ((*annulus, m) for annulus, m in zip(plan, mags))
 
 
@@ -659,7 +671,9 @@ def config_annulus_sups(points, weights, j_list):
 
     Exhaustive for annuli with at most ``_SUPS_CAP`` canonical frequencies,
     a ``_SUPS_SAMPLES``-point deterministic subsample otherwise.  Returns a
-    dict ``j -> (sup, n_evaluated, sampled)``.
+    dict ``j -> (sup, n_evaluated, sampled)``.  In d = 1 the annuli below
+    2^17, sampled or not, are screened by :func:`plan_magnitudes`'s NUFFT;
+    every sup is that of :func:`weighted_exp_sum`, bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     plan = frequency_plan(points.shape[1], j_list, math.inf, _SUPS_CAP, _SUPS_SAMPLES)

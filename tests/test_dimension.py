@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,6 +188,25 @@ def test_fourier_dimension_stops_at_the_last_exact_annulus():
     assert est.table[-1]["j"] == 52 and est.notes["j_cap"] == 52
     cfg.radius_r = 2.0**-52
     assert "j_cap" not in fourier_dimension(cfg).notes
+
+
+def test_fourier_dimension_of_a_config_has_bounded_memory():
+    # N = 4096, r = 2^-23: fifteen sampled annuli of 256 frequencies.  The
+    # screened ones share one NUFFT over 1..2^17 (a 2 MiB grid) and the
+    # direct sums take cache-sized chunks.  Direct sums alone, in chunks of
+    # 4M pairs, peaked at 40 MiB
+    rng = np.random.default_rng(12)
+    cfg = WeightedConfiguration(
+        points=rng.random((4096, 1)), weights=rng.random(4096) + 0.5, radius_r=2.0**-23, lam=0.5
+    )
+    tracemalloc.start()
+    try:
+        est = fourier_dimension(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.table[-1]["j"] == 23 and est.table[-1]["sampled"]
+    assert peak < 20 * 2**20
 
 
 def test_fourier_below_box_ordering():

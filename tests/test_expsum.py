@@ -21,6 +21,7 @@ from salemkit.expsum import (
     _subsample_annulus,
     _sweep_plan,
     calibrate_constant,
+    config_annulus_sups,
     frequency_plan,
     plan_magnitudes,
     sweep,
@@ -103,10 +104,13 @@ def _full_direct(points, weights, K):
 
 
 @pytest.mark.parametrize("N", [7, 300, 8144])
-def test_direct_sums_have_the_same_bits_in_any_batch(N):
+def test_direct_sums_have_the_same_bits_in_any_batch(N, monkeypatch):
     # a confirmed frequency must get the bits of the full 1..K evaluation
     # whether it is evaluated alone, with a few others or in any order;
-    # so must a frequency of an annulus far beyond any sweep range
+    # so must a frequency of an annulus far beyond any sweep range.  A d = 1
+    # chunk holds _TABLE_ENTRIES // 64 (xi, point) pairs: each phase is one
+    # rounded product, so the chunk moves no bit either, from one pair a
+    # chunk to every frequency in one chunk.
     rng = np.random.default_rng(N)
     x, a = rng.random(N), rng.random(N) + 0.5
     K = 2000
@@ -117,6 +121,10 @@ def test_direct_sums_have_the_same_bits_in_any_batch(N):
         for size in (2, 3, 17, 200):
             sub = rng.choice(len(freqs), size=size, replace=False)
             assert np.array_equal(_mags(x, a, freqs[sub]), full[sub]), size
+        for entries in (1, 7, 2**16, 10**8):
+            monkeypatch.setattr(expsum, "_TABLE_ENTRIES", 64 * entries)
+            assert np.array_equal(_mags(x, a, freqs[:500]), full[:500]), entries
+        monkeypatch.undo()
     # and they are the compensated sums, to rounding
     xi = rng.integers(1, K + 1, size=5)
     want = [abs(oracle_exp_sum(x[:, None], a, [k])) for k in xi]
@@ -348,7 +356,8 @@ def _parent_fields(report):
 # digests were retaken when the direct sum replaced the phase recurrence as
 # the exact reference, and the "d1 sweep" and "d1 config fourier" digests
 # when every direct sum came to be reduced row by row: only their floats
-# moved, in the last bits.
+# moved, in the last bits.  "d1 config fourier, sampled" was taken while
+# every sampled d = 1 annulus still took direct sums alone.
 ORACLE = {
     "d1 sweep": "cbcc5a9e75e7c119bf530d2148caa3c6baa4034f8f46120e0b9a71c06c3ef21b",
     "d1 calibration": "3175c6f6e305f7c21f2e5345cf17737ec4794b1d231066e5e073348c7cb7a6d4",
@@ -356,6 +365,7 @@ ORACLE = {
     "d1 grid fourier": "f04962f52c98e99aab3bdd3a802226e0358eafe63d6d49f4546f4f2c969eac1d",
     "d2 config fourier": "c48e91b056759a04164c8e04f75bc3b421d7f285c39ef54d258d1e33f1120b54",
     "d2 sweep": "c921ee0bd73cee3daa1ec0698a817389b77d1e9ce06b65c40d37401702d2ccca",
+    "d1 config fourier, sampled": "eb899a1a42360b1a27870c599565fff5f341ef9447393f50fbf839489676a676",
 }
 
 
@@ -390,6 +400,15 @@ def test_refactoring_oracle():
     pts2 = rng.random((120, 2))
     ws2 = rng.random(120) * 2
     got["d2 sweep"] = _parent_fields(sweep(pts2, ws2, lam=0.9, C=1.0).to_dict())
+    # r = 2^-23: the annuli j = 9..23 are sampled, on both sides of the
+    # d = 1 screen's top 2^17
+    cfg3 = WeightedConfiguration(
+        points=rng.random((4096, 1)),
+        weights=rng.random(4096) + 0.5,
+        radius_r=2.0**-23,
+        lam=0.5,
+    )
+    got["d1 config fourier, sampled"] = fourier_dimension(cfg3).to_dict()
     assert {k: _digest(v) for k, v in got.items()} == ORACLE
 
 
@@ -549,13 +568,12 @@ def test_screen_honours_its_bound(case, K):
 
 def _reference_sweep(points, weights, lam, C, xi_max, delta=1.0):
     """The per-annulus statistics of a d = 1 sweep, from direct sums over
-    all of 1..xi_max."""
+    every annulus of its plan."""
     N = len(points)
-    mags_all = _full_direct(points, weights, xi_max)
     constant = C * N**-0.5 * math.log(N)
     annuli = []
     for j, lo, hi, xi, sampled in _sweep_plan(1, xi_max):
-        mags = mags_all[xi[:, 0] - 1]
+        mags = _mags(points, weights, xi)
         decay = _decay(xi, lam, delta)
         bounds = constant + decay
         excess = mags - bounds
@@ -613,6 +631,59 @@ def test_sweep_matches_direct_sums_bit_for_bit(case, threads):
         assert ev["reevaluated"] == xi_max
     elif case == "random":
         assert ev["reevaluated"] < 100
+
+
+def test_sweep_beyond_the_screen_top_screens_its_whole_range():
+    # 2^17 < xi_max < 2^19: every annulus is a full shell, and the screen
+    # runs once over all of 1..xi_max, with that range's eps
+    rng = np.random.default_rng(20)
+    pts, ws = rng.random((200, 1)), rng.random(200) + 0.5
+    ev = sweep(pts, ws, lam=0.45, C=1.0, xi_max=150000).notes["evaluation"]
+    assert ev["evaluator"] == "nufft-screen+direct"
+    assert ev["eps"] == _screen_1d(pts[:, 0], ws, 150000)[1]
+
+
+def test_sweep_past_2_19_screens_its_full_annuli():
+    # xi_max = 800000: j = 19 is sampled, so the plan does not tile
+    # 1..xi_max; its full annuli j <= 18 are screened over 1..2^19 - 1
+    # and the sampled one takes direct sums
+    rng = np.random.default_rng(21)
+    pts, ws = rng.random((40, 1)), rng.random(40) + 0.5
+    xi_max = 800000
+    verdicts = []
+    for C in (0.5, 2.0):
+        rep = sweep(pts, ws, lam=0.45, C=C, xi_max=xi_max)
+        verdicts.append(rep.passed)
+        assert [a.sampled for a in rep.annuli] == [False] * 19 + [True]
+        assert rep.to_dict()["annuli"] == _reference_sweep(pts, ws, 0.45, C, xi_max), C
+        ev = rep.notes["evaluation"]
+        assert ev["evaluator"] == "nufft-screen+direct"
+        assert ev["eps"] == _screen_1d(pts[:, 0], ws, 2**19 - 1)[1]
+    # C = 0.5 counts violations in the screened annuli and the sampled one
+    assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("N", [7, 300, 4096])
+def test_config_sups_are_direct_sups_bit_for_bit(N, weighted):
+    # j = 9..20 are sampled: j <= 16 lie below the screen's top 2^17 and
+    # are screened, j >= 17 take direct sums
+    rng = np.random.default_rng(22 + N)
+    pts = rng.random((N, 1))
+    ws = rng.random(N) + 0.5 if weighted else None
+    sups = config_annulus_sups(pts, ws, range(21))
+    plan = list(frequency_plan(1, range(21), math.inf, _SUPS_CAP, _SUPS_SAMPLES))
+    assert [j for j, *_ in plan] == sorted(sups) == list(range(21))
+    for j, _, _, xi, sampled in plan:
+        assert sups[j] == (float(np.abs(weighted_exp_sum(pts, ws, xi)).max()), len(xi), sampled)
+    assert plan_magnitudes(plan, pts, ws)[0]["evaluator"] == "nufft-screen+direct"
+    # a plan whose annuli all start above the top is not screened
+    high = frequency_plan(1, range(17, 21), math.inf, _SUPS_CAP, _SUPS_SAMPLES)
+    assert plan_magnitudes(high, pts, ws)[0] == {
+        "evaluator": "direct/phase-table",
+        "eps": 0.0,
+        "reevaluated": 0,
+    }
 
 
 @pytest.mark.parametrize("trials", [1, 4])
