@@ -73,9 +73,11 @@ def box_dimension(points, scales, thicken=0.0):
     radius, which is the honest object when the input is a construction's
     retained point set (below its radius the count saturates).  A scale
     whose box indices, round(1/scale) plus the thickening reach, do not fit
-    in int64 raises ``ValueError``.
+    in int64 raises ``ValueError``, and so does an empty point set.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not points.size:
+        raise ValueError("box dimension of an empty point set")
     d = points.shape[1]
     scales = [float(s) for s in scales]
     if len(scales) < 4:
@@ -120,6 +122,8 @@ def fourier_dimension(source):
     integers are no longer exact floats; ``notes["j_cap"]`` records that
     stop when r < 2^-52 makes it bind.  In d = 1 the annuli below 2^17 take
     one NUFFT screen, the rest direct sums; the sups are exact either way.
+    A configuration of no points, or a grid of G < 2 (no frequency below
+    Nyquist), raises ``ValueError``.
     """
     from .expsum import config_annulus_sups, frequency_plan, plan_magnitudes
     from .measures import GridMeasure
@@ -127,6 +131,8 @@ def fourier_dimension(source):
     notes = {}
     if isinstance(source, GridMeasure):
         d = source.d
+        if source.nyquist < 1:
+            raise ValueError(f"a grid of G={source.G} has no frequency below Nyquist; need G >= 2")
         j_max = int(math.floor(math.log2(source.nyquist)))
         # integer |xi|^2 < nyquist^2 + 1/2 is |xi| <= nyquist
         plan = frequency_plan(d, range(j_max + 1), math.sqrt(source.nyquist**2 + 0.5))
@@ -137,6 +143,8 @@ def fourier_dimension(source):
         notes["source"] = "grid"
     else:
         d = source.d
+        if source.N == 0:
+            raise ValueError("Fourier dimension of a configuration with no points")
         r = source.radius_r
         j_max = int(math.floor(math.log2(1.0 / max(r, 1e-300))))
         sups = config_annulus_sups(source.points, source.weights, range(min(j_max, _J_TOP) + 1))

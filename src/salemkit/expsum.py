@@ -548,14 +548,12 @@ class SweepReport:
         return asdict(self)
 
 
-def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1):
+def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None):
     """Dyadic-annulus sweep of |S(xi)| against the cancellation bound.
 
     Returns a :class:`SweepReport`; ``report.passed`` is True when no
     evaluated frequency violates the bound.  Annuli with more than
     ``_SWEEP_CAP`` canonical frequencies are subsampled and marked so.
-    ``threads`` is recorded in the notes and changes no result and no work;
-    only the acceptance suite's 8-thread speed-up check sets it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
@@ -595,7 +593,6 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None, threads=1)
         "bound": "C*N^-1/2*log(N) + delta*|xi|^(-lam/2)",
         "log": "natural",
         "range": "N^(1+kappa)",
-        "threads": threads,
         "evaluation": evaluation,
     }
     if C <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionFailure, DegenerateOverlapError
-from .torus import hausdorff_distance, load_sidecar, save_sidecar
+from .torus import hausdorff_distance, save_sidecar
 
 __all__ = [
     "GridMeasure",
@@ -175,10 +175,6 @@ class GridMeasure:
                 )
             data = np.frombuffer(fh.read(nbytes), dtype="<f8")
         return cls(data.reshape((G,) * d).astype(float))
-
-    @classmethod
-    def load_sidecar(cls, path):
-        return load_sidecar(path)
 
 
 def uniform_measure(G, d=1):

@@ -37,6 +37,9 @@ DEFAULT_SCAN_BUDGET = 200_000_000
 # incidence set (tuples of the product enumeration, window queries of the
 # d=1 probe); a chunk of 250k d=2 triples takes about 30 MB of temporaries
 BRUTE_CHUNK = 250_000
+# cap on window offsets x tuples of one RoughPattern.residual call; an
+# offset costs 80-200 ns a tuple (d*n = 2..4), so about 20-50 s of work
+ROUGH_RESIDUAL_BUDGET = 250_000_000
 # absolute slack of the exact scans: a tuple is a violation at margin eta
 # when its residual is <= eta + SCAN_TOL
 SCAN_TOL = 1e-15
@@ -174,7 +177,8 @@ class RoughPattern:
         per coordinate, are probed; every other cell is at least
         ``upto + 1/g`` away.  So the distance is exact wherever it is below
         that, and +inf when the window holds no occupied cell.  A window of
-        over 100k offsets, an infinite ``upto`` among them, raises
+        over 100k offsets, an infinite ``upto`` among them, or of over
+        ``ROUGH_RESIDUAL_BUDGET`` offsets x tuples raises
         :class:`BudgetError`.
         """
         points = np.atleast_2d(wrap(tuples))
@@ -183,10 +187,16 @@ class RoughPattern:
         if not upto >= 0:
             raise ValueError("upto must be >= 0")
         reach = math.inf if math.isinf(upto) else int(np.ceil(upto * self.g)) + 1
-        if (2 * reach + 1) ** self.dn > 100_000:
+        offsets = (2 * reach + 1) ** self.dn
+        if offsets > 100_000:
             raise BudgetError(
                 "threshold too coarse for the cell resolution: probe "
                 f"window (2*{reach}+1)^{self.dn} is too large"
+            )
+        if offsets * len(points) > ROUGH_RESIDUAL_BUDGET:
+            raise BudgetError(
+                f"{offsets} probe offsets x {len(points)} tuples exceed the "
+                f"rough residual budget {ROUGH_RESIDUAL_BUDGET}"
             )
         out = np.full(len(points), np.inf)
         if len(self.cells) == 0:

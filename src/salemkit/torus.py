@@ -184,7 +184,9 @@ def load_points(path):
     """Read a CSV written by :func:`save_points`; returns (points, weights)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no point-set header")
         if not header or header[-1] != "w" or header[0] != "x0":
             raise ValueError(f"{path}: not a point-set CSV (bad header {header})")
         d = len(header) - 1
@@ -194,7 +196,7 @@ def load_points(path):
                 raise ValueError(f"{path}: row of length {len(row)}, expected {d + 1}")
             pts.append([float(v) for v in row[:d]])
             ws.append(float(row[d]))
-    return np.asarray(pts), np.asarray(ws)
+    return np.asarray(pts, dtype=float).reshape(-1, d), np.asarray(ws, dtype=float)
 
 
 def _write_json(path, payload):

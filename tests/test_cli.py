@@ -88,6 +88,16 @@ def test_nonexistent_file_is_input_error():
     assert main(["build", "--config", "/no/such/file.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "estimate-dim"])
+@pytest.mark.parametrize("body", ["", "x0,w\n"], ids=["empty", "header-only"])
+def test_a_configuration_with_no_points_is_an_input_error(command, body, tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    WeightedConfiguration(np.zeros((0, 1)), np.zeros(0), radius_r=1e-3, lam=0.45).save(path)
+    path.write_text(body)
+    assert main([command, "--config", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_construction_failure_maps_to_code_1(tmp_path):
     # a fat rough pattern at tiny M removes every candidate
     cfg = {

@@ -96,6 +96,16 @@ def test_box_dimension_input_validation():
         box_dimension([[0.5]], scales=[1 / 8, 1 / 4, 1 / 16, 1 / 32])  # not decreasing
 
 
+def test_estimators_refuse_inputs_with_nothing_to_measure():
+    with pytest.raises(ValueError, match="empty point set"):
+        box_dimension(np.zeros((0, 1)), scales=[1 / 4, 1 / 8, 1 / 16, 1 / 32])
+    empty = WeightedConfiguration(np.zeros((0, 1)), np.zeros(0), radius_r=1e-3, lam=0.45)
+    with pytest.raises(ValueError, match="no points"):
+        fourier_dimension(empty)
+    with pytest.raises(ValueError, match="G=1"):
+        fourier_dimension(GridMeasure(np.ones(1)))
+
+
 def test_box_dimension_refuses_scales_past_int64():
     # 1/scale = 1e20 boxes per axis cannot be indexed in int64: a clean
     # ValueError naming the scale, before any cast can warn or overflow

@@ -131,15 +131,6 @@ def test_direct_sums_have_the_same_bits_in_any_batch(N, monkeypatch):
     np.testing.assert_allclose(_mags(x, a, xi), want, rtol=0, atol=1e-12)
 
 
-def test_sweep_thread_count_does_not_change_bits():
-    rng = np.random.default_rng(5)
-    pts = rng.random((200, 1))
-    ws = rng.random(200)
-    a, b = (sweep(pts, ws, lam=0.45, C=0.5, xi_max=9000, threads=t).to_dict() for t in (1, 4))
-    assert a["notes"].pop("threads") == 1 and b["notes"].pop("threads") == 4
-    assert a == b
-
-
 def test_sweep_report_structure_and_pass():
     rng = np.random.default_rng(6)
     pts = rng.random((512, 1))
@@ -341,12 +332,14 @@ def _digest(obj):
 
 
 def _parent_fields(report):
-    """A sweep report without the per-annulus ``binding`` key and the
-    ``evaluation`` note, which the reports of the reference digests did not
-    carry yet."""
+    """A sweep report as the reference digests saw it: without the
+    per-annulus ``binding`` key and the ``evaluation`` note, which those
+    reports did not carry yet, and with the ``threads`` note of 1, which
+    they still carried."""
     for a in report["annuli"]:
         del a["binding"]
     del report["notes"]["evaluation"]
+    report["notes"]["threads"] = 1
     return report
 
 
@@ -488,18 +481,12 @@ def test_exp_sum_d2_shell_memory_is_blocked():
     assert peak < 100 * 2**20
 
 
-def test_d2_sweep_is_deterministic_across_reruns_and_threads():
+def test_d2_sweep_is_deterministic_across_reruns():
     rng = np.random.default_rng(13)
     pts = rng.random((120, 2))
     ws = rng.random(120) * 2
-    runs = [
-        sweep(pts, ws, lam=0.9, C=1.0, threads=t).to_dict() for t in (1, 1, 2)
-    ]
+    runs = [sweep(pts, ws, lam=0.9, C=1.0).to_dict() for _ in range(2)]
     assert runs[0] == runs[1]
-    # the report records its thread count; everything else must match
-    for r in runs:
-        r["notes"].pop("threads")
-    assert runs[0] == runs[2]
 
 
 def test_uniform_points_show_sqrt_cancellation():
@@ -604,9 +591,8 @@ def _sweep_inputs():
     }
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("case", list(_sweep_inputs()))
-def test_sweep_matches_direct_sums_bit_for_bit(case, threads):
+def test_sweep_matches_direct_sums_bit_for_bit(case):
     pts, ws = _sweep_inputs()[case]
     xi_max = 9193
     # at C = 0 and lam = 0 the bound is delta at every frequency.  A delta
@@ -618,7 +604,7 @@ def test_sweep_matches_direct_sums_bit_for_bit(case, threads):
     over = np.flatnonzero(screened > mags)
     on_bound = float(mags[over[len(over) // 2]] if len(over) else np.median(mags))
     for C, lam, delta in ((-0.4, 0.45, 1.0), (0.5, 0.45, 1.0), (2.0, 0.45, 1.0), (0.0, 0.0, on_bound)):
-        rep = sweep(pts, ws, lam=lam, C=C, delta=delta, xi_max=xi_max, threads=threads)
+        rep = sweep(pts, ws, lam=lam, C=C, delta=delta, xi_max=xi_max)
         want = _reference_sweep(pts, ws, lam, C, xi_max, delta)
         assert rep.to_dict()["annuli"] == want, (case, C)
         assert rep.n_violations == sum(a["n_violations"] for a in want)

@@ -20,6 +20,7 @@ from salemkit.measures import (
     uniform_measure,
 )
 from salemkit.sampler import ConstructionParams, WeightedConfiguration
+from salemkit.torus import load_sidecar
 
 
 def direct_transform(mu, xi):
@@ -187,7 +188,7 @@ def test_sfgm_roundtrip(tmp_path):
     back = GridMeasure.load(path)
     np.testing.assert_array_equal(back.density, mu.density)
     assert back.d == 2 and back.G == 16
-    side = GridMeasure.load_sidecar(path)
+    side = load_sidecar(path)
     assert side["mass"] == pytest.approx(mu.mass)
     assert side["provenance"]["note"] == "test"
 

@@ -1,11 +1,12 @@
 """Tests for the randomized avoiding constructions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from salemkit.errors import ConstructionFailure, LayoutError
+from salemkit.errors import BudgetError, ConstructionFailure, LayoutError
 from salemkit.patterns import RoughPattern, SurfacePattern, TranslationalPattern
 from salemkit.sampler import (
     ConstructionParams,
@@ -134,6 +135,17 @@ def test_budget_capped_rough_build_keeps_the_nine_membership_rule():
     t0, t1, f0, f1 = taus[k - 1], taus[k], F[k - 1], F[k]
     assert 0 < k < 9 and f0 < f1
     assert prov["tau_used"] == t0 + (target - f0) * (t1 - t0) / (f1 - f0)
+
+
+def test_rough_pilot_over_the_residual_budget_raises_at_once():
+    # lam = 3 makes tau_theory about 0.9 at M = 32: a 119^2-offset window
+    # over 200k pilot tuples, minutes of work, is refused before any pass
+    rng = np.random.default_rng(0)
+    pat = RoughPattern(n=2, d=1, g=64, cells=rng.integers(0, 64, size=(200, 2)))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="rough residual budget"):
+        build_rough(pat, ConstructionParams(M=32, lam=3.0, seed=0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rough_build_caps_at_theory_when_the_pilot_cannot_certify_it():

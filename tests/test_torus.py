@@ -155,3 +155,13 @@ def test_load_points_rejects_garbage(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         load_points(str(path))
+
+
+def test_load_points_of_an_empty_or_header_only_file(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="no point-set header"):
+        load_points(str(path))
+    path.write_text("x0,x1,w\n")
+    pts, ws = load_points(str(path))
+    assert pts.shape == (0, 2) and ws.shape == (0,)
