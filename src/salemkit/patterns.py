@@ -45,6 +45,22 @@ ROUGH_RESIDUAL_BUDGET = 250_000_000
 SCAN_TOL = 1e-15
 
 
+def _fold_slack(span):
+    """Bound on how far two roundings of one folded offset can differ.
+
+    The window probe folds x_n - a x_{n-1} - t modulo the period in one
+    order of float operations and the residual measures it in another;
+    :meth:`TranslationalPattern.residual_floor` in a third.  Every value
+    either forms is at most ``span`` = 1 + |a| + max|t| in size, so each
+    rounding (the product a x_{n-1}, the two differences, a wrap into
+    [0, 1), a grid shift t + b/m, a scaling by m) moves a per-coordinate
+    gap by at most half an ulp of ``span``, and a handful of them leave
+    each way within 4 ulps of the real gap.  16 ulps bounds the difference
+    of two ways with room to spare.
+    """
+    return 16.0 * np.spacing(span)
+
+
 def periodize(targets, m, d=None):
     """Close a finite target set under translation by the grid (Z/m)^d / m.
 
@@ -169,6 +185,12 @@ class RoughPattern:
             keys = keys * self.g + cells[:, j]
         return keys
 
+    def _window(self, upto):
+        """Reach per coordinate and offset count of the probe window of
+        :meth:`residual` at ``upto``."""
+        reach = math.inf if math.isinf(upto) else int(np.ceil(upto * self.g)) + 1
+        return reach, (2 * reach + 1) ** self.dn
+
     def residual(self, tuples, upto=math.inf):
         """Torus distance from each tuple (shape (K, d*n)) to the closed
         union of cells.
@@ -186,8 +208,7 @@ class RoughPattern:
             raise ValueError(f"points must have shape (K, {self.dn})")
         if not upto >= 0:
             raise ValueError("upto must be >= 0")
-        reach = math.inf if math.isinf(upto) else int(np.ceil(upto * self.g)) + 1
-        offsets = (2 * reach + 1) ** self.dn
+        reach, offsets = self._window(upto)
         if offsets > 100_000:
             raise BudgetError(
                 "threshold too coarse for the cell resolution: probe "
@@ -300,6 +321,11 @@ class SurfacePattern:
         mask = _domain_mask(tuples, self._domain, self.d, self.n)
         return np.where(mask, res, np.inf)
 
+    def residual_floor(self, tuples):
+        """``(floor, slack)`` as in :meth:`TranslationalPattern.residual_floor`:
+        the residual itself, with slack 0."""
+        return self.residual(tuples), 0.0
+
 
 class TranslationalPattern:
     """Relation x_n - a*x_{n-1} in periodized T(x_1..x_{n-2}).
@@ -389,6 +415,37 @@ class TranslationalPattern:
             mask = _domain_mask(tuples, self._domain, self.d, self.n)
             res = np.where(mask, res, np.inf)
         return res
+
+    def residual_floor(self, tuples):
+        """Cheap lower bound on :meth:`residual` of ``tuples`` (shape
+        (B, d*n)), with its slack.
+
+        Returns ``(floor, slack)``: every residual is >= floor - slack,
+        and <= floor + slack for a tuple inside the domain.  Per raw target
+        t the floor takes u = (x_n - a x_{n-1} - t) m, the distance of u to
+        the nearest integer over m per coordinate, the Euclidean norm, and
+        the minimum over targets: the same real number as the residual,
+        rounded another way.  Per coordinate the two ways differ by at most
+        8 ulps of span = 1 + |a| + max|t| (:func:`_fold_slack`); over d
+        coordinates the norms then differ by at most 8 sqrt(d) ulps plus
+        their own rounding, (d + 2) sqrt(d) / 4 ulps more, which d times the
+        16-ulp slack bounds.  The domain mask is skipped: it can only raise
+        a residual to +inf.
+        """
+        dp = self.d * (self.n - 2)
+        raw = np.asarray(self.T(tuples[:, :dp]), dtype=float)  # (B, K, d)
+        if raw.shape[-2] == 0:
+            return np.full(len(tuples), np.inf), 0.0
+        w = self.a_float * tuples[:, dp : dp + self.d]
+        np.subtract(tuples[:, dp + self.d :], w, out=w)
+        u = w[:, None, :] - raw
+        u *= self.period_m
+        u -= np.rint(u)
+        u *= u
+        floor = np.sqrt(u.sum(axis=-1)).min(axis=-1)
+        floor /= self.period_m
+        span = 1.0 + abs(self.a_float) + max(-float(raw.min()), float(raw.max()))
+        return floor, self.d * _fold_slack(span)
 
 
 # ----------------------------------------------------------- window probe
@@ -517,7 +574,11 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         xlast = wrap(slots[-1][:, 0]) % period if translational else wrap(slots[-1][:, 0])
         order = np.argsort(xlast, kind="stable")
         xs = xlast[order]
-    total, step = int(np.prod(sizes)), max(1, BRUTE_CHUNK // max(per, 1))
+    chunk = BRUTE_CHUNK
+    if pattern.kind == "rough":
+        # one residual call probes its whole window for every tuple
+        chunk = max(1, min(chunk, int(ROUGH_RESIDUAL_BUDGET // pattern._window(eps)[1])))
+    total, step = int(np.prod(sizes)), max(1, chunk // max(per, 1))
     for start in range(0, total, step):
         pre = prefixes(start, min(start + step, total))
         if probe:
@@ -528,9 +589,7 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
                 q = wrap(a * xprev[None, :, None] + raw[:, None, :]) % period
             else:
                 q = wrap(np.asarray(pattern.f(_gather(heads, pre)), dtype=float))
-            # the fold and the residual round differently, by a few ulps
-            # of the largest value either forms
-            halfwidth = eps + tol + 16.0 * np.spacing(span)
+            halfwidth = eps + tol + _fold_slack(span)
             windows = window_probe(xs, q, halfwidth, period)
             batches = ((qi, order[pos]) for qi, pos in _window_candidates(windows, BRUTE_CHUNK))
         else:

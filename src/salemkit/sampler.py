@@ -12,6 +12,13 @@ stays at the removal budget the analysis actually allots (~ sqrt(M)),
 using a pilot estimate of the residual distribution.  Whenever the theory
 threshold already fits the budget it is used unchanged.  Both values and
 the rule applied are recorded in the provenance.
+
+The stratified pilot holds 200k tuples, but the cap reads only three order
+statistics of their residuals, all fixed by the kk smallest (kk is about
+max(200, target_F * 200k)).  So the pilot first takes each pattern's cheap
+residual floor, a lower bound with a stated float slack, and computes the
+exact residual only for the tuples whose floor can reach the kk smallest;
+the threshold keeps every bit of a full sort.
 """
 
 import math
@@ -164,29 +171,48 @@ def _normalize_weights(raw_weights):
     return raw_weights * scale, scale
 
 
-def _cap_threshold(tau_theory, residual_pilot, M, n, removal_budget):
+def _cap_rule(B, M, n, removal_budget):
+    """``(target_F, k, kk)`` of the cap over B pilot residuals: the target
+    removal probability, the rank k = max(20, B // 1000) of the slope
+    quantile, and kk = min(B, max(k, floor(target_F B) + 1)), how many of
+    the smallest residuals :func:`_cap_threshold` reads."""
+    target_F = removal_budget / float(M) ** n
+    k = max(20, B // 1000)
+    return target_F, k, min(B, max(k, math.floor(min(target_F * B, B)) + 1))
+
+
+def _cap_threshold(tau_theory, smallest, B, M, n, removal_budget):
     """Budget-capped incidence threshold.
 
-    ``residual_pilot`` is a sorted array of pilot residuals from random
-    independent tuples.  The cap solves E[#removed] ~ M^n * F(tau) =
-    removal_budget through a linear model F(tau) ~ c0 + c1*tau fitted to
-    the lower tail of the pilot.
+    ``smallest`` holds, sorted, the kk smallest of B pilot residuals from
+    random independent tuples (:func:`_cap_rule`).  The cap solves
+    E[#removed] ~ M^n * F(tau) = removal_budget through a linear model
+    F(tau) ~ c0 + c1*tau fitted to the lower tail of the pilot.
+
+    The rule reads three order statistics of the whole pilot: the counts
+    at tau_theory and at 0 and the k-th smallest, and the kk smallest fix
+    each of them.  A count taken in ``smallest`` is min(count, kk), and
+    kk = B leaves it whole.  Else kk > fl(target_F B), so kk > target_F B
+    in real numbers (rounding cannot pass the integer kk).  A count of at
+    least kk then fails the theory test, since (kk + 3)/B exceeds target_F
+    by more than 3/B, far beyond a rounding, and passes the atoms test,
+    since fl(kk/B) >= target_F: the clipped count takes the branch the
+    whole one takes.  Past both tests the count at 0 is below kk, so
+    exact, and k <= kk.
     """
-    B = len(residual_pilot)
-    target_F = removal_budget / float(M) ** n
+    target_F, k, _ = _cap_rule(B, M, n, removal_budget)
     # accept the theory threshold only when the pilot can actually certify
     # F(tau_theory) <= target_F: a raw count of zero just means F < 1/B,
     # so use the rule-of-three Poisson upper bound instead of the count
-    n_below = int(np.searchsorted(residual_pilot, tau_theory, side="right"))
+    n_below = int(np.searchsorted(smallest, tau_theory, side="right"))
     if (n_below + 3.0) / B <= target_F:
         return tau_theory, "theory"
-    c0 = np.searchsorted(residual_pilot, 0.0, side="right") / B
+    c0 = np.searchsorted(smallest, 0.0, side="right") / B
     if c0 >= target_F:
         # atoms alone exceed the budget; cap as low as possible
         return 0.0, "budget-capped(floor)"
     # slope from a low quantile of the pilot
-    k = max(20, B // 1000)
-    tau_c = residual_pilot[k - 1]
+    tau_c = smallest[k - 1]
     if tau_c <= 0:
         return 0.0, "budget-capped(floor)"
     c1 = (k / B - c0) / tau_c
@@ -296,25 +322,52 @@ def build_rough(pattern, params):
 # ------------------------------------------------------------- stratified
 
 
+def _smallest_residuals(pattern, pilot, kk):
+    """The kk smallest residuals of the ``pilot`` tuples, sorted.
+
+    With the pattern's floor f and slack s (``residual_floor``), let c be
+    the kk-th smallest floor plus 2s.  A tuple with f - s > c has a
+    residual above c, and each of the kk tuples of least floor has one of
+    at most c unless it lies outside the domain.  So the exact residual is
+    taken only where f - s <= c; when at least kk of those are at most c,
+    they hold the kk smallest of the pilot.  Otherwise (a tuple outside the
+    domain hid below c) every tuple gets its exact residual.
+    """
+    floor, slack = pattern.residual_floor(pilot)
+    c = np.partition(floor, kk - 1)[kk - 1] + 2.0 * slack
+    resid = pattern.residual(pilot[floor - slack <= c])
+    if np.count_nonzero(resid <= c) < kk:
+        resid = pattern.residual(pilot)
+    return np.sort(resid)[:kk]
+
+
 def _threshold(pattern, params, r):
     """Provenance of the incidence threshold of a stratified build.
 
     The theory value is 2 sqrt(n) (L+1) r.  An explicit ``filter_scale``
-    wins; otherwise a pilot of 200k tuples, drawn slot by slot from the
+    wins; otherwise a pilot of B = 200k tuples, drawn slot by slot from the
     doubled cubes on the pilot stream, caps it (:func:`_cap_threshold`).
+    The cap reads only the kk smallest pilot residuals (:func:`_cap_rule`),
+    so the pilot screens its tuples with the pattern's residual floor and
+    takes the exact residual only where it can reach them
+    (:func:`_smallest_residuals`); the threshold is the one a full sort of
+    every residual gives, bit for bit.
     """
     n, M = pattern.n, params.M
     tau_theory = 2.0 * math.sqrt(n) * (pattern.lipschitz + 1.0) * r
     if params.filter_scale is not None:
         tau, rule = params.filter_scale * r, "explicit"
     else:
-        prng = _stream(params.seed, 10_000)
-        pilot = np.concatenate(
-            [double_cube(c).sample(prng, 200_000) for c in pattern.cubes], axis=1
-        )
+        B = 200_000
+        # one (n, B, d) draw holds the numbers of n slot draws; placing each
+        # slot in place spares a copy per slot, and freeing the block before
+        # any residual runs keeps the peak at the rows and their residuals
+        u = _stream(params.seed, 10_000).random((n, B, pattern.d))
+        pilot = np.concatenate([double_cube(c).place(x) for c, x in zip(pattern.cubes, u)], axis=1)
+        del u
         budget = params.removal_budget or math.sqrt(M)
-        resid = np.sort(pattern.residual(pilot))
-        tau, rule = _cap_threshold(tau_theory, resid, M, n, budget)
+        smallest = _smallest_residuals(pattern, pilot, _cap_rule(B, M, n, budget)[2])
+        tau, rule = _cap_threshold(tau_theory, smallest, B, M, n, budget)
     return {"tau_theory": tau_theory, "tau_used": float(tau), "tau_rule": rule}
 
 

@@ -139,8 +139,16 @@ class Cube:
 
     def sample(self, rng, size):
         """Uniform sample of ``size`` points from the cube."""
-        u = rng.random((size, self.d))
-        return wrap(self.corner[None, :] + u * self.side)
+        return self.place(rng.random((size, self.d)))
+
+    def place(self, u):
+        """Points ``wrap(corner + u*side)`` of unit draws ``u`` (shape
+        (N, d)), computed in ``u``'s own memory."""
+        u *= self.side
+        u += self.corner
+        # rounding is monotone, so corner + u*side <= corner + side: a cube
+        # that does not cross 1 needs no wrap (wrap is the identity on [0, 1))
+        return u if np.all(self.corner + self.side < 1.0) else wrap(u)
 
     def __repr__(self):
         return f"Cube(corner={self.corner!r}, side={self.side})"

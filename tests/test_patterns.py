@@ -272,25 +272,43 @@ def translational_case(draw):
     return d, m, a, shifts, tuples, with_cubes
 
 
-@settings(max_examples=300, deadline=None)
-@given(translational_case())
-def test_translational_residual_matches_periodized_targets(case):
-    d, m, a, shifts, tuples, with_cubes = case
+def _case_pattern(d, m, a, shifts, with_cubes):
     cubes = None
     if with_cubes:
         # small separated cubes; most random tuples fall outside Q_1 x Q_2 x Q_3
         cubes = [Cube([c] * d, 0.02) for c in (0.05, 0.4, 0.75)]
-    pat = TranslationalPattern(
+    return TranslationalPattern(
         d=d, n=3, a=a, period_m=m,
         T=lambda x: (-np.asarray(x))[..., None, :] + shifts,
         lipschitz=1.0, cubes=cubes,
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(translational_case())
+def test_translational_residual_matches_periodized_targets(case):
+    d, m, a, shifts, tuples, with_cubes = case
+    pat = _case_pattern(d, m, a, shifts, with_cubes)
     got = pat.residual(tuples)
     want = periodized_reference(pat, tuples)
     assert got.shape == want.shape
     np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
     fin = np.isfinite(want)
     assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(translational_case())
+def test_translational_residual_floor_brackets_the_residual(case):
+    # residual >= floor - slack everywhere, <= floor + slack in the domain
+    d, m, a, shifts, tuples, with_cubes = case
+    pat = _case_pattern(d, m, a, shifts, with_cubes)
+    floor, slack = pat.residual_floor(tuples)
+    got = pat.residual(tuples)
+    assert floor.shape == got.shape and 0.0 <= slack < 1e-12
+    assert np.all(got >= floor - slack)
+    fin = np.isfinite(got)
+    assert np.all(got[fin] <= floor[fin] + slack)
 
 
 def test_translational_residual_memory_is_per_raw_target():

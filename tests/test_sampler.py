@@ -148,6 +148,23 @@ def test_rough_pilot_over_the_residual_budget_raises_at_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_rough_filter_admits_every_window_its_pilot_admitted(monkeypatch):
+    # a 25-offset window fits the 200k-tuple pilot exactly under this
+    # budget; the filter's 512^2 pairs must then go in chunks of at most
+    # budget // 25 tuples, not BRUTE_CHUNK, and keep the same points
+    from salemkit import patterns
+
+    g = 2_000_000
+    pat = RoughPattern(n=2, d=1, g=g, cells=[[1, 6], [g // 3, g // 2]])
+    params = ConstructionParams(M=512, lam=0.4, seed=0)
+    want = build_rough(pat, params)
+    assert pat._window(want.provenance["tau_used"])[1] == 25
+    monkeypatch.setattr(patterns, "ROUGH_RESIDUAL_BUDGET", 25 * 200_000)
+    got = build_rough(pat, params)
+    np.testing.assert_array_equal(got.points, want.points)
+    assert got.provenance == want.provenance
+
+
 def test_rough_build_caps_at_theory_when_the_pilot_cannot_certify_it():
     # the pilot removal rate at tau_theory is under the target, but by
     # less than the rule-of-three margin 3/B
@@ -425,6 +442,183 @@ def test_desk_scale_threshold_is_capped():
     assert prov["tau_used"] < prov["tau_theory"]
     # expected removals ~ sqrt(M): generous factor-10 sanity band
     assert prov["n_removed"] <= 10 * math.sqrt(512)
+
+
+# ------------------------------------------------------ screened pilot
+
+
+PILOT = 200_000
+
+
+def _full_sort_threshold(pattern, params, r):
+    """The pilot threshold as it was before the screen: every pilot
+    residual, sorted, read by the budget rule (frozen reference)."""
+    from salemkit.sampler import _stream
+    from salemkit.torus import double_cube
+
+    n, M = pattern.n, params.M
+    tau_theory = 2.0 * math.sqrt(n) * (pattern.lipschitz + 1.0) * r
+    if params.filter_scale is not None:
+        return {"tau_theory": tau_theory, "tau_used": float(params.filter_scale * r),
+                "tau_rule": "explicit"}
+    prng = _stream(params.seed, 10_000)
+    pilot = np.concatenate(
+        [double_cube(c).sample(prng, PILOT) for c in pattern.cubes], axis=1
+    )
+    resid = np.sort(pattern.residual(pilot))
+    B = len(resid)
+    target_F = (params.removal_budget or math.sqrt(M)) / float(M) ** n
+    n_below = int(np.searchsorted(resid, tau_theory, side="right"))
+    if (n_below + 3.0) / B <= target_F:
+        tau, rule = tau_theory, "theory"
+    else:
+        c0 = np.searchsorted(resid, 0.0, side="right") / B
+        k = max(20, B // 1000)
+        tau_c = resid[k - 1]
+        if c0 >= target_F or tau_c <= 0:
+            tau, rule = 0.0, "budget-capped(floor)"
+        else:
+            c1 = (k / B - c0) / tau_c
+            tau = min((target_F - c0) / max(c1, 1e-300), tau_theory)
+            rule = "budget-capped"
+    return {"tau_theory": tau_theory, "tau_used": float(tau), "tau_rule": rule}
+
+
+def _layout(a, m, centers=(1 / 6, 1 / 2, 5 / 6)):
+    side = 1.0 / (2 * abs(float(a)) * m)
+    return [Cube([c - side / 2], side) for c in centers]
+
+
+def _pilot_case(name):
+    from fractions import Fraction
+
+    from salemkit.harness import ap3_pattern as harness_ap3
+
+    ap3 = harness_ap3(16)
+    if name.startswith("ap3-"):
+        return ap3, dict(M=int(name[4:]), lam=0.45)
+    if name.startswith("d2-"):
+        return _d2_ap3_pattern(), dict(M=int(name[3:]), lam=0.9)
+    if name == "two-targets":
+        T = lambda x: np.stack([-x, 0.37 - x], axis=-2)  # noqa: E731
+        return TranslationalPattern(d=1, n=3, a=2, period_m=16, T=T, lipschitz=1.0,
+                                    cubes=_layout(2, 16)), dict(M=256, lam=0.45)
+    if name == "n=2":
+        T = lambda x: np.full(x.shape[:-1] + (1, 1), 0.1)  # noqa: E731
+        return TranslationalPattern(d=1, n=2, a=3, period_m=4, T=T, lipschitz=0.0,
+                                    cubes=_layout(3, 4, (0.2, 0.7))), dict(M=64, lam=0.9)
+    if name == "a=3/2":
+        T = lambda x: -x[..., None, :]  # noqa: E731
+        return TranslationalPattern(d=1, n=3, a=Fraction(3, 2), period_m=16, T=T,
+                                    lipschitz=1.0, cubes=_layout(1.5, 16)), dict(M=256, lam=0.45)
+    if name == "kk=B":
+        return ap3, dict(M=64, lam=0.45, removal_budget=64.0**3)
+    if name == "kk=5001":
+        return ap3, dict(M=64, lam=0.45, removal_budget=5000 / PILOT * 64.0**3)
+    if name == "surface":
+        return surface_pattern(), dict(M=64, lam=0.25)
+    raise KeyError(name)
+
+
+def _both_thresholds(pattern, params):
+    from salemkit.sampler import _threshold
+
+    r = derive_radius(params.M, params.lam)
+    return _threshold(pattern, params, r), _full_sort_threshold(pattern, params, r)
+
+
+def _count_residual_rows(monkeypatch, pattern):
+    """Record the row count of every ``pattern.residual`` call."""
+    rows, residual = [], pattern.residual
+
+    def counted(tuples, upto=math.inf):
+        rows.append(len(tuples))
+        return residual(tuples, upto)
+
+    monkeypatch.setattr(pattern, "residual", counted)
+    return rows
+
+
+def _edit_pilot(monkeypatch, n, edit):
+    """Let ``edit(slots)`` change the n slots of every pilot in place."""
+    place, drawn = Cube.place, []
+
+    def patched(self, u):
+        out = place(self, u)
+        if len(out) == PILOT:
+            drawn.append(out)
+            if len(drawn) % n == 0:
+                edit(drawn[-n:])
+        return out
+
+    monkeypatch.setattr(Cube, "place", patched)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ap3-64", "ap3-256", "ap3-2048", "d2-32", "d2-48", "two-targets", "n=2",
+     "a=3/2", "kk=B", "kk=5001", "surface"],
+)
+def test_screened_pilot_matches_the_full_sort(case):
+    # the screen reads the kk smallest exact residuals only; tau_used and
+    # tau_rule must be the bits a sort of all 200k residuals gives
+    pattern, kw = _pilot_case(case)
+    for seed in range(3):
+        got, want = _both_thresholds(pattern, ConstructionParams(seed=seed, **kw))
+        assert got == want
+        assert type(got["tau_used"]) is float
+
+
+def test_screened_pilot_falls_back_when_a_tuple_outside_the_domain_hides(monkeypatch):
+    # move the last slot of the tuple of least residual one period 1/m
+    # along: its floor stays among the least, its residual becomes +inf
+    from salemkit.sampler import _threshold
+
+    pattern, kw = _pilot_case("ap3-256")
+    residual = pattern.residual
+
+    def hide(slots):
+        i = np.argmin(residual(np.concatenate(slots, axis=1)))
+        slots[-1][i] += 1.0 / pattern.period_m
+
+    _edit_pilot(monkeypatch, pattern.n, hide)
+    params = ConstructionParams(seed=0, **kw)
+    r = derive_radius(params.M, params.lam)
+    want = _full_sort_threshold(pattern, params, r)
+    rows = _count_residual_rows(monkeypatch, pattern)
+    assert _threshold(pattern, params, r) == want
+    # fewer than kk screened rows were at most c, so every row was taken
+    assert len(rows) == 2 and rows[0] < PILOT == rows[1]
+
+
+def test_screened_pilot_matches_the_full_sort_on_residual_atoms(monkeypatch):
+    # 2000 pilot tuples sit exactly on the relation (dyadic slots), more
+    # than the kk = 200 smallest hold: the clipped count at 0 must still
+    # take the floor branch
+    def atoms(slots):
+        for x, v in zip(slots, (5 / 32, 0.5, 27 / 32)):
+            x[:2000] = v
+
+    pattern, kw = _pilot_case("ap3-256")
+    _edit_pilot(monkeypatch, pattern.n, atoms)
+    got, want = _both_thresholds(pattern, ConstructionParams(seed=0, **kw))
+    assert got == want and want["tau_rule"] == "budget-capped(floor)"
+
+
+def test_explicit_filter_scale_draws_no_pilot(monkeypatch):
+    pattern, kw = _pilot_case("ap3-256")
+    rows = _count_residual_rows(monkeypatch, pattern)
+    got, want = _both_thresholds(pattern, ConstructionParams(filter_scale=0.5, seed=0, **kw))
+    assert got == want and want["tau_rule"] == "explicit" and rows == []
+
+
+def test_pilot_takes_few_exact_residuals(monkeypatch):
+    # the floor screen leaves the exact residual at most 2% of the 200k
+    # pilot rows of the seed-0 ap3 build at M = 256 (the filter included)
+    pattern, kw = _pilot_case("ap3-256")
+    rows = _count_residual_rows(monkeypatch, pattern)
+    build_translational(pattern, ConstructionParams(seed=0, **kw))
+    assert 0 < sum(rows) <= 0.02 * PILOT
 
 
 # ------------------------------------------------------- refactoring oracle

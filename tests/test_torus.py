@@ -129,6 +129,29 @@ def test_cube_contains_equals_two_wrap_mask():
             np.testing.assert_array_equal(c.contains(pts), two_wrap(c, pts))
 
 
+def test_cube_sample_is_the_wrapped_affine_draw():
+    # sample skips the wrap for a cube that does not cross 1; each draw
+    # must still equal wrap(corner + u*side), down to the largest u < 1
+    class Draws:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, shape):
+            return self.u[: shape[0], : shape[1]].copy()
+
+    top = float(np.nextafter(1.0, 0.0))
+    u = np.concatenate([np.random.default_rng(5).random((500, 2)), [[0.0, top], [top, 0.0]]])
+    for corner, side in (
+        ([0.9, 0.3], 0.2), ([0.3, 0.3], 0.2), ([0.5], 0.5), ([0.5], 0.5 - 2.0**-53),
+        ([0.0], 1.0), ([top], 1e-3), ([0.25, 0.75], 0.25 - 2.0**-54),
+    ):
+        c = Cube(corner, side)
+        got = c.sample(Draws(u), len(u))
+        want = wrap(c.corner[None, :] + u[:, : c.d] * c.side)
+        np.testing.assert_array_equal(got, want)
+        assert np.all((got >= 0.0) & (got < 1.0))
+
+
 def test_cube_distance_wraparound():
     c1 = Cube([0.05], 0.1)
     c2 = Cube([0.85], 0.1)
