@@ -620,19 +620,21 @@ def isosceles_functional(t1, t2, t3):
 
 
 _THIRD_LEG_STEPS = 80  # bisection cap for a bracket that never settles
+_PILOT_BRACKET_STEPS = 11  # steps behind the surface floor's bracket (measured)
 
 
-def _solve_third_leg(t1, t2, lo, hi):
-    """Bisect for t3 in [lo, hi] with |gamma(t3)-gamma(t2)| = |gamma(t1)-gamma(t2)|.
+def _third_leg_bracket(t1, t2, lo, hi, steps):
+    """Bracket ``(lo, hi)`` of the third leg after at most ``steps`` bisection
+    steps: t3 in [lo, hi] with |gamma(t3)-gamma(t2)| = |gamma(t1)-gamma(t2)|.
 
     The squared chord length from gamma(t2) is strictly increasing in t3
     on t3 > t2 >= 0, so the root is unique when bracketed.  The fixed leg
     and t2 * t2 are computed once.  A step depends on (lo, hi) alone (the
     sign of F(lo) never changes), so after a step that moves no lo and no
-    hi every later step repeats it: stopping there returns the bits of the
-    full bisection.  A bracket that has not settled by then (a NaN, which
-    never equals itself, or a root far below the bracket's width) stops at
-    the ``_THIRD_LEG_STEPS`` cap.
+    hi every later step repeats it: stopping there gives the bracket of
+    ``steps`` steps.  A float midpoint 0.5 * (lo + hi) lies between lo and
+    hi (rounding is monotone: fl(lo + hi) lies between 2 lo and 2 hi, and
+    its half between lo and hi), so the brackets of 0, 1, 2, ... steps nest.
     """
     t1, t2, lo, hi = np.broadcast_arrays(*(np.asarray(x, float) for x in (t1, t2, lo, hi)))
     t2_sq = t2 * t2
@@ -640,7 +642,7 @@ def _solve_third_leg(t1, t2, lo, hi):
     sign_lo = np.sign(leg - _sq_chord(lo, t2, t2_sq))
     if np.any(sign_lo == np.sign(leg - _sq_chord(hi, t2, t2_sq))):
         raise RuntimeError("isosceles solver: root not bracketed on a probe")
-    for _ in range(_THIRD_LEG_STEPS):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         neg = np.sign(leg - _sq_chord(mid, t2, t2_sq)) == sign_lo
         new_lo = np.where(neg, mid, lo)
@@ -648,6 +650,18 @@ def _solve_third_leg(t1, t2, lo, hi):
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
+    return lo, hi
+
+
+def _solve_third_leg(t1, t2, lo, hi):
+    """Midpoint of :func:`_third_leg_bracket` after the full bisection: the
+    bracket settles at its float fixed point (about 55 steps on the
+    isosceles pilot), or a bracket that never settles (a NaN, which never
+    equals itself, or a root far below the bracket's width) stops at the
+    ``_THIRD_LEG_STEPS`` cap.  Either way the midpoint lies in the bracket
+    of every step count.
+    """
+    lo, hi = _third_leg_bracket(t1, t2, lo, hi, _THIRD_LEG_STEPS)
     return 0.5 * (lo + hi)
 
 
@@ -667,6 +681,17 @@ def isosceles_surface_pattern():
         t1 = prefix[..., 0]
         t2 = prefix[..., 1]
         return _solve_third_leg(t1, t2, t2, 3.0 * eps)[..., None]
+
+    def bracket(prefix):
+        # f's value lies in this bracket, a few steps into its bisection;
+        # SurfacePattern.residual_floor screens the pilot with it
+        prefix = np.asarray(prefix, dtype=float)
+        t1 = prefix[..., 0]
+        t2 = prefix[..., 1]
+        lo, hi = _third_leg_bracket(t1, t2, t2, 3.0 * eps, _PILOT_BRACKET_STEPS)
+        return lo[..., None], hi[..., None]
+
+    f.bracket = bracket
 
     cubes = [Cube([c - side / 2], side) for c in centers]
     # |f'| along the surface: chord ratios on the short parabola arc stay

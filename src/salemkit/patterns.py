@@ -56,7 +56,8 @@ def _fold_slack(span):
     [0, 1), a grid shift t + b/m, a scaling by m) moves a per-coordinate
     gap by at most half an ulp of ``span``, and a handful of them leave
     each way within 4 ulps of the real gap.  16 ulps bounds the difference
-    of two ways with room to spare.
+    of two ways with room to spare.  :meth:`SurfacePattern.residual_floor`
+    takes it as its rounding allowance, with its own argument.
     """
     return 16.0 * np.spacing(span)
 
@@ -286,7 +287,9 @@ class SurfacePattern:
     """Graph relation x_n = f(x_1, ..., x_{n-1}) with Lipschitz bound L.
 
     ``f`` must be vectorized: it maps an array of shape (..., d*(n-1)) to
-    target points of shape (..., d).  ``cubes`` are the n pairwise
+    target points of shape (..., d).  It may carry ``f.bracket``, a cheap
+    map of the same prefixes to ``(lo, hi)`` with f between them, which
+    :meth:`residual_floor` screens with.  ``cubes`` are the n pairwise
     separated construction cubes R_1..R_n (separation >= 10 * sidelength).
     """
 
@@ -322,9 +325,34 @@ class SurfacePattern:
         return np.where(mask, res, np.inf)
 
     def residual_floor(self, tuples):
-        """``(floor, slack)`` as in :meth:`TranslationalPattern.residual_floor`:
-        the residual itself, with slack 0."""
-        return self.residual(tuples), 0.0
+        """``(floor, slack)`` as in :meth:`TranslationalPattern.residual_floor`,
+        with a slack per tuple.
+
+        Without ``f.bracket`` this is the residual itself, with slack 0.
+        With it, ``f.bracket(prefix)`` gives ``(lo, hi)`` of shape (B, d)
+        with the target f(prefix) between lo and hi per coordinate.  The
+        floor is the torus distance from x_n to the float midpoint
+        m = 0.5 (lo + hi).  By the triangle inequality the residual is
+        within |f(prefix) - m| of it, which is at most h = |hi - lo| / 2
+        (half the bracket's diagonal) plus the midpoint's rounding.  The
+        slack is h plus d times :func:`_fold_slack` of
+        span = 1 + max(|lo|, |hi|), the rounding allowance: every value
+        either way forms (a wrapped coordinate, a gap, the midpoint, h) is
+        at most ``span`` in size, and the midpoint (half an ulp per
+        coordinate), h and the two torus distances (each a few ulps per
+        coordinate through the wrap, the gap, the square, the sum and the
+        root) round it by well under 16 d ulps of span in all.  The domain
+        mask is skipped: it can only raise a residual to +inf.
+        """
+        bracket = getattr(self.f, "bracket", None)
+        if bracket is None:
+            return self.residual(tuples), 0.0
+        split = self.d * (self.n - 1)
+        lo, hi = (np.asarray(b, dtype=float) for b in bracket(tuples[:, :split]))
+        floor = tdist(tuples[:, split:], 0.5 * (lo + hi))
+        half = 0.5 * np.sqrt(((hi - lo) ** 2).sum(axis=-1))
+        span = 1.0 + float(np.maximum(np.abs(lo), np.abs(hi)).max(initial=0.0))
+        return floor, half + self.d * _fold_slack(span)
 
 
 class TranslationalPattern:

@@ -325,16 +325,19 @@ def build_rough(pattern, params):
 def _smallest_residuals(pattern, pilot, kk):
     """The kk smallest residuals of the ``pilot`` tuples, sorted.
 
-    With the pattern's floor f and slack s (``residual_floor``), let c be
-    the kk-th smallest floor plus 2s.  A tuple with f - s > c has a
-    residual above c, and each of the kk tuples of least floor has one of
-    at most c unless it lies outside the domain.  So the exact residual is
-    taken only where f - s <= c; when at least kk of those are at most c,
-    they hold the kk smallest of the pilot.  Otherwise (a tuple outside the
-    domain hid below c) every tuple gets its exact residual.
+    With the pattern's floor f and slack s (``residual_floor``; s a number
+    or one per tuple), let c be the kk-th smallest f + s.  A tuple with
+    f - s > c has a residual above c, and each of the kk tuples of least
+    f + s has one of at most c unless it lies outside the domain.  Both
+    hold in floats too, as rounding is monotone and a residual is a float:
+    fl(f - s) > c gives f - s > c, and a residual r <= f + s gives
+    r <= fl(f + s); the rounding allowance lives in s.  So the exact
+    residual is taken only where f - s <= c; when at least kk of those are
+    at most c, they hold the kk smallest of the pilot.  Otherwise (a tuple
+    outside the domain hid below c) every tuple gets its exact residual.
     """
     floor, slack = pattern.residual_floor(pilot)
-    c = np.partition(floor, kk - 1)[kk - 1] + 2.0 * slack
+    c = np.partition(floor + slack, kk - 1)[kk - 1]
     resid = pattern.residual(pilot[floor - slack <= c])
     if np.count_nonzero(resid <= c) < kk:
         resid = pattern.residual(pilot)
@@ -348,8 +351,9 @@ def _threshold(pattern, params, r):
     wins; otherwise a pilot of B = 200k tuples, drawn slot by slot from the
     doubled cubes on the pilot stream, caps it (:func:`_cap_threshold`).
     The cap reads only the kk smallest pilot residuals (:func:`_cap_rule`),
-    so the pilot screens its tuples with the pattern's residual floor and
-    takes the exact residual only where it can reach them
+    so the pilot screens its tuples with the pattern's residual floor (for
+    a surface, the distance to the midpoint of ``f.bracket``) and takes the
+    exact residual only where it can reach them
     (:func:`_smallest_residuals`); the threshold is the one a full sort of
     every residual gives, bit for bit.
     """

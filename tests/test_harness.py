@@ -646,6 +646,33 @@ def test_solve_third_leg_bit_equal_on_edge_brackets():
         _solve_third_leg(np.array([0.01, 0.01]), np.array([0.02, 0.02]), 0.5, 0.9)
 
 
+def test_third_leg_brackets_nest_and_hold_the_solution():
+    # the bracket of every step count 0..80 lies in the one before, and the
+    # solver's value lies in every one: the surface floor's screen rests on it
+    from salemkit.harness import ISO_EPSILON, _solve_third_leg, _third_leg_bracket
+    from salemkit.torus import double_cube
+
+    cubes = hm.isosceles_surface_pattern().cubes
+    prng = sampler._stream(0, 10_000)
+    pilot = np.concatenate(
+        [double_cube(c).sample(prng, 200_000) for c in cubes], axis=1
+    )[:2_000]
+    cases = [
+        (pilot[:, 0], pilot[:, 1], pilot[:, 1], 3.0 * ISO_EPSILON),
+        (np.array([0.01]), np.array([0.02]), 0.02, 0.1),
+        # a root 1e-30 inside [0, 1] is still open after 80 halvings
+        (np.array([1e-30, 0.3]), np.array([0.0, 0.1]), 0.0, 1.0),
+    ]
+    for t1, t2, lo, hi in cases:
+        t3 = _solve_third_leg(t1, t2, lo, hi)
+        prev_lo, prev_hi = np.broadcast_arrays(lo, hi, t3)[:2]
+        for steps in range(81):
+            b_lo, b_hi = _third_leg_bracket(t1, t2, lo, hi, steps)
+            assert np.all(prev_lo <= b_lo) and np.all(b_lo <= b_hi) and np.all(b_hi <= prev_hi)
+            assert np.all(b_lo <= t3) and np.all(t3 <= b_hi)
+            prev_lo, prev_hi = b_lo, b_hi
+
+
 def test_demo_isosceles_surface_route():
     rep = demo_isosceles(route="surface", M=128, lam=4 / 9, seed=2)
     row = rep.rows[0]

@@ -311,6 +311,96 @@ def test_translational_residual_floor_brackets_the_residual(case):
     assert np.all(got[fin] <= floor[fin] + slack)
 
 
+def _near(lo, hi):
+    # generic points of [lo, hi), its ends and the floats just inside them
+    return st.one_of(
+        st.floats(lo, hi, exclude_max=True),
+        st.sampled_from([lo, float(np.nextafter(lo, 1.0)), float(np.nextafter(hi, 0.0))]),
+    )
+
+
+_WRAP_EDGES = [0.0, 2.0**-60, 1e-17, 1.0 - 2.0**-53, 1.0 - 1e-12]
+
+
+@st.composite
+def surface_floor_case(draw):
+    """``(kind, knob, tuples)``: isosceles tuples and the bracket's step
+    count; a shifted-sum surface whose target sits at an end of a bracket
+    0 to 2^20 ulps wide, and that signed width; or a surface without
+    ``f.bracket``."""
+    from salemkit.harness import ISO_EPSILON, _third_leg_bracket, isosceles_surface_pattern
+
+    kind = draw(st.sampled_from(["isosceles", "bracket-end", "no-bracket"]))
+    rows = []
+    if kind == "isosceles":
+        knob = draw(st.sampled_from([0, 1, 5, 11, 12, 20, 40, 80]))
+        q1, q2, q3 = (double_cube(c) for c in isosceles_surface_pattern().cubes)
+        for _ in range(draw(st.integers(1, 8))):
+            x1 = draw(_near(q1.corner[0], q1.corner[0] + q1.side))
+            x2 = draw(_near(q2.corner[0], q2.corner[0] + q2.side))
+            lo, hi = (float(b) for b in _third_leg_bracket(x1, x2, x2, 3.0 * ISO_EPSILON, knob))
+            delta = draw(st.sampled_from([0.0, 1e-17, 1e-12, 1e-6]))
+            x3 = draw(st.one_of(
+                _near(q3.corner[0], q3.corner[0] + q3.side),
+                st.sampled_from([lo - delta, hi + delta, 0.5 * (lo + hi) + delta,
+                                 0.5 * (lo + hi) - delta]),
+                st.sampled_from(_WRAP_EDGES),
+            ))
+            rows.append([x1, x2, x3])
+    else:
+        # graph x3 = x1 + x2 + 0.3 mod 1, which meets Q1 x Q2 x Q3
+        knob = draw(st.sampled_from([-3, -1, 0, 1, 2, 2**20]))
+        for _ in range(draw(st.integers(1, 8))):
+            x1 = draw(_near(0.0, 0.03))
+            x2 = draw(_near(0.29, 0.33))
+            v = (x1 + x2 + 0.3) % 1.0
+            j = draw(st.integers(-4, 4))
+            x3 = draw(st.one_of(
+                st.just(v + j * float(np.spacing(v))),
+                _near(0.59, 0.63),
+                st.sampled_from(_WRAP_EDGES),
+            ))
+            rows.append([x1, x2, x3])
+    return kind, knob, np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_floor_case())
+def test_surface_residual_floor_brackets_the_residual(case):
+    # residual >= floor - slack everywhere, <= floor + slack in the domain
+    from unittest import mock
+
+    from salemkit import harness
+    from salemkit.harness import isosceles_surface_pattern
+
+    kind, knob, tuples = case
+    if kind == "isosceles":
+        pat = isosceles_surface_pattern()
+        with mock.patch.object(harness, "_PILOT_BRACKET_STEPS", knob):
+            floor, slack = pat.residual_floor(tuples)
+    else:
+        f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
+        if kind == "bracket-end":
+            # knob ulps wide, the target at the low end (knob > 0) or the
+            # high end (knob < 0)
+            def bracket(p):
+                v = f(p)
+                w = knob * np.spacing(v)
+                return np.minimum(v, v + w), np.maximum(v, v + w)
+
+            f.bracket = bracket
+        cubes = [Cube([0.0], 0.02), Cube([0.3], 0.02), Cube([0.6], 0.02)]
+        pat = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+        floor, slack = pat.residual_floor(tuples)
+    got = pat.residual(tuples)
+    if kind == "no-bracket":
+        assert slack == 0.0 and np.array_equal(floor, got)
+    assert floor.shape == got.shape and np.all((0.0 <= slack) & (slack < 0.1))
+    assert np.all(got >= floor - slack)
+    fin = np.isfinite(got)
+    assert np.all(got[fin] <= (floor + slack)[fin])
+
+
 def test_translational_residual_memory_is_per_raw_target():
     # materializing 256 shifted targets for 20k d=2 tuples would take one
     # 20k x 256 x 2 float64 temporary: 82 MB

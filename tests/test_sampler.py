@@ -517,6 +517,10 @@ def _pilot_case(name):
         return ap3, dict(M=64, lam=0.45, removal_budget=5000 / PILOT * 64.0**3)
     if name == "surface":
         return surface_pattern(), dict(M=64, lam=0.25)
+    if name.startswith("iso-"):
+        from salemkit.harness import isosceles_surface_pattern
+
+        return isosceles_surface_pattern(), dict(M=int(name[4:]), lam=4 / 9)
     raise KeyError(name)
 
 
@@ -557,7 +561,7 @@ def _edit_pilot(monkeypatch, n, edit):
 @pytest.mark.parametrize(
     "case",
     ["ap3-64", "ap3-256", "ap3-2048", "d2-32", "d2-48", "two-targets", "n=2",
-     "a=3/2", "kk=B", "kk=5001", "surface"],
+     "a=3/2", "kk=B", "kk=5001", "surface", "iso-64", "iso-256", "iso-512"],
 )
 def test_screened_pilot_matches_the_full_sort(case):
     # the screen reads the kk smallest exact residuals only; tau_used and
@@ -591,6 +595,34 @@ def test_screened_pilot_falls_back_when_a_tuple_outside_the_domain_hides(monkeyp
     assert len(rows) == 2 and rows[0] < PILOT == rows[1]
 
 
+def test_screened_surface_pilot_falls_back_when_a_tuple_outside_the_domain_hides(monkeypatch):
+    # the graph x3 = x1 + x2 + 0.3 with a bracket 2^-30 wide around it;
+    # moving x1 up and x2 down by 0.1 keeps the floor of the tuple of least
+    # residual and takes it out of Q1 x Q2.  (On the isosceles layout the
+    # bracket's half-width leaves thousands of rows below the cut, so one
+    # hidden tuple cannot starve it.)
+    from salemkit.sampler import _threshold
+
+    f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
+    f.bracket = lambda p: (f(p) - 2.0**-30, f(p) + 2.0**-30)
+    cubes = [Cube([0.0], 0.01), Cube([0.3], 0.01), Cube([0.6], 0.01)]
+    pattern = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    residual = pattern.residual
+
+    def hide(slots):
+        i = np.argmin(residual(np.concatenate(slots, axis=1)))
+        slots[0][i] += 0.1
+        slots[1][i] -= 0.1
+
+    _edit_pilot(monkeypatch, pattern.n, hide)
+    params = ConstructionParams(M=256, lam=0.45, seed=0)
+    r = derive_radius(params.M, params.lam)
+    want = _full_sort_threshold(pattern, params, r)
+    rows = _count_residual_rows(monkeypatch, pattern)
+    assert _threshold(pattern, params, r) == want
+    assert len(rows) == 2 and rows[0] < PILOT == rows[1]
+
+
 def test_screened_pilot_matches_the_full_sort_on_residual_atoms(monkeypatch):
     # 2000 pilot tuples sit exactly on the relation (dyadic slots), more
     # than the kk = 200 smallest hold: the clipped count at 0 must still
@@ -619,6 +651,19 @@ def test_pilot_takes_few_exact_residuals(monkeypatch):
     rows = _count_residual_rows(monkeypatch, pattern)
     build_translational(pattern, ConstructionParams(seed=0, **kw))
     assert 0 < sum(rows) <= 0.02 * PILOT
+
+
+def test_isosceles_pilot_takes_few_exact_residuals(monkeypatch):
+    # the bracket screen leaves the exact residual (a full bisection) at
+    # most 5% of the 200k pilot rows of the seed-0 isosceles pilot at
+    # M = 256, in one call: no fallback
+    from salemkit.sampler import _threshold
+
+    pattern, kw = _pilot_case("iso-256")
+    rows = _count_residual_rows(monkeypatch, pattern)
+    params = ConstructionParams(seed=0, **kw)
+    _threshold(pattern, params, derive_radius(params.M, params.lam))
+    assert len(rows) == 1 and 0 < rows[0] <= 0.05 * PILOT
 
 
 # ------------------------------------------------------- refactoring oracle
