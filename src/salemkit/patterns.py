@@ -26,7 +26,6 @@ __all__ = [
     "RoughPattern",
     "SurfacePattern",
     "TranslationalPattern",
-    "periodize",
     "violation_scan",
     "window_probe",
 ]
@@ -62,45 +61,16 @@ def _fold_slack(span):
     return 16.0 * np.spacing(span)
 
 
-def periodize(targets, m, d=None):
-    """Close a finite target set under translation by the grid (Z/m)^d / m.
-
-    Parameters
-    ----------
-    targets : array_like, shape (..., K, d)
-        Target points on T^d.
-    m : int
-        Period; the result contains ``K * m**d`` points per input.
-
-    Returns
-    -------
-    ndarray, shape (..., K * m**d, d)
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim < 2:
-        raise ValueError("targets must have shape (..., K, d)")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"period m must be >= 1, got {m}")
-    if d is None:
-        d = targets.shape[-1]
-    shifts = np.array(list(product(range(m), repeat=d)), dtype=float) / m
-    out = targets[..., :, None, :] + shifts[None, :, :]
-    new_shape = targets.shape[:-2] + (targets.shape[-2] * m**d, d)
-    return wrap(out.reshape(new_shape))
-
-
 def _periodized_gap(v, t, m):
     """Per-coordinate torus gap from ``v`` to the nearest point of t + Z^d/m.
 
     The periodized set {t + b/m : b in {0..m-1}^d} + Z^d is the shifted
     lattice t + Z^d/m, and the nearest lattice value to ``v - t`` in each
     coordinate is an end of the grid cell of width 1/m that holds it.  Only
-    those two shifts b are formed; each shifted target is wrapped and
-    measured with the same float operations as :func:`periodize` and
-    :func:`coord_gap`, so the gap equals the minimum over all m shifts
-    bit for bit.  A rounding slip in the cell index moves the cell by one
-    but keeps the nearest end inside it.
+    those two shifts b are formed; each shifted target ``wrap(t + b/m)``
+    is measured with :func:`coord_gap`, so the gap equals the minimum over
+    all m shifts bit for bit.  A rounding slip in the cell index moves the
+    cell by one but keeps the nearest end inside it.
     """
     lo = np.minimum(np.floor(wrap(v - t) * m), m - 1)
     hi = np.where(lo == m - 1, 0.0, lo + 1.0)
@@ -237,14 +207,6 @@ class RoughPattern:
             dist = np.sqrt(np.sum(gap * gap, axis=1))
             out[occupied] = np.minimum(out[occupied], dist)
         return out
-
-    def thickened_membership(self, points, threshold):
-        """Is each point (shape (K, d*n)) within ``threshold`` +
-        ``SCAN_TOL`` of the closed union of cells?  ``threshold`` may be 0
-        (plain closed membership)."""
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        return self.residual(points, threshold) <= threshold + SCAN_TOL
 
     def save(self, path):
         """Write the cell list: header line ``dn g``, one cell per line."""
@@ -404,24 +366,14 @@ class TranslationalPattern:
     def a_float(self):
         return float(self.a)
 
-    def targets(self, prefix):
-        """Periodized target set tilde-T for prefixes (..., d*(n-2)).
-
-        Materializes all K*m^d shifted targets per prefix; :meth:`residual`
-        never forms this set, so it serves inspection and tests.
-        """
-        prefix = np.asarray(prefix, dtype=float)
-        raw = np.asarray(self.T(prefix), dtype=float)
-        return periodize(raw, self.period_m, self.d)
-
     def residual(self, tuples, upto=math.inf):
         """Distance from x_n - a*x_{n-1} to the periodized target set.
 
         The periodized set of a raw target t is the lattice t + Z^d/m, so
         the distance is taken per raw target in closed form (nearest grid
         shift per coordinate) at O(K) cost per tuple, with the same value
-        as the minimum of :func:`tdist` over the K*m^d points of
-        :meth:`targets`.  An empty target set gives +inf.  When the pattern
+        as the minimum of :func:`tdist` over the K*m^d shifted targets
+        ``wrap(t + b/m)``.  An empty target set gives +inf.  When the pattern
         carries its cube layout, the relation is defined on the product of
         the doubled cubes Q_1 x ... x Q_n only; tuples with a slot outside
         that product get residual +inf.  Exact everywhere, so ``upto`` is
@@ -478,10 +430,31 @@ class TranslationalPattern:
 
 # ----------------------------------------------------------- window probe
 
-# occupancy bitmap of window_probe: at most 1024 buckets per probed point
-# and 2**24 in all (16 MB of bools)
+# window-probe bitmaps: at most 1024 buckets a point, 2**24 (16 MB) in all
 _PROBE_BUCKETS_PER_POINT = 1024
 _PROBE_MAX_BUCKETS = 2**24
+
+
+def _occupancy(xs, tau, period, offsets):
+    """``(nb, nb / period, mark)``: buckets >= 2*tau wide, ``xs``' + offsets marked."""
+    # compare before dividing: period / (2 tau) overflows for a subnormal tau
+    wide = 2.0 * tau * _PROBE_MAX_BUCKETS >= period
+    limit = period / (2.0 * tau) if wide else _PROBE_MAX_BUCKETS
+    nb = max(1, int(min(limit, _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)))
+    mark = np.zeros(nb, dtype=bool)
+    mark[(np.floor(xs * (nb / period)).astype(np.int64)[:, None] + offsets) % nb] = True
+    return nb, nb / period, mark
+
+
+def _windows(xs, qs, sel, tau, period):
+    """:func:`window_probe`'s windows of the queries ``qs`` (indices ``sel``)."""
+    out = []
+    for shift in (0.0, -period, period):
+        lo = np.searchsorted(xs, qs + shift - tau, side="left")
+        hi = np.searchsorted(xs, qs + shift + tau, side="right")
+        hit = np.flatnonzero(hi > lo)
+        out.append((sel[hit], lo[hit], hi[hit]))
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def window_probe(xs, q, tau, period):
@@ -499,24 +472,54 @@ def window_probe(xs, q, tau, period):
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
-    # compare before dividing: period / (2 tau) overflows for a subnormal tau
-    wide = 2.0 * tau * _PROBE_MAX_BUCKETS >= period
-    limit = period / (2.0 * tau) if wide else _PROBE_MAX_BUCKETS
-    nb = max(1, int(min(limit, _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)))
-    scale = nb / period
-    kx = np.floor(xs * scale).astype(np.int64)
-    mark = np.zeros(nb, dtype=bool)
-    for off in (-2, -1, 0, 1, 2):
-        mark[(kx + off) % nb] = True
+    nb, scale, mark = _occupancy(xs, tau, period, np.arange(-2, 3))
     sel = np.flatnonzero(mark[np.floor(q * scale).astype(np.int64) % nb])
-    qs = q[sel]
-    out = []
-    for shift in (0.0, -period, period):
-        lo = np.searchsorted(xs, qs + shift - tau, side="left")
-        hi = np.searchsorted(xs, qs + shift + tau, side="right")
-        hit = np.flatnonzero(hi > lo)
-        out.append((sel[hit], lo[hit], hi[hit]))
-    return tuple(np.concatenate(part) for part in zip(*out))
+    return _windows(xs, q[sel], sel, tau, period)
+
+
+class _FoldProbe:
+    """:func:`window_probe` for translational queries q = wrap(p + t) %
+    period, p = fl(a x_{n-1}) (``ax``) and t a raw target, that folds only
+    the queries whose key C = floor(p*s) + floor(t*s), s = nb / period, is
+    marked modulo nb in the bitmap of ``xs`` shifted by -2..1.  It keeps
+    every query with a window.  Buckets are w = period / nb >= 2 tau >= 32
+    ulp(span) wide (tau holds :func:`_fold_slack`; coordinates lie in
+    [0, 1]), so 2 ulps of span are 1/16 bucket.  In buckets, modulo nb:
+
+    * fl(v*s) is within 2^-52 |v| < 2 ulp(span) of v/w (s and the product
+      round), for v = p, t, so C is in (Y - 2 - 1/8, Y + 1/8], Y = (p + t)/w;
+    * q is within 2 ulp(span) of p + t modulo period: the sum and the wrap
+      round by half an ulp of span and of 1, the wrap's integer j (|j| <=
+      span) is j |1 - m period| <= 2^-53 span off, the remainder is exact;
+    * a point x in a window of q is within tau of q + shift, plus two
+      roundings below 2^-52 (2 period + tau), so x/w = Y + delta with
+      |delta| < 1/2 + 1/16 + 2^-25, and floor(fl(x*s)) is in
+      (x/w - 1.01, x/w + 0.01).
+
+    So the point's bucket less C is in (-1.75, 2.75): -1, 0, 1 or 2.
+    """
+
+    def __init__(self, xs, ax, period, size):
+        self.xs, self.ax, self.period, self.tau = xs, ax, period, None
+        # intp keys: np.take would copy narrower ones into a fresh intp array
+        self.keys, self.flags = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+
+    def windows(self, t, tau):
+        """Windows of the queries (B, len(ax), K) of ``t`` (B, K), flat."""
+        if tau != self.tau:
+            self.tau = tau
+            self.nb, self.s, self.mark = _occupancy(self.xs, tau, self.period, np.arange(-2, 2))
+            self.ku = (np.floor(self.ax * self.s) % self.nb).astype(np.intp)
+        kv = (np.floor(t * self.s) % self.nb).astype(np.intp)
+        shape = (len(t), len(self.ax), t.shape[1])
+        keys = self.keys[: math.prod(shape)].reshape(shape)
+        np.add(kv[:, None, :], self.ku[None, :, None], out=keys)
+        # ku + kv < 2 nb: the wrapping gather takes nb off where due
+        hit = np.take(self.mark, keys, mode="wrap", out=self.flags[: keys.size].reshape(shape))
+        sel = np.flatnonzero(hit)
+        b, rem = np.divmod(sel, shape[1] * shape[2])
+        q = wrap(self.ax[rem // shape[2]] + t[b, rem % shape[2]]) % self.period
+        return _windows(self.xs, q, sel, tau, self.period)
 
 
 def _window_candidates(windows, chunk):
@@ -546,8 +549,7 @@ def _gather(slots, idx):
 
 
 def _tuple_hits(slots, pattern, eps, tol, budget):
-    """Index tuples of the product of ``slots`` whose residual is
-    <= ``eps + tol``.
+    """Index tuples of the product of ``slots`` with residual <= ``eps + tol``.
 
     ``slots`` holds one (N_j, d) point array per tuple slot.  A cube-backed
     relation is defined on its doubled cubes only, so each slot is first
@@ -555,15 +557,15 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     slots.  One loop serves every relation: it enumerates prefixes of the
     leading slots lazily, about ``BRUTE_CHUNK`` candidates at a time, and
     rechecks every candidate tuple with the residual, which need only be
-    exact up to ``eps``.  A d = 1 translational or surface relation gets
-    its candidates from window queries on the sorted last slot: the
-    translational relation folded modulo the periodization grid 1/m (one
-    query per prefix x_1..x_{n-2}, x_{n-1} and raw target), the surface
-    relation at f(x_1..x_{n-1}).  The windows are a few ulps wider than
-    ``eps + tol``, so the result equals a full enumeration.  Every other
-    relation pairs each prefix x_1..x_{n-1} with the whole last slot.
-    Yields ``(idx, residuals)`` chunks, indices into the uncut slots; the
-    probe may yield a tuple twice.
+    exact up to ``eps``.  A d = 1 surface or translational relation takes
+    its candidates from windows a few ulps wider than ``eps + tol`` in the
+    sorted last slot, so the result equals a full enumeration: a surface
+    prefix x_1..x_{n-1} queries f(prefix) (:func:`window_probe`), a
+    translational prefix x_1..x_{n-2} the fold of a x_{n-1} + t for each
+    x_{n-1} and raw target t (:class:`_FoldProbe`).  Every other relation
+    pairs each prefix with the whole last slot.  Yields ``(idx,
+    residuals)`` chunks, indices into the uncut slots; the probe may yield
+    a tuple twice.
     """
     domain = getattr(pattern, "_domain", None)
     keep = [np.arange(len(s)) for s in slots]
@@ -587,9 +589,8 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     # or a tuple per last-slot point
     if translational:
         a, period = pattern.a_float, 1.0 / pattern.period_m
-        xprev = slots[n - 2][:, 0]
         K = np.asarray(pattern.T(_gather(heads, prefixes(0, 1))), dtype=float).size
-        per = len(xprev) * K
+        per = len(slots[n - 2]) * K
     else:
         period, span = 1.0, 2.0
         per = 1 if probe else len(slots[-1])
@@ -607,18 +608,18 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         # one residual call probes its whole window for every tuple
         chunk = max(1, min(chunk, int(ROUGH_RESIDUAL_BUDGET // pattern._window(eps)[1])))
     total, step = int(np.prod(sizes)), max(1, chunk // max(per, 1))
+    if translational:
+        fold = _FoldProbe(xs, a * slots[n - 2][:, 0], period, step * per)
     for start in range(0, total, step):
         pre = prefixes(start, min(start + step, total))
+        if translational:
+            raw = np.asarray(pattern.T(_gather(heads, pre)), dtype=float).reshape(len(pre), K)
+            span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
+            windows = fold.windows(raw, eps + tol + _fold_slack(span))
+        elif probe:
+            q = wrap(np.asarray(pattern.f(_gather(heads, pre)), dtype=float))
+            windows = window_probe(xs, q, eps + tol + _fold_slack(span), period)
         if probe:
-            if translational:
-                raw = np.asarray(pattern.T(_gather(heads, pre)), dtype=float)
-                raw = raw.reshape(len(pre), K)
-                span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
-                q = wrap(a * xprev[None, :, None] + raw[:, None, :]) % period
-            else:
-                q = wrap(np.asarray(pattern.f(_gather(heads, pre)), dtype=float))
-            halfwidth = eps + tol + _fold_slack(span)
-            windows = window_probe(xs, q, halfwidth, period)
             batches = ((qi, order[pos]) for qi, pos in _window_candidates(windows, BRUTE_CHUNK))
         else:
             qi = np.arange(len(pre) * per, dtype=np.int64)

@@ -275,9 +275,8 @@ def build_rough(pattern, params):
         budget = params.removal_budget or math.sqrt(M)
         B = 200_000
         tup = _stream(params.seed, 10_000).random((B, n * d))
-        # the residual is exact only below tau_theory + 1/g, so fit the
-        # removal probability on a small grid of thresholds instead of a
-        # CDF; each test equals thickened_membership(tup, t)
+        # the residual is exact only below tau_theory + 1/g, so fit the removal
+        # probability on a grid of 9 thresholds t (dist <= t + SCAN_TOL), not a CDF
         taus = np.linspace(0.0, tau_theory, 9)
         dist = pattern.residual(tup, tau_theory)
         F = np.array([(dist <= t + SCAN_TOL).mean() for t in taus])

@@ -41,6 +41,8 @@ from salemkit.sampler import (
 )
 from salemkit.torus import Cube, double_cube
 
+from naive_patterns import thickened_membership
+
 M_BATTERY = 2048
 LAM = 0.45
 TRIALS = 50
@@ -223,7 +225,7 @@ def _naive_tuple_enumeration(pools, pattern, threshold, shared, eps=0.0):
         idx = idx[keep]
     tuples = np.concatenate([pool_list[j][idx[:, j]] for j in range(n)], axis=1)
     if pattern.kind == "rough":
-        hit = pattern.thickened_membership(tuples, threshold)
+        hit = thickened_membership(pattern, tuples, threshold)
     else:
         hit = pattern.residual(tuples) <= threshold + eps
     return idx[hit]

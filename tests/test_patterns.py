@@ -15,12 +15,13 @@ from salemkit.patterns import (
     RoughPattern,
     SurfacePattern,
     TranslationalPattern,
-    periodize,
     violation_scan,
     window_probe,
 )
 from salemkit.sampler import incidence_index_set
 from salemkit.torus import Cube, double_cube, tdist, wrap
+
+from naive_patterns import periodize, periodized_targets, thickened_membership
 
 
 # ---------------------------------------------------------------- helpers
@@ -44,7 +45,7 @@ def oracle_scan(points, pattern, margin, separation_s=0.0):
             continue
         flat = points[list(idx)].reshape(1, n * d)
         if pattern.kind == "rough":
-            if pattern.thickened_membership(flat, margin)[0]:
+            if thickened_membership(pattern, flat, margin)[0]:
                 out.append(idx)
         else:
             if float(pattern.residual(flat)[0]) <= margin + 1e-15:
@@ -105,12 +106,12 @@ def test_rough_membership_exact_and_thickened():
     pat = RoughPattern(n=2, d=1, g=8, cells=[[0, 0], [3, 5]])
     inside = np.array([[0.05, 0.05], [0.44, 0.69]])
     outside = np.array([[0.30, 0.30], [0.95, 0.95]])
-    assert pat.thickened_membership(inside, 0.0).all()
-    assert not pat.thickened_membership(outside, 0.0).any()
+    assert thickened_membership(pat, inside, 0.0).all()
+    assert not thickened_membership(pat, outside, 0.0).any()
     # a point just outside cell [0,0]: distance to the cell is ~0.01*sqrt(2)
     p = np.array([[0.135, 0.135]])
-    assert not pat.thickened_membership(p, 0.0)[0]
-    assert pat.thickened_membership(p, 0.02)[0]
+    assert not thickened_membership(pat, p, 0.0)[0]
+    assert thickened_membership(pat, p, 0.02)[0]
 
 
 def box_distance(pat, pts):
@@ -129,7 +130,7 @@ def test_rough_membership_matches_bruteforce_distance():
     pts = rng.random((200, 2))
     want = box_distance(pat, pts)
     for thr in (0.0, 0.03, 0.09):
-        got = pat.thickened_membership(pts, thr)
+        got = thickened_membership(pat, pts, thr)
         np.testing.assert_array_equal(got, want <= thr + 1e-15)
 
 
@@ -229,7 +230,7 @@ def periodized_reference(pattern, tuples):
     d, n = pattern.d, pattern.n
     dp = d * (n - 2)
     v = wrap(tuples[:, dp + d :] - pattern.a_float * tuples[:, dp : dp + d])
-    tgt = pattern.targets(tuples[:, :dp])
+    tgt = periodized_targets(pattern, tuples[:, :dp])
     if tgt.shape[-2] == 0:
         return np.full(len(tuples), np.inf)
     res = tdist(v[:, None, :], tgt).min(axis=-1)
@@ -499,7 +500,7 @@ def test_tuple_search_does_not_depend_on_chunk_size(monkeypatch):
     # BRUTE_CHUNK sizes the product enumeration's chunks and the d = 1
     # probe's query chunks and recheck batches alike
     from salemkit import patterns
-    from salemkit.harness import isosceles_surface_pattern
+    from salemkit.harness import _linear_pattern, isosceles_surface_pattern
     from salemkit.sampler import ConstructionParams, build_surface
 
     d2 = TranslationalPattern(
@@ -513,9 +514,12 @@ def test_tuple_search_does_not_depend_on_chunk_size(monkeypatch):
     iso_points = build_surface(iso, ConstructionParams(M=16, lam=4 / 9, seed=0)).points
     ap3 = ap3_pattern(m=3, with_cubes=False)
     ap3_points = rng.random((40, 1))
+    # 2 x1 - x2 + 3 x3 = 0.25: a = 1/3 and period 1/3
+    linear = _linear_pattern((2, -1, 3), 0.25)
     cases = [
         (d2, points, pools, 0.03),
         (ap3, ap3_points, [rng.random((15, 1)) for _ in range(3)], 2e-3),
+        (linear, rng.random((40, 1)), [rng.random((15, 1)) for _ in range(3)], 2e-3),
         (iso, iso_points, [iso_points] * 3, 1e-3),
     ]
     for pat, points, pools, margin in cases:
@@ -564,7 +568,8 @@ def test_d1_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(tuples) == 0
-    assert peak < 32e6
+    # per-chunk temporaries of the 4M queries would push this past 8 MB
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------- scans
@@ -772,6 +777,105 @@ def test_window_probe_subnormal_tau_does_not_overflow():
     assert len(want[0]) > 0
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+@st.composite
+def fold_probe_case(draw):
+    """``(a, m, t, xprev, xs, eps, tol)`` for the translational d = 1
+    prefilter: raw targets t (B, K), x_{n-1} and folded last-slot points,
+    with keys on and one ulp beside bucket edges and queries that fold to
+    the period's ends."""
+    from salemkit.patterns import _fold_slack, _occupancy
+
+    if draw(st.booleans()):
+        # a and period of the equation m1 x1 + m2 x2 + m3 x3 = s, as in
+        # harness._linear_pattern: -m2/m3 and 1/|m3|
+        m2, m3 = draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.sampled_from([-3, -2, 2, 3]))
+        a, m = Fraction(-m2, m3), abs(m3)
+    else:
+        a = draw(st.sampled_from([1, -1, 2, -3, 8, -8, Fraction(1, 2), Fraction(-5, 3),
+                                  Fraction(15, 2)]))
+        m = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    period, af = 1.0 / m, float(a)
+    K = draw(st.sampled_from([1, 2]))
+    ulps = st.sampled_from([-1, 0, 1])
+
+    def nudge(v, k):
+        return float(np.nextafter(v, math.copysign(math.inf, k))) if k else float(v)
+
+    unit = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from([0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53]))
+    xprev = draw(st.lists(unit, min_size=1, max_size=4))
+    p0 = af * xprev[0]
+    # generic targets, and targets whose query p0 + t folds to 0 exactly, to
+    # just below 0 (the wrap gives 1.0) or onto a grid multiple
+    t = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    t += draw(st.lists(st.sampled_from([-p0, -p0 - 2.0**-60, -p0 - 1e-17, 3 * period - p0]),
+                       max_size=2))
+    tmax = max(abs(v) for v in t)
+    eps = draw(st.sampled_from([0.0, 5e-324, 1e-15, 1e-12, 1e-6, 1e-3, period / 7]))
+    tol = draw(st.sampled_from([0.0, SCAN_TOL]))
+    tau = eps + tol + _fold_slack(1.0 + abs(af) + tmax)
+    xs = [wrap(v) % period for v in draw(st.lists(unit, max_size=6))]
+    n_edge, n_window = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    nb = _occupancy(np.zeros(len(xs) + n_edge + n_window), tau, period, np.arange(0))[0]
+    s = nb / period
+    # keys on and one ulp beside bucket edges: of fl(a x_{n-1}) s, t s and x s
+    bucket = st.integers(-int(tmax * s), int(tmax * s))
+    for _ in range(draw(st.integers(0, 3))):
+        v = nudge(draw(bucket) / s / af, draw(ulps))
+        if 0.0 <= v < 1.0:
+            xprev.append(v)
+    for _ in range(draw(st.integers(0, 3))):
+        v = nudge(draw(bucket) / s, draw(ulps))
+        if abs(v) <= tmax:
+            t.append(v)
+    for _ in range(n_edge):
+        v = nudge(draw(st.integers(0, nb)) / s, draw(ulps))
+        xs.append(v if 0.0 <= v < period else 0.0)
+    # points at the window ends of queries, one ulp either side, and across
+    # the fold
+    ax = af * np.array(xprev)
+    for _ in range(n_window):
+        q = wrap(ax[draw(st.integers(0, len(ax) - 1))] + draw(st.sampled_from(t))) % period
+        v = q + draw(st.sampled_from([0.0, -period, period])) + draw(st.sampled_from([-tau, tau]))
+        v = nudge(v, draw(ulps))
+        xs.append(v if 0.0 <= v < period else q)
+    t += t[: (-len(t)) % K]
+    return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(fold_probe_case())
+def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
+    from salemkit.patterns import _FoldProbe, _fold_slack, _tuple_hits
+
+    a, m, t, xprev, xs, eps, tol = case
+    period, ax = 1.0 / m, float(a) * xprev
+    tau = eps + tol + _fold_slack(1.0 + abs(float(a)) + float(np.abs(t).max()))
+    # the prefilter keeps every query the unfiltered lookup finds a window for
+    got = _FoldProbe(xs, ax, period, t.size * len(ax)).windows(t, tau)
+    q = wrap(ax[None, :, None] + t[:, None, :]) % period
+    want = unfiltered_probe(xs, q.reshape(-1), tau, period)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # the tuple search equals enumeration, for a pattern whose prefix x1 =
+    # i / B has the raw targets t[i]
+    B = len(t)
+
+    def T(x):
+        return t[np.rint(np.asarray(x)[..., 0] * B).astype(np.int64) % B][..., None]
+
+    pat = TranslationalPattern(d=1, n=3, a=a, period_m=m, T=T, lipschitz=1.0)
+    pools = [(np.arange(B) / B)[:, None], xprev[:, None], xs[:, None]]
+    idx, pts = _all_tuples(pools, distinct=False)
+    resid = pat.residual(pts)
+    hits = list(_tuple_hits(pools, pat, eps, tol, 10**9))
+    found = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [h for h, _ in hits])
+    found_r = np.concatenate([np.empty(0)] + [r for _, r in hits])
+    found, first = np.unique(found, axis=0, return_index=True)
+    np.testing.assert_array_equal(found, idx[resid <= eps + tol])
+    np.testing.assert_array_equal(found_r[first], resid[resid <= eps + tol])
 
 
 # ------------------------------------------------- batched 1-D scan recheck

@@ -18,6 +18,8 @@ from salemkit.sampler import (
 )
 from salemkit.torus import Cube, tdist, wrap
 
+from naive_patterns import thickened_membership
+
 
 def ap3_pattern(m=16):
     side = 1.0 / (2 * 2 * m)
@@ -82,7 +84,7 @@ def test_rough_build_invariants_and_avoidance():
     ii, jj = np.meshgrid(np.arange(cfg.N), np.arange(cfg.N), indexing="ij")
     mask = ii != jj
     pairs = np.stack([x[ii[mask]], x[jj[mask]]], axis=1)
-    assert not pat.thickened_membership(pairs, tau).any()
+    assert not thickened_membership(pat, pairs, tau).any()
 
 
 def test_rough_removal_matches_naive_filter():
@@ -102,9 +104,7 @@ def test_rough_removal_matches_naive_filter():
         for i in range(24):
             if i == j:
                 continue
-            if pat.thickened_membership(
-                np.array([[X[i, 0], X[j, 0]]]), tau
-            )[0]:
+            if thickened_membership(pat, np.array([[X[i, 0], X[j, 0]]]), tau)[0]:
                 removed.add(j)
     kept = np.array(sorted(set(range(24)) - removed))
     np.testing.assert_allclose(np.sort(cfg.points[:, 0]), np.sort(X[kept, 0]))
@@ -129,7 +129,7 @@ def test_budget_capped_rough_build_keeps_the_nine_membership_rule():
     assert prov["tau_rule"] == "budget-capped"
     tup = _stream(1, 10_000).random((200_000, 2))
     taus = np.linspace(0.0, prov["tau_theory"], 9)
-    F = np.array([pat.thickened_membership(tup, t).mean() for t in taus])
+    F = np.array([thickened_membership(pat, tup, t).mean() for t in taus])
     target = math.sqrt(128) / 128.0**2
     k = int(np.searchsorted(F, target))
     t0, t1, f0, f1 = taus[k - 1], taus[k], F[k - 1], F[k]
@@ -329,7 +329,7 @@ def naive_incidence(strata, pattern, threshold):
         for combo in itertools.permutations(range(len(pool)), n):
             tup = np.concatenate([pool[j] for j in combo])[None, :]
             hit = (
-                pattern.thickened_membership(tup, threshold)[0]
+                thickened_membership(pattern, tup, threshold)[0]
                 if pattern.kind == "rough"
                 else pattern.residual(tup)[0] <= threshold
             )
@@ -339,7 +339,7 @@ def naive_incidence(strata, pattern, threshold):
         for combo in itertools.product(*[range(len(s)) for s in strata]):
             tup = np.concatenate([strata[j][k] for j, k in enumerate(combo)])[None, :]
             hit = (
-                pattern.thickened_membership(tup, threshold)[0]
+                thickened_membership(pattern, tup, threshold)[0]
                 if pattern.kind == "rough"
                 else pattern.residual(tup)[0] <= threshold
             )
