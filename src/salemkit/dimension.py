@@ -121,7 +121,8 @@ def fourier_dimension(source):
     suppressing the sums, and stops at j = 52 (|xi| < 2^53), beyond which
     integers are no longer exact floats; ``notes["j_cap"]`` records that
     stop when r < 2^-52 makes it bind.  In d = 1 the annuli below 2^17 take
-    one NUFFT screen, the rest direct sums; the sups are exact either way.
+    one NUFFT screen and the rest a float32 phase screen, each confirmed
+    by direct sums at its maxima; the sups are exact either way.
     A configuration of no points, or a grid of G < 2 (no frequency below
     Nyquist), raises ``ValueError``.
     """

@@ -33,14 +33,18 @@ Gaussian kernel (Dutt & Rokhlin, SISC 1993; Greengard & Lee, SIAM Rev. 46,
 distance from the exact reference, :func:`weighted_exp_sum`.  top is the
 larger of ``_SCREEN_TOP`` = 2^17 and the end of the plan's leading run
 1, 2, 3, ..., so a whole sweep or pilot keeps its K and eps; 2^17 bounds the
-screen's memory (11 MB at N = 3697, against 38 MB at 2^19).  Every
-frequency on which a reported number can depend (near an annulus maximum,
-near the maximum of |S| minus the bound, or within eps of the bound) is
-then confirmed by :func:`weighted_exp_sum`.  Sups, argmaxes, worst
-excesses, violation counts and the calibration statistic are thus those of
-:func:`weighted_exp_sum`, bit for bit; other entries are within eps.  Grid
-measures read their transform off the FFT.  Every other annulus goes
-through :func:`weighted_exp_sum`, which in d >= 2 splits
+screen's memory (11 MB at N = 3697, against 38 MB at 2^19).  Every later
+d = 1 annulus, such as the sampled ones above 2^17, is screened by a phase
+pass: the direct sum's own phases, folded to [-1/2, 1/2], with float32
+cosines and sines summed in float64, within an eps that does not grow
+with |xi|.  Every frequency on which a reported number can depend (near
+an annulus maximum, near the maximum of |S| minus the bound, or within eps
+of the bound) is then confirmed by :func:`weighted_exp_sum`.  Sups,
+argmaxes, worst excesses, violation counts and the calibration statistic
+are thus those of :func:`weighted_exp_sum`, bit for bit; other entries are
+within eps.  Grid measures read their transform off the FFT.  Every other
+annulus (d >= 2, or non-finite points or weights) goes through
+:func:`weighted_exp_sum`, which in d >= 2 splits
 e(xi . x) = e(xi' . x') * e(xi_d x_d), where xi' holds the first d-1
 coordinates (the prefix).  When the frequencies fill at least 1/8 of the
 box (distinct prefixes) x (range of xi_d), as lattice shells do, it builds
@@ -58,7 +62,6 @@ to float rounding.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -94,6 +97,9 @@ _SPREAD_CHUNK = 2**15
 # top of the d = 1 screen beyond a plan's leading run 1..K: at N = 3697
 # it takes 13 ms and 11 MB, against 58 ms and 38 MB at 2^19
 _SCREEN_TOP = 2**17
+# (frequency, point) pairs per chunk of the d = 1 phase screen: 6 MiB of
+# buffers, where 2^20 pairs would take 24 MiB
+_PHASE_CHUNK = 2**18
 
 
 def weighted_exp_sum(points, weights, xi):
@@ -302,29 +308,102 @@ def _screen_1d(x, a, K):
     return mags, eps
 
 
-def _screen_confirm_1d(points, weights, xis, bound):
-    """|S(xi)| over the annuli ``xis`` of integer frequencies in 1..K, K
-    the largest, for finite points and weights, and the evaluation record.
+def _phase_screen_1d(x, a, xi):
+    """Screened |S(xi)| at any finite frequencies ``xi`` (K,) and a bound eps
+    on its distance from ``abs(weighted_exp_sum(x, a, xi))``: the direct
+    sum's phases, with float32 cosines and sines.
 
-    The NUFFT screen over 1..K gives every entry within eps of the direct
-    sum.  In each annulus, with tol = eps plus a rounding slack of 2^-50
-    times the largest magnitude in play, :func:`weighted_exp_sum` confirms
-    every xi whose screened value is within 2 tol of the annulus maximum,
-    whose value minus ``bound(xi)`` (or minus 0 without a bound) is within
-    2 tol of its maximum, or, with a bound, within tol of the bound.  Every
-    other entry is then strictly below the maxima and on the same side of
-    the bound as the exact value, so the maximum, the first argmax, the
-    maximum of the excess over the bound, its first argmax and the count of
-    entries above the bound are those of ``abs(weighted_exp_sum)`` over the
-    annulus, bit for bit: its direct sum is reduced row by row, so an entry
-    has the same bits in any batch.
+    Method.  Per (frequency, point) pair the phase is y = fl(xi x_k), the
+    one rounded product that ``xi @ points.T`` forms in the direct sum, so
+    both sums exponentiate the same y.  It is folded to y - rint(y) in
+    [-1/2, 1/2], which differs from the direct sum's ``wrap(y)`` by an
+    integer and is exact: by Sterbenz's lemma when |y| < 1, and otherwise
+    because it is a multiple of ulp(y) no larger than 1/2 (0 once ulp(y)
+    >= 1).  theta = 2 pi (y - rint(y)) is rounded to
+    float32, numpy's SIMD float32 ``cos`` and ``sin`` are taken, and the
+    weighted sums ``cos(theta) @ a`` and ``sin(theta) @ a`` run in float64,
+    over chunks of ``_PHASE_CHUNK`` pairs in reused buffers.
+
+    Bound.  Let A = sum |a_k| and u = 2^-53.  Per unit of |a_k|, before the
+    division by N, and since |e^(i s) - e^(i t)| <= |s - t|:
+
+    - theta: 2 pi (y - rint(y)) in float64 is within 7 u of the real
+      product (|y - rint(y)| <= 1/2), and float32 rounding adds at most
+      2^-24 |theta| <= pi 2^-24 (1 + 2 u);
+    - cos and sin: 2 ulp each, at most 2^-23 an ulp for values in [-1, 1],
+      so 2 sqrt(2) 2^-23 for the complex term; the 2 ulp are numpy's own
+      validation tolerance for these float32 functions, assumed, not
+      certified;
+    - float64 sums: the N products by a_k and their sum in any order,
+      sqrt(2) N u per unit of A, then the hypot and the division by N,
+      2 u;
+    - direct-sum rounding (as in :func:`_screen_1d`, without the phase
+      term, as both sums share y): 24 u for its product by 2 pi, complex
+      exponential and product by a_k, sqrt(2) (N - 1) u for its complex
+      sum, 6 u for the division by N and the abs.
+
+    eps is their total times 2 A / N, the factor 2 covering the assumed
+    cos/sin and libm constants as in :func:`_screen_1d`:
+    2 (A/N) (pi 2^-24 + 2 sqrt(2) 2^-23 + (2.84 N + 40) u).  No term grows
+    with |xi|, so eps holds up to |xi| = 2^53.
+    """
+    N, K = len(x), len(xi)
+    rows = max(1, min(K, _PHASE_CHUNK // max(N, 1)))
+    y, r = np.empty((rows, N)), np.empty((rows, N))
+    theta, cs = np.empty((rows, N), np.float32), np.empty((rows, N), np.float32)
+    re, im = np.empty(K), np.empty(K)
+    for i in range(0, K, rows):
+        k = min(rows, K - i)
+        yk, rk, tk, ck = y[:k], r[:k], theta[:k], cs[:k]
+        np.multiply(xi[i : i + k, None], x, out=yk)
+        np.subtract(yk, np.rint(yk, out=rk), out=yk)
+        np.multiply(yk, 2 * np.pi, out=tk, casting="same_kind")
+        np.copyto(rk, np.cos(tk, out=ck))
+        re[i : i + k] = rk @ a
+        np.copyto(rk, np.sin(tk, out=ck))
+        im[i : i + k] = rk @ a
+    A = float(np.abs(a).sum())
+    eps = 2 * A / N * (math.pi * 2.0**-24 + 2 * math.sqrt(2) * 2.0**-23 + (2.84 * N + 40) * 2.0**-53)
+    return np.hypot(re, im) / N, eps
+
+
+def _screen_confirm_1d(points, weights, xis, n, bound):
+    """|S(xi)| over the annuli ``xis`` of finite frequencies, for finite
+    points and weights and N > 0, and the evaluation record.
+
+    The first ``n`` annuli hold integer frequencies in 1..K, K the largest,
+    and are screened by one NUFFT over 1..K (:func:`_screen_1d`); the rest
+    by :func:`_phase_screen_1d`.  Each screen gives every entry of its
+    annuli within its eps of the direct sum.  In each annulus, with tol =
+    eps plus a rounding slack of 2^-50 times the largest magnitude in play,
+    :func:`weighted_exp_sum` confirms every xi whose screened value is
+    within 2 tol of the annulus maximum, whose value minus ``bound(xi)``
+    (or minus 0 without a bound) is within 2 tol of its maximum, or, with a
+    bound, within tol of the bound.  Every other entry is then strictly
+    below the maxima and on the same side of the bound as the exact value,
+    so the maximum, the first argmax, the maximum of the excess over the
+    bound, its first argmax and the count of entries above the bound are
+    those of ``abs(weighted_exp_sum)`` over the annulus, bit for bit: its
+    direct sum is reduced row by row, so an entry has the same bits in any
+    batch.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1))
     a = _weights(weights, points)
-    rows = [xi[:, 0] - 1 for xi in xis]
-    mags, eps = _screen_1d(x, a, max(int(r.max()) for r in rows) + 1)
-    need = np.zeros(len(mags), dtype=bool)
-    for xi, r in zip(xis, rows):
+    # per annulus: the screen's values, its eps and the annulus's entries
+    # in them, copied out only after the confirmation has freed its
+    # temporaries
+    parts, evaluation = [], {"evaluator": "phase-screen+direct"}
+    if n:
+        rows = [xi[:, 0] - 1 for xi in xis[:n]]
+        mags, eps = _screen_1d(x, a, max(int(r.max()) for r in rows) + 1)
+        parts += [(mags, eps, r) for r in rows]
+        evaluation = {"evaluator": "nufft-screen+direct"}
+    if n < len(xis):
+        mags, eps = _phase_screen_1d(x, a, np.concatenate(xis[n:])[:, 0].astype(float))
+        ends = np.cumsum([len(xi) for xi in xis[n:]])
+        parts += [(mags, eps, np.arange(e - len(xi), e)) for xi, e in zip(xis[n:], ends)]
+    picks = []
+    for xi, (mags, eps, r) in zip(xis, parts):
         m = mags[r]
         b = np.zeros(len(xi)) if bound is None else bound(xi)
         excess = m - b
@@ -332,11 +411,16 @@ def _screen_confirm_1d(points, weights, xis, bound):
         sel = (m >= m.max() - 2 * tol) | (excess >= excess.max() - 2 * tol)
         if bound is not None:
             sel |= np.abs(excess) <= tol
-        need[r[sel]] = True
-    freqs = np.flatnonzero(need) + 1
-    mags[need] = np.abs(weighted_exp_sum(x[:, None], a, freqs[:, None]))
-    evaluation = {"evaluator": "nufft-screen+direct", "eps": eps, "reevaluated": len(freqs)}
-    return [mags[r] for r in rows], evaluation
+        picks.append(np.flatnonzero(sel))
+    freqs = np.concatenate([xi[p] for xi, p in zip(xis, picks)]).astype(float)
+    exact = np.abs(weighted_exp_sum(x[:, None], a, freqs))
+    ends = np.cumsum([len(p) for p in picks])[:-1]
+    for (mags, _, r), p, v in zip(parts, picks, np.split(exact, ends)):
+        mags[r[p]] = v
+    evaluation.update(eps=max(eps for _, eps, _ in parts), reevaluated=len(freqs))
+    if n < len(xis):
+        evaluation["phase_screened"] = len(xis) - n
+    return [mags[r] for mags, _, r in parts], evaluation
 
 
 def _canonical_lattice_shell(d, lo, hi, cap=math.inf):
@@ -463,26 +547,32 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
 
     ``rows`` yields ``(j, lo, hi, xi, sampled, mags)`` per annulus.
     ``evaluation`` records the ``evaluator`` that ran
-    ("nufft-screen+direct", "direct/phase-table" or "grid"), its ``eps`` (0
-    when every entry is exact) and the number of frequencies
-    ``reevaluated`` by :func:`weighted_exp_sum` after the screen.
+    ("nufft-screen+direct", "phase-screen+direct", "direct/phase-table" or
+    "grid"), its ``eps`` (0 when every entry is exact, else the largest
+    bound of the screens that ran), the number of frequencies
+    ``reevaluated`` by :func:`weighted_exp_sum` after the screens and, when
+    the phase screen ran, the number of annuli it took as
+    ``phase_screened``.
 
     ``source`` is an (N, d) point array with its ``weights`` (None for unit
     weights), or a grid measure, whose ``transform`` is read off its FFT.
-    A point-set plan takes :func:`weighted_exp_sum` annulus by annulus,
-    exact in every entry, except, for finite d = 1 points and weights, its
-    leading annuli with integer frequencies in 1..top: top is the larger
-    of ``_SCREEN_TOP`` (2^17, for the screen's memory) and the end of the
-    plan's leading run of frequencies 1, 2, 3, ..., so a sweep keeps its range.
+    A point-set plan in d >= 2, or with non-finite points or weights, takes
+    :func:`weighted_exp_sum` annulus by annulus, exact in every entry.  For
+    finite d = 1 points and weights and N > 0, the plan's leading annuli
+    with integer frequencies in 1..top are screened by one Gaussian NUFFT:
+    top is the larger of ``_SCREEN_TOP`` (2^17, for the NUFFT's memory) and
+    the end of the plan's leading run of frequencies 1, 2, 3, ..., so a
+    sweep keeps its range.  Every later annulus is screened by the phase
+    pass of :func:`_phase_screen_1d`.
 
-    Those annuli are screened by one Gaussian NUFFT, and each annulus's
-    ``mags`` is exact (bit-equal to :func:`weighted_exp_sum`) in its
-    maximum and first argmax, and within eps of it elsewhere.
-    ``_bound`` (private: the sweep and its calibration pass it) maps an
-    annulus's ``xi`` to the bound its magnitudes are tested against; with
-    it, the maximum and first argmax of ``mags - _bound(xi)`` and the count
-    of ``mags > _bound(xi)`` are exact too.  eps is derived in
-    :func:`_screen_1d`.
+    Each annulus's ``mags`` is then exact (bit-equal to
+    :func:`weighted_exp_sum`) in its maximum and first argmax, and within
+    eps of it elsewhere.  ``_bound`` (private: the sweep and its
+    calibration pass it) maps an annulus's ``xi`` to the bound its
+    magnitudes are tested against; with it, the maximum and first argmax of
+    ``mags - _bound(xi)`` and the count of ``mags > _bound(xi)`` are exact
+    too.  The two eps are derived in :func:`_screen_1d` and
+    :func:`_phase_screen_1d`.
     """
     exact = {"eps": 0.0, "reevaluated": 0}
     if hasattr(source, "transform"):
@@ -490,18 +580,19 @@ def plan_magnitudes(plan, source, weights=None, _bound=None):
         return {"evaluator": "grid", **exact}, rows
     plan = list(plan)
     xis = [annulus[3] for annulus in plan]
-    n, mags, evaluation = 0, [], {"evaluator": "direct/phase-table", **exact}
-    d1 = bool(xis) and source.shape[1] == 1
+    d1 = bool(xis) and source.shape[1] == 1 and len(source) > 0
     if d1 and np.isfinite(source).all() and (weights is None or np.isfinite(weights).all()):
-        # screen the n leading annuli within 1..top, top the larger of
-        # _SCREEN_TOP and the end of the plan's leading run 1, 2, 3, ...
+        # the NUFFT screens the n leading annuli within 1..top, top the
+        # larger of _SCREEN_TOP and the end of the plan's leading run
+        # 1, 2, 3, ...; the phase screen takes the rest
         f = np.concatenate(xis)[:, 0]
         top = max(_SCREEN_TOP, int(np.argmin(np.append(f == np.arange(1, len(f) + 1), False))))
         fits = [xi.dtype.kind in "iu" and len(xi) > 0 and 1 <= xi.min() and xi.max() <= top for xi in xis]
         n = int(np.argmin(fits + [False]))
-    if n:
-        mags, evaluation = _screen_confirm_1d(source, weights, xis[:n], _bound)
-    mags = itertools.chain(mags, (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis[n:]))
+        mags, evaluation = _screen_confirm_1d(source, weights, xis, n, _bound)
+    else:
+        mags = (np.abs(weighted_exp_sum(source, weights, xi)) for xi in xis)
+        evaluation = {"evaluator": "direct/phase-table", **exact}
     return evaluation, ((*annulus, m) for annulus, m in zip(plan, mags))
 
 
@@ -669,8 +760,9 @@ def config_annulus_sups(points, weights, j_list):
     Exhaustive for annuli with at most ``_SUPS_CAP`` canonical frequencies,
     a ``_SUPS_SAMPLES``-point deterministic subsample otherwise.  Returns a
     dict ``j -> (sup, n_evaluated, sampled)``.  In d = 1 the annuli below
-    2^17, sampled or not, are screened by :func:`plan_magnitudes`'s NUFFT;
-    every sup is that of :func:`weighted_exp_sum`, bit for bit.
+    2^17, sampled or not, are screened by :func:`plan_magnitudes`'s NUFFT
+    and the sampled annuli above it by its phase pass; every sup is that
+    of :func:`weighted_exp_sum`, bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     plan = frequency_plan(points.shape[1], j_list, math.inf, _SUPS_CAP, _SUPS_SAMPLES)

@@ -202,9 +202,11 @@ def test_fourier_dimension_stops_at_the_last_exact_annulus():
 
 def test_fourier_dimension_of_a_config_has_bounded_memory():
     # N = 4096, r = 2^-23: fifteen sampled annuli of 256 frequencies.  The
-    # screened ones share one NUFFT over 1..2^17 (a 2 MiB grid) and the
-    # direct sums take cache-sized chunks.  Direct sums alone, in chunks of
-    # 4M pairs, peaked at 40 MiB
+    # ones below 2^17 share one NUFFT over 1..2^17 (a 2 MiB grid), the sums
+    # above 2^17 are phase-screened in chunks of 2^18 pairs (6 MiB of
+    # buffers; chunks of 2^20 pairs broke this bound), and the direct sums
+    # that confirm the maxima take cache-sized chunks (12.7 MiB peak).
+    # Direct sums alone, in chunks of 4M pairs, peaked at 40 MiB
     rng = np.random.default_rng(12)
     cfg = WeightedConfiguration(
         points=rng.random((4096, 1)), weights=rng.random(4096) + 0.5, radius_r=2.0**-23, lam=0.5

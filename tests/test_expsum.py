@@ -15,6 +15,7 @@ from salemkit.expsum import (
     _canonical_lattice_shell,
     _decay,
     _direct_sum,
+    _phase_screen_1d,
     _prefix_groups,
     _screen_1d,
     _separable_sum,
@@ -553,6 +554,21 @@ def test_screen_honours_its_bound(case, K):
     assert eps <= 1e-9 * np.abs(a).sum() / len(x)
 
 
+@pytest.mark.parametrize("j", [17, 22, 40, 52])
+@pytest.mark.parametrize("case", list(_screen_cases()))
+def test_phase_screen_honours_its_bound(case, j):
+    # on sampled annuli up to the last whose integers are exact floats, the
+    # phase screen is within eps of the direct sum at every frequency
+    x, a = _screen_cases()[case]
+    ((_, _, _, xi, sampled),) = frequency_plan(1, [j], math.inf, _SUPS_CAP, _SUPS_SAMPLES)
+    mags, eps = _phase_screen_1d(x, a, xi[:, 0].astype(float))
+    want = np.abs(weighted_exp_sum(x[:, None], a, xi))
+    assert sampled and mags.shape == want.shape
+    assert np.abs(mags - want).max() <= eps
+    # and the bound is tight enough to screen with
+    assert eps <= 2e-6 * np.abs(a).sum() / len(x)
+
+
 def _reference_sweep(points, weights, lam, C, xi_max, delta=1.0):
     """The per-annulus statistics of a d = 1 sweep, from direct sums over
     every annulus of its plan."""
@@ -632,7 +648,7 @@ def test_sweep_beyond_the_screen_top_screens_its_whole_range():
 def test_sweep_past_2_19_screens_its_full_annuli():
     # xi_max = 800000: j = 19 is sampled, so the plan does not tile
     # 1..xi_max; its full annuli j <= 18 are screened over 1..2^19 - 1
-    # and the sampled one takes direct sums
+    # and the sampled one by the phase screen, whose eps is the larger
     rng = np.random.default_rng(21)
     pts, ws = rng.random((40, 1)), rng.random(40) + 0.5
     xi_max = 800000
@@ -644,7 +660,9 @@ def test_sweep_past_2_19_screens_its_full_annuli():
         assert rep.to_dict()["annuli"] == _reference_sweep(pts, ws, 0.45, C, xi_max), C
         ev = rep.notes["evaluation"]
         assert ev["evaluator"] == "nufft-screen+direct"
-        assert ev["eps"] == _screen_1d(pts[:, 0], ws, 2**19 - 1)[1]
+        assert ev["eps"] == _phase_screen_1d(pts[:, 0], ws, np.zeros(0))[1]
+        assert ev["eps"] > _screen_1d(pts[:, 0], ws, 2**19 - 1)[1]
+        assert ev["phase_screened"] == 1
     # C = 0.5 counts violations in the screened annuli and the sampled one
     assert verdicts == [False, True]
 
@@ -652,24 +670,32 @@ def test_sweep_past_2_19_screens_its_full_annuli():
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("N", [7, 300, 4096])
 def test_config_sups_are_direct_sups_bit_for_bit(N, weighted):
-    # j = 9..20 are sampled: j <= 16 lie below the screen's top 2^17 and
-    # are screened, j >= 17 take direct sums
+    # j = 9..52 are sampled: j <= 16 lie below the NUFFT screen's top 2^17
+    # and are screened by it, j >= 17 by the phase screen, up to the last
+    # annulus whose integers are exact floats
     rng = np.random.default_rng(22 + N)
     pts = rng.random((N, 1))
     ws = rng.random(N) + 0.5 if weighted else None
-    sups = config_annulus_sups(pts, ws, range(21))
-    plan = list(frequency_plan(1, range(21), math.inf, _SUPS_CAP, _SUPS_SAMPLES))
-    assert [j for j, *_ in plan] == sorted(sups) == list(range(21))
+    sups = config_annulus_sups(pts, ws, range(53))
+    plan = list(frequency_plan(1, range(53), math.inf, _SUPS_CAP, _SUPS_SAMPLES))
+    assert [j for j, *_ in plan] == sorted(sups) == list(range(53))
     for j, _, _, xi, sampled in plan:
         assert sups[j] == (float(np.abs(weighted_exp_sum(pts, ws, xi)).max()), len(xi), sampled)
-    assert plan_magnitudes(plan, pts, ws)[0]["evaluator"] == "nufft-screen+direct"
-    # a plan whose annuli all start above the top is not screened
-    high = frequency_plan(1, range(17, 21), math.inf, _SUPS_CAP, _SUPS_SAMPLES)
-    assert plan_magnitudes(high, pts, ws)[0] == {
-        "evaluator": "direct/phase-table",
-        "eps": 0.0,
-        "reevaluated": 0,
+    ev = plan_magnitudes(plan, pts, ws)[0]
+    assert ev["evaluator"] == "nufft-screen+direct" and ev["phase_screened"] == 36
+    # a plan whose annuli all start above the NUFFT's top is phase-screened
+    # alone, with the phase screen's eps
+    high = list(frequency_plan(1, range(17, 21), math.inf, _SUPS_CAP, _SUPS_SAMPLES))
+    ev, rows = plan_magnitudes(high, pts, ws)
+    a = np.ones(N) if ws is None else ws
+    assert ev == {
+        "evaluator": "phase-screen+direct",
+        "eps": _phase_screen_1d(pts[:, 0], a, np.zeros(0))[1],
+        "reevaluated": ev["reevaluated"],
+        "phase_screened": 4,
     }
+    assert ev["reevaluated"] >= 4
+    assert {j: float(mags.max()) for j, *_, mags in rows} == {j: sups[j][0] for j in range(17, 21)}
 
 
 @pytest.mark.parametrize("trials", [1, 4])
@@ -705,6 +731,8 @@ def test_sweep_records_its_evaluator():
     ev = rep.notes["evaluation"]
     assert ev["evaluator"] == "nufft-screen+direct"
     assert 0 < ev["eps"] < 1e-9 and 0 < ev["reevaluated"] < rep.xi_max
+    # a plan without phase-screened annuli keeps its record's keys
+    assert list(ev) == ["evaluator", "eps", "reevaluated"]
     rep2 = sweep(rng.random((60, 2)), None, lam=0.9, C=1.0)
     assert rep2.notes["evaluation"] == {"evaluator": "direct/phase-table", "eps": 0.0, "reevaluated": 0}
     # a non-finite weight leaves the screen without a bound: every
