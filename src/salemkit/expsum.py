@@ -322,7 +322,7 @@ def _phase_screen_1d(x, a, xi):
     >= 1).  theta = 2 pi (y - rint(y)) is rounded to
     float32, numpy's SIMD float32 ``cos`` and ``sin`` are taken, and the
     weighted sums ``cos(theta) @ a`` and ``sin(theta) @ a`` run in float64,
-    over chunks of ``_PHASE_CHUNK`` pairs in reused buffers.
+    block by block in :func:`_phase_blocks`.
 
     Bound.  Let A = sum |a_k| and u = 2^-53.  Per unit of |a_k|, before the
     division by N, and since |e^(i s) - e^(i t)| <= |s - t|:
@@ -344,27 +344,54 @@ def _phase_screen_1d(x, a, xi):
 
     eps is their total times 2 A / N, the factor 2 covering the assumed
     cos/sin and libm constants as in :func:`_screen_1d`:
-    2 (A/N) (pi 2^-24 + 2 sqrt(2) 2^-23 + (2.84 N + 40) u).  No term grows
-    with |xi|, so eps holds up to |xi| = 2^53.
+    2 (A/N) (pi 2^-24 + 2 sqrt(2) 2^-23 + (2.84 N + 40) u), from
+    :func:`_phase_eps`.  No term grows with |xi|, so eps holds up to
+    |xi| = 2^53.
     """
     N, K = len(x), len(xi)
-    rows = max(1, min(K, _PHASE_CHUNK // max(N, 1)))
+    re, im = np.empty(K), np.empty(K)
+
+    def fill(i, yk):
+        np.multiply(xi[i : i + len(yk), None], x, out=yk)
+
+    for i, yk, re_k, im_k in _phase_blocks(K, a, fill):
+        re[i : i + len(yk)], im[i : i + len(yk)] = re_k, im_k
+    return np.hypot(re, im) / N, _phase_eps(float(np.abs(a).sum()) / N, N)
+
+
+def _phase_blocks(K, a, fill, size=_PHASE_CHUNK):
+    """Yield ``(i, y, re, im)`` over K rows of N = len(a) phases in turns:
+    ``fill(i, y)`` writes rows i..i+len(y) into y, then re and im are
+    ``cos(2 pi y) @ a`` and ``sin(2 pi y) @ a`` with float32 cos and sin.
+
+    Each phase is folded to y - rint(y) in [-1/2, 1/2], exactly (Sterbenz's
+    lemma when |y| < 1, else a multiple of ulp(y) no larger than 1/2), and
+    2 pi times it is rounded to float32; numpy's SIMD float32 ``cos`` and
+    ``sin`` follow, and the two weighted sums run in float64.  A block holds
+    at most ``size`` phases (at least one row), its buffers are reused, and
+    y is left as ``fill`` wrote it, so the caller may recompute a row
+    exactly.
+    """
+    N = len(a)
+    rows = max(1, min(K, size // max(N, 1)))
     y, r = np.empty((rows, N)), np.empty((rows, N))
     theta, cs = np.empty((rows, N), np.float32), np.empty((rows, N), np.float32)
-    re, im = np.empty(K), np.empty(K)
     for i in range(0, K, rows):
         k = min(rows, K - i)
         yk, rk, tk, ck = y[:k], r[:k], theta[:k], cs[:k]
-        np.multiply(xi[i : i + k, None], x, out=yk)
-        np.subtract(yk, np.rint(yk, out=rk), out=yk)
-        np.multiply(yk, 2 * np.pi, out=tk, casting="same_kind")
+        fill(i, yk)
+        np.subtract(yk, np.rint(yk, out=rk), out=rk)
+        np.multiply(rk, 2 * np.pi, out=tk, casting="same_kind")
         np.copyto(rk, np.cos(tk, out=ck))
-        re[i : i + k] = rk @ a
+        re = rk @ a
         np.copyto(rk, np.sin(tk, out=ck))
-        im[i : i + k] = rk @ a
-    A = float(np.abs(a).sum())
-    eps = 2 * A / N * (math.pi * 2.0**-24 + 2 * math.sqrt(2) * 2.0**-23 + (2.84 * N + 40) * 2.0**-53)
-    return np.hypot(re, im) / N, eps
+        yield i, yk, re, rk @ a
+
+
+def _phase_eps(scale, N):
+    """The phase screen's bound for N terms of total weight ``scale``, as
+    derived in :func:`_phase_screen_1d` (scale = A/N there)."""
+    return 2 * scale * (math.pi * 2.0**-24 + 2 * math.sqrt(2) * 2.0**-23 + (2.84 * N + 40) * 2.0**-53)
 
 
 def _screen_confirm_1d(points, weights, xis, n, bound):

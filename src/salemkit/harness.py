@@ -17,7 +17,7 @@ import numpy as np
 
 from .dimension import box_dimension, fourier_dimension
 from .errors import BudgetError, ConstructionFailure, DegenerateOverlapError, LayoutError
-from .expsum import calibrate_constant, sweep, weighted_exp_sum
+from .expsum import _phase_blocks, _phase_eps, calibrate_constant, sweep, weighted_exp_sum
 from .patterns import (
     RoughPattern,
     SurfacePattern,
@@ -340,25 +340,21 @@ def hoeffding_check(bounds, t_grid=None, n_samples=10_000, seed=0):
     The summands are A_k e^{2 pi i theta_k} with independent uniform
     phases, so the expectation is 0 and both the real and the imaginary
     part satisfy the two-sided bound; the factor 4 covers the union.  The
-    bound is a theorem: any empirical exceedance signals a bug.
+    bound is a theorem: any empirical exceedance signals a bug.  ``bounds``
+    must be a 1-D array of finite amplitudes A_k.  The sums are those of
+    :func:`_hoeffding_sums`, which screens them in float32 and confirms
+    every sample near a t exactly.
     """
     A = np.asarray(bounds, dtype=float)
+    if A.ndim != 1 or not np.isfinite(A).all():
+        raise ValueError("bounds must be a 1-D array of finite amplitudes")
     if n_samples < 200:
         raise ValueError("need at least 200 Monte Carlo samples")
     var2 = 2.0 * float((A**2).sum())
     if t_grid is None:
-        scale = math.sqrt((A**2).sum()) if (A > 0).any() else 1.0
+        scale = math.sqrt((A**2).sum()) if (A != 0).any() else 1.0
         t_grid = [scale * f for f in (0.5, 1.0, 2.0, 3.0, 4.0)]
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    sums = np.zeros(n_samples)
-    # rows are independent and Philox is drawn in row order, so the chunk
-    # only bounds the complex temporaries (~16 MB each at 1M entries)
-    chunk = max(1, 1_000_000 // max(len(A), 1))
-    for s0 in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - s0)
-        theta = rng.random((m, len(A)))
-        z = (A[None, :] * np.exp(2j * math.pi * theta)).sum(axis=1)
-        sums[s0 : s0 + m] = np.abs(z)
+    sums, _ = _hoeffding_sums(A, t_grid, n_samples, seed)
     table = []
     for t in t_grid:
         emp = float((sums >= t).mean())
@@ -372,6 +368,70 @@ def hoeffding_check(bounds, t_grid=None, n_samples=10_000, seed=0):
             }
         )
     return table
+
+
+def _hoeffding_sums(A, t_grid, n_samples, seed):
+    """|sum_k A_k e(theta_k)| for ``n_samples`` rows of Philox phases
+    theta, each on the same side of every t in ``t_grid`` as the reference
+    ``abs((A * exp(2j pi theta)).sum(axis=1))``, and the indices of the rows
+    that hold the reference itself.
+
+    Method.  The rows are drawn in row order, block by block, into
+    :func:`expsum._phase_blocks`, which folds each theta exactly to
+    theta - rint(theta), rounds 2 pi times it to float32, takes float32
+    ``cos`` and ``sin`` and sums ``@ A`` in float64; the screened value is
+    their hypot.  With eps below, a row whose screened value s has
+    |s - t| <= tol = eps + 2^-50 (A + eps + |t|) for some t is recomputed
+    with the reference expression.  Every other row lies strictly on the
+    same side of every t as its reference value, so each count ``sums >= t``
+    is the reference's.  The reference reduces each row on its own (a
+    pairwise sum along the row, as in ``expsum._direct_sum``), so a
+    recomputed row has the bits it has in one pass over all rows.
+
+    Bound.  Let A = sum |A_k| and u = 2^-53.  Per unit of |A_k|, and since
+    |e^(i s) - e^(i t)| <= |s - t|:
+
+    - the screen's phase: the fold is exact, 2 pi (theta - rint(theta))
+      in float64 is within 7 u of the real product (|theta - rint(theta)|
+      <= 1/2), and float32 rounding adds at most pi 2^-24 (1 + 2 u);
+    - float32 cos and sin: 2 ulp each, at most 2^-23 an ulp for values in
+      [-1, 1], so 2 sqrt(2) 2^-23 for the complex term; the 2 ulp are
+      numpy's own validation tolerance for these functions, assumed, not
+      certified;
+    - the screen's float64 sums: the N products by A_k and their sum in any
+      order, sqrt(2) N u per unit of A, then the hypot, u;
+    - the reference's rounding: its phase fl(fl(2 pi) theta), theta in
+      [0, 1), is within 4 pi u (1 + u) < 12.6 u of 2 pi theta; ``cexp``
+      adds 2 ulp a component, 2 sqrt(2) u, and the product by A_k
+      sqrt(2) u, together under 24 u; its complex pairwise sum adds
+      sqrt(2) (N - 1) u and the abs u.
+
+    Their total is under pi 2^-24 + 2 sqrt(2) 2^-23 + (2.84 N + 40) u, and
+    eps is twice it times A, the factor 2 covering the assumed cos/sin and
+    libm constants: ``expsum._phase_eps(A, N)``, the phase screen's bound
+    before its division by N.
+    """
+    ts = np.asarray(t_grid, dtype=float)
+    total = float(np.abs(A).sum())
+    eps = _phase_eps(total, len(A))
+    tol = eps + 2.0**-50 * (total + eps + np.abs(ts))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    sums, confirmed = np.empty(n_samples), []
+
+    def fill(i, theta):
+        rng.random(out=theta)
+
+    # blocks of 1M phases (8 MB of rows), not the phase screen's 2^18, which
+    # would save about 20 ms: freeing an 8 MB buffer lifts glibc's dynamic
+    # mmap threshold above the 4.8 MB pilot arrays of the builds that
+    # split_sum_check runs next; below it each build faults in about 10 MB
+    # of fresh pages (0.3 s over 50 builds)
+    for i, theta, re, im in _phase_blocks(n_samples, A, fill, size=1_000_000):
+        s = np.hypot(re, im, out=sums[i : i + len(theta)])
+        near = np.flatnonzero((np.abs(s[:, None] - ts) <= tol).any(axis=1))
+        s[near] = np.abs((A * np.exp(2j * math.pi * theta[near])).sum(axis=1))
+        confirmed.append(i + near)
+    return sums, np.concatenate(confirmed)
 
 
 # -------------------------------------------------------------- split sums

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionFailure, DegenerateOverlapError
-from .torus import hausdorff_distance, save_sidecar
+from .torus import save_sidecar
 
 __all__ = [
     "GridMeasure",
@@ -23,7 +23,6 @@ __all__ = [
     "uniform_measure",
     "seminorm_diff",
     "perturb",
-    "support_distance",
     "salem_iterate",
     "geometric_schedule",
 ]
@@ -138,12 +137,6 @@ class GridMeasure:
     def seminorm(self, lam, xi_max=None):
         """Scan the frequency box and return the seminorm with its argmax."""
         return _box_seminorm(self, self.transform, lam, xi_max)
-
-    def support_cells(self, threshold):
-        """Centers of cells whose density exceeds threshold * mean density."""
-        cut = threshold * self.density.mean()
-        idx = np.argwhere(self.density > cut)
-        return (idx + 0.5) / self.G
 
     def save(self, path, provenance=None):
         """Flat binary: magic, d, G (LE int32), then row-major LE float64."""
@@ -296,21 +289,6 @@ def perturb(mu0, config, gamma, xi_max=None):
         "triangle_chain_ok": bool(dev_mu.value <= chain_rhs + 1e-9),
     }
     return mu, diagnostics
-
-
-def support_distance(mu, mu0, threshold):
-    """Hausdorff distance between thresholded support cell centers.
-
-    Cells count as support when their density exceeds threshold times the
-    grid mean density of their own measure.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    a = mu.support_cells(threshold)
-    b = mu0.support_cells(threshold)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("support is empty at this threshold")
-    return hausdorff_distance(a, b)
 
 
 def geometric_schedule(params0, stages, factor=8.0):

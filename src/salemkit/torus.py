@@ -14,7 +14,6 @@ __all__ = [
     "wrap",
     "coord_gap",
     "tdist",
-    "hausdorff_distance",
     "Cube",
     "double_cube",
     "cube_distance",
@@ -67,33 +66,6 @@ def tdist(x, y):
         )
     delta = coord_gap(x, y)
     return np.sqrt(np.sum(delta * delta, axis=-1))
-
-
-def _directed_sup_inf(a, b):
-    """sup_{x in a} inf_{y in b} tdist(x, y), chunked over a in blocks of
-    about 2M pairwise distances."""
-    best = 0.0
-    rows = max(1, 2_000_000 // max(len(b), 1))
-    for i in range(0, len(a), rows):
-        d = tdist(a[i : i + rows, None, :], b[None, :, :])
-        best = max(best, float(d.min(axis=1).max()))
-    return best
-
-
-def hausdorff_distance(a, b):
-    """Hausdorff distance between two finite subsets of T^d.
-
-    ``max(sup_a inf_b, sup_b inf_a)`` in the torus metric.  Either argument
-    may be a single point (shape ``(d,)``) or a set (shape ``(N, d)``).
-    Empty sets are rejected.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("Hausdorff distance of an empty set is undefined")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("dimension mismatch between point sets")
-    return max(_directed_sup_inf(a, b), _directed_sup_inf(b, a))
 
 
 class Cube:

@@ -26,7 +26,6 @@ from salemkit.measures import (
     GridMeasure,
     mollifier_density,
     perturb,
-    support_distance,
 )
 from salemkit.patterns import (
     RoughPattern,
@@ -41,7 +40,7 @@ from salemkit.sampler import (
 )
 from salemkit.torus import Cube, double_cube
 
-from naive_patterns import thickened_membership
+from naive_patterns import support_distance, thickened_membership
 
 M_BATTERY = 2048
 LAM = 0.45

@@ -261,6 +261,65 @@ def test_hoeffding_rejects_tiny_sample_count():
         hoeffding_check(np.ones(4), n_samples=50)
 
 
+def _naive_hoeffding_sums(A, n_samples, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    theta = rng.random((n_samples, len(A)))
+    return np.abs((A[None, :] * np.exp(2j * math.pi * theta)).sum(axis=1))
+
+
+_HOEFFDING_AMPLITUDES = {
+    "ones": np.ones,
+    "linspace": lambda n: np.linspace(0.5, 1.5, n),
+    "zeros-and-negatives": lambda n: np.where(np.arange(n) % 3 == 0, 0.0, -np.linspace(0.2, 2.0, n)),
+}
+
+
+@pytest.mark.parametrize("N", [0, 1, 2000])
+@pytest.mark.parametrize("kind", sorted(_HOEFFDING_AMPLITUDES))
+def test_hoeffding_confirmed_rows_match_one_pass_bit_for_bit(kind, N):
+    # t on sampled sums forces their rows through the exact confirmation;
+    # 1100 rows are not a multiple of a 2000-term block (500 rows)
+    A = _HOEFFDING_AMPLITUDES[kind](N)
+    naive = _naive_hoeffding_sums(A, 1100, seed=5)
+    t_grid = [float(naive[k]) for k in (0, 499, 500, 1099)] + [float(naive.mean())]
+    sums, confirmed = hm._hoeffding_sums(A, t_grid, 1100, seed=5)
+    on_grid = np.flatnonzero(np.isin(naive, t_grid))
+    assert set(on_grid) <= set(confirmed)
+    assert (sums[confirmed].view(np.int64) == naive[confirmed].view(np.int64)).all()
+    table = hoeffding_check(A, t_grid=t_grid, n_samples=1100, seed=5)
+    assert [row["empirical"] for row in table] == [float((naive >= t).mean()) for t in t_grid]
+
+
+def test_hoeffding_screen_stays_within_eps():
+    A = np.linspace(-1.0, 2.0, 2048)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    blocks = expsum._phase_blocks(3000, A, lambda i, theta: rng.random(out=theta))
+    screen = np.concatenate([np.hypot(re, im) for _, _, re, im in blocks])
+    eps = expsum._phase_eps(float(np.abs(A).sum()), len(A))
+    assert np.abs(screen - _naive_hoeffding_sums(A, 3000, seed=3)).max() <= eps
+
+
+def test_hoeffding_confirms_few_rows_at_seed_0():
+    N = 512
+    t_grid = [math.sqrt(N) * f for f in (0.5, 1.0, 2.0, 3.0, 4.0)]
+    _, confirmed = hm._hoeffding_sums(np.ones(N), t_grid, 10_000, seed=0)
+    assert len(confirmed) == 2
+
+
+@pytest.mark.parametrize(
+    "bounds", [np.ones((4, 4)), np.array([1.0, np.nan]), np.array([1.0, np.inf]), 1.0]
+)
+def test_hoeffding_rejects_bad_amplitudes(bounds):
+    with pytest.raises(ValueError, match="finite amplitudes"):
+        hoeffding_check(bounds)
+
+
+def test_hoeffding_default_grid_scales_negative_amplitudes():
+    ts = [row["t"] for row in hoeffding_check(-np.ones(16), n_samples=200)]
+    assert ts == [row["t"] for row in hoeffding_check(np.ones(16), n_samples=200)]
+    assert ts[1] == 4.0
+
+
 # ---------------------------------------------------------------- split sum
 
 

@@ -16,11 +16,11 @@ from salemkit.measures import (
     perturb,
     salem_iterate,
     seminorm_diff,
-    support_distance,
     uniform_measure,
 )
 from salemkit.sampler import ConstructionParams, WeightedConfiguration
 from salemkit.torus import load_sidecar
+from naive_patterns import support_distance
 
 
 def direct_transform(mu, xi):

@@ -7,12 +7,12 @@ from salemkit.torus import (
     Cube,
     cube_distance,
     double_cube,
-    hausdorff_distance,
     load_points,
     save_points,
     tdist,
     wrap,
 )
+from naive_patterns import hausdorff_distance
 
 
 def oracle_tdist(x, y):
