@@ -60,7 +60,8 @@ def _count_boxes(points, scale, thicken):
         gcur = np.maximum(np.maximum(a, b), 0.0)
         gap = gcur if shift == -1.0 else np.minimum(gap, gcur)
     dist = np.sqrt((gap**2).sum(axis=2))
-    hit = cand[dist <= thicken + 1e-12]
+    # a relative slack: an absolute one would outgrow a radius below it
+    hit = cand[dist <= thicken * (1 + 1e-9)]
     return len(np.unique(hit, axis=0))
 
 

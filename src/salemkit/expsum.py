@@ -95,7 +95,10 @@ _SUPS_CAP, _SUPS_SAMPLES = 384, 256
 _NUFFT_R, _NUFFT_HALFWIDTH = 2, 12
 _SPREAD_CHUNK = 2**15
 # top of the d = 1 screen beyond a plan's leading run 1..K: at N = 3697
-# it takes 13 ms and 11 MB, against 58 ms and 38 MB at 2^19
+# it takes 13 ms and 11 MB, against 58 ms and 38 MB at 2^19.  The sampled
+# annuli below it stay on this screen: the float32 phase screen took
+# fourier_dimension(config) of demos-1d's final stage (N = 3697) from 52
+# to 74 ms on a 2-CPU host
 _SCREEN_TOP = 2**17
 # (frequency, point) pairs per chunk of the d = 1 phase screen: 6 MiB of
 # buffers, where 2^20 pairs would take 24 MiB

@@ -447,6 +447,10 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
     to 1e-10.  Across trials the mean of H(xi) at sampled xi != 0 is
     compared with 0 at 3 sigma, and the per-trial sup |H - mean H| is
     tested against sqrt(M) log^{1/2} M, returned as ``sup_dev_bound``.
+    Next to it, ``sup_dev_max`` is the largest sup |H - mean H| of any
+    trial, and ``sup_dev_reach`` = 2 max_t A_n n_removed_t the largest any
+    trial could reach: |H| is at most A_n times the removed count, term by
+    term, and |mean H| at most the largest |H|.
     """
     if trials < 50:
         raise ValueError("split-sum statistics need >= 50 trials")
@@ -466,7 +470,7 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
     xi = xi[:, None].astype(float)
 
     H_vals = np.zeros((trials, n_xi), dtype=complex)
-    recon_err = 0.0
+    recon_err = h_reach = 0.0
     for t in range(trials):
         params = replace(params0, seed=params0.seed + t)
         config = builder(pattern, params)
@@ -477,6 +481,7 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
         A_n = raw_w[-1]
         # H: removed part of the final stratum, raw weights, unnormalized
         H = A_n * _raw_sum(pools[n - 1][removed], xi)
+        h_reach = max(h_reach, A_n * len(removed))
         # G: every candidate, including the removed ones
         G = A_n * _raw_sum(pools[n - 1], xi)
         for i in range(n - 1):
@@ -510,6 +515,8 @@ def split_sum_check(pattern, params0, trials=50, n_xi=20, seed_xi=0):
         "within_3sigma": [bool(b) for b in within],
         "n_within_3sigma": int(within.sum()),
         "sup_dev_bound": bound,
+        "sup_dev_max": float(sup_dev.max()),
+        "sup_dev_reach": 2.0 * h_reach,
         "tail_pass_rate": pass_rate,
         "binomial_note": _binomial_note(int((sup_dev <= bound).sum()), trials),
     }

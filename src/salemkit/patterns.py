@@ -27,7 +27,6 @@ __all__ = [
     "SurfacePattern",
     "TranslationalPattern",
     "violation_scan",
-    "window_probe",
 ]
 
 # Cap on exact enumeration work before a scan refuses to run.
@@ -207,42 +206,6 @@ class RoughPattern:
             dist = np.sqrt(np.sum(gap * gap, axis=1))
             out[occupied] = np.minimum(out[occupied], dist)
         return out
-
-    def save(self, path):
-        """Write the cell list: header line ``dn g``, one cell per line."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.dn} {self.g}\n")
-            for row in self.cells:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path, n=None):
-        """Read a cell list written by :meth:`save`.
-
-        The file records only the ambient dimension d*n; pass ``n`` to fix
-        the tuple factorization.  The default n = dn reads the cells as
-        d = 1 tuples, so a d > 1 pattern needs its ``n``.
-        """
-        with open(path) as fh:
-            first = fh.readline().split()
-            if len(first) != 2:
-                raise ValueError(f"{path}: bad header, expected 'dn g'")
-            dn, g = int(first[0]), int(first[1])
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = [int(v) for v in line.split()]
-                if len(row) != dn:
-                    raise ValueError(f"{path}: cell of length {len(row)}, expected {dn}")
-                rows.append(row)
-        if n is None:
-            n = dn
-        if dn % n:
-            raise ValueError(f"{path}: ambient dimension {dn} not divisible by n={n}")
-        cells = np.asarray(rows, dtype=np.int64).reshape(len(rows), dn)
-        return cls(n=n, d=dn // n, g=g, cells=cells)
 
 
 class SurfacePattern:
@@ -430,61 +393,30 @@ class TranslationalPattern:
 
 # ----------------------------------------------------------- window probe
 
-# window-probe bitmaps: at most 1024 buckets a point, 2**24 (16 MB) in all
+# probe bitmaps: at most 1024 buckets a point, 2**24 (16 MB) in all
 _PROBE_BUCKETS_PER_POINT = 1024
 _PROBE_MAX_BUCKETS = 2**24
 
 
-def _occupancy(xs, tau, period, offsets):
-    """``(nb, nb / period, mark)``: buckets >= 2*tau wide, ``xs``' + offsets marked."""
-    # compare before dividing: period / (2 tau) overflows for a subnormal tau
-    wide = 2.0 * tau * _PROBE_MAX_BUCKETS >= period
-    limit = period / (2.0 * tau) if wide else _PROBE_MAX_BUCKETS
-    nb = max(1, int(min(limit, _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)))
-    mark = np.zeros(nb, dtype=bool)
-    mark[(np.floor(xs * (nb / period)).astype(np.int64)[:, None] + offsets) % nb] = True
-    return nb, nb / period, mark
-
-
-def _windows(xs, qs, sel, tau, period):
-    """:func:`window_probe`'s windows of the queries ``qs`` (indices ``sel``)."""
-    out = []
-    for shift in (0.0, -period, period):
-        lo = np.searchsorted(xs, qs + shift - tau, side="left")
-        hi = np.searchsorted(xs, qs + shift + tau, side="right")
-        hit = np.flatnonzero(hi > lo)
-        out.append((sel[hit], lo[hit], hi[hit]))
-    return tuple(np.concatenate(part) for part in zip(*out))
-
-
-def window_probe(xs, q, tau, period):
-    """Windows ``[q + shift - tau, q + shift + tau]`` of sorted ``xs`` that
-    hold a point, for shift in (0, -period, +period).
-
-    ``xs`` and the queries ``q`` are folded into [0, period].  Returns
-    ``(qi, lo, hi)``, shift by shift: the query index and the
-    ``searchsorted`` range (left at the lower end, right at the upper end)
-    of every nonempty window.  Queries whose +-2-bucket neighbourhood,
-    taken modulo the bucket count, is empty in an occupancy bitmap of
-    ``xs`` are dropped first: buckets are at least 2*tau wide, so a window
-    with a point is at most one bucket off and the second absorbs the
-    rounding of the keys.  The filter never changes a comparison.
-    """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    nb, scale, mark = _occupancy(xs, tau, period, np.arange(-2, 3))
-    sel = np.flatnonzero(mark[np.floor(q * scale).astype(np.int64) % nb])
-    return _windows(xs, q[sel], sel, tau, period)
-
-
 class _FoldProbe:
-    """:func:`window_probe` for translational queries q = wrap(p + t) %
-    period, p = fl(a x_{n-1}) (``ax``) and t a raw target, that folds only
-    the queries whose key C = floor(p*s) + floor(t*s), s = nb / period, is
-    marked modulo nb in the bitmap of ``xs`` shifted by -2..1.  It keeps
-    every query with a window.  Buckets are w = period / nb >= 2 tau >= 32
-    ulp(span) wide (tau holds :func:`_fold_slack`; coordinates lie in
-    [0, 1]), so 2 ulps of span are 1/16 bucket.  In buckets, modulo nb:
+    """The d = 1 window probe: which points of the sorted last slot lie
+    within tau of a query q = wrap(p + t) % period, with wrap-around.
+
+    ``last`` holds the last slot's coordinates, folded into [0, period)
+    and sorted here; ``ax`` holds p = fl(a x_{n-1}), one per point of the
+    slot before it; a chunk's raw targets t, shape (B, K), make the queries
+    (B, len(ax), K).  A translational relation gives a, period 1/m and the
+    raw targets T(x_1..x_{n-2}).  A surface relation x_n = f(x_1..x_{n-1})
+    is the case a = 0: ``ax`` = [0], K = 1, period 1 and t = f(prefix).
+
+    A query's windows are [q + shift - tau, q + shift + tau], shift in
+    (0, -period, +period).  Only the queries whose key C = floor(fl(p s)) +
+    floor(fl(t s)), s = nb / period, is marked modulo nb in the bitmap of
+    the points' buckets shifted by -2..1 are folded and looked up, and they
+    include every query with a window.  Buckets are w = period / nb >=
+    2 tau >= 32 ulp(span) wide (tau holds :func:`_fold_slack`; coordinates
+    lie in [0, 1]), so 2 ulps of span are 1/16 bucket.  In buckets, modulo
+    nb:
 
     * fl(v*s) is within 2^-52 |v| < 2 ulp(span) of v/w (s and the product
       round), for v = p, t, so C is in (Y - 2 - 1/8, Y + 1/8], Y = (p + t)/w;
@@ -496,20 +428,49 @@ class _FoldProbe:
       |delta| < 1/2 + 1/16 + 2^-25, and floor(fl(x*s)) is in
       (x/w - 1.01, x/w + 0.01).
 
-    So the point's bucket less C is in (-1.75, 2.75): -1, 0, 1 or 2.
+    So the point's bucket less C is in (-1.75, 2.75): -1, 0, 1 or 2.  At
+    a = 0 the first two steps are exact or tighter: p = fl(0 x) = 0, so
+    floor(fl(p s)) = 0, p + t = t and q = wrap(t) % 1.
+
+    The windows hold the last point of every tuple whose residual is at
+    most tau less :func:`_fold_slack` of span = 1 + |a| + max|t|.  The
+    translational residual rounds the fold of x_n - a x_{n-1} - t another
+    way (:func:`_fold_slack`).  The d = 1 surface residual tdist(x_n,
+    f(prefix)) is min(g, 1 - g), g = |wrap(x_n) - wrap(t)|: the gap between
+    the point's sorted value and q (the % 1 only maps a wrap of 1.0 to 0,
+    a shift by the period), rounded by the difference, by 1 - g (exact
+    from g >= 1/2) and by the root of its square, under 2 ulps of 1 in all.
+    The window ends fl(q + shift -+ tau) add at most 2 ulps of 2 + tau
+    (a tau of 2 or more reaches every point), so both sums stay well
+    inside the 16 ulps of span.
     """
 
-    def __init__(self, xs, ax, period, size):
-        self.xs, self.ax, self.period, self.tau = xs, ax, period, None
+    def __init__(self, last, ax, period, size):
+        last = wrap(last) % period
+        self.order = np.argsort(last, kind="stable")
+        self.xs, self.ax, self.period, self.tau = last[self.order], ax, period, None
         # intp keys: np.take would copy narrower ones into a fresh intp array
         self.keys, self.flags = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
 
+    def _occupancy(self, tau):
+        """Bitmap of buckets >= 2 tau wide, at most min(1024 per point,
+        2^24) of them, and the keys floor(fl(p s)) mod nb of ``ax``."""
+        xs, period = self.xs, self.period
+        limit = min(period / (2.0 * tau), _PROBE_BUCKETS_PER_POINT * len(xs), _PROBE_MAX_BUCKETS)
+        self.tau, self.nb = tau, max(1, int(limit))
+        self.s = self.nb / period
+        self.mark = np.zeros(self.nb, dtype=bool)
+        keys = np.floor(xs * self.s).astype(np.int64)[:, None] + np.arange(-2, 2)
+        self.mark[keys % self.nb] = True
+        self.ku = (np.floor(self.ax * self.s) % self.nb).astype(np.intp)
+
     def windows(self, t, tau):
-        """Windows of the queries (B, len(ax), K) of ``t`` (B, K), flat."""
+        """``(qi, lo, hi)``, shift by shift: the flat index into (B,
+        len(ax), K) and the ``searchsorted`` range of the sorted slot (left
+        at the lower end, right at the upper end) of every nonempty window
+        of the queries of ``t`` (B, K)."""
         if tau != self.tau:
-            self.tau = tau
-            self.nb, self.s, self.mark = _occupancy(self.xs, tau, self.period, np.arange(-2, 2))
-            self.ku = (np.floor(self.ax * self.s) % self.nb).astype(np.intp)
+            self._occupancy(tau)
         kv = (np.floor(t * self.s) % self.nb).astype(np.intp)
         shape = (len(t), len(self.ax), t.shape[1])
         keys = self.keys[: math.prod(shape)].reshape(shape)
@@ -519,23 +480,28 @@ class _FoldProbe:
         sel = np.flatnonzero(hit)
         b, rem = np.divmod(sel, shape[1] * shape[2])
         q = wrap(self.ax[rem // shape[2]] + t[b, rem % shape[2]]) % self.period
-        return _windows(self.xs, q, sel, tau, self.period)
+        out = []
+        for shift in (0.0, -self.period, self.period):
+            lo = np.searchsorted(self.xs, q + shift - tau, side="left")
+            hi = np.searchsorted(self.xs, q + shift + tau, side="right")
+            hit = np.flatnonzero(hi > lo)
+            out.append((sel[hit], lo[hit], hi[hit]))
+        return tuple(np.concatenate(part) for part in zip(*out))
 
-
-def _window_candidates(windows, chunk):
-    """``(query, sorted position)`` pairs inside the windows of
-    :func:`window_probe`, about ``chunk`` pairs at a time."""
-    qi, lo, hi = windows
-    ends = np.cumsum(hi - lo)
-    w0 = 0
-    while w0 < len(qi):
-        done = int(ends[w0 - 1]) if w0 else 0
-        w1 = max(w0 + 1, int(np.searchsorted(ends, done + chunk, side="right")))
-        cnt = hi[w0:w1] - lo[w0:w1]
-        # position of each pair: its window's lo plus its rank in the window
-        shift = np.repeat(lo[w0:w1] - (np.cumsum(cnt) - cnt), cnt)
-        yield np.repeat(qi[w0:w1], cnt), np.arange(len(shift)) + shift
-        w0 = w1
+    def candidates(self, t, tau):
+        """``(query, last-slot index)`` pairs inside the windows of ``t``
+        at ``tau``, about ``BRUTE_CHUNK`` pairs at a time."""
+        qi, lo, hi = self.windows(t, tau)
+        ends = np.cumsum(hi - lo)
+        w0 = 0
+        while w0 < len(qi):
+            done = int(ends[w0 - 1]) if w0 else 0
+            w1 = max(w0 + 1, int(np.searchsorted(ends, done + BRUTE_CHUNK, side="right")))
+            cnt = hi[w0:w1] - lo[w0:w1]
+            # position of each pair: its window's lo plus its rank in the window
+            shift = np.repeat(lo[w0:w1] - (np.cumsum(cnt) - cnt), cnt)
+            yield np.repeat(qi[w0:w1], cnt), self.order[np.arange(len(shift)) + shift]
+            w0 = w1
 
 
 # ----------------------------------------------------- exact tuple search
@@ -558,11 +524,11 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     leading slots lazily, about ``BRUTE_CHUNK`` candidates at a time, and
     rechecks every candidate tuple with the residual, which need only be
     exact up to ``eps``.  A d = 1 surface or translational relation takes
-    its candidates from windows a few ulps wider than ``eps + tol`` in the
-    sorted last slot, so the result equals a full enumeration: a surface
-    prefix x_1..x_{n-1} queries f(prefix) (:func:`window_probe`), a
-    translational prefix x_1..x_{n-2} the fold of a x_{n-1} + t for each
-    x_{n-1} and raw target t (:class:`_FoldProbe`).  Every other relation
+    its candidates from the :class:`_FoldProbe` windows a few ulps wider
+    than ``eps + tol`` in the sorted last slot, so the result equals a full
+    enumeration: a translational prefix x_1..x_{n-2} queries the fold of
+    a x_{n-1} + t for each x_{n-1} and raw target t, a surface prefix
+    x_1..x_{n-1} the one target f(prefix) (a = 0).  Every other relation
     pairs each prefix with the whole last slot.  Yields ``(idx,
     residuals)`` chunks, indices into the uncut slots; the probe may yield
     a tuple twice.
@@ -585,42 +551,35 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         flat = np.arange(start, stop, dtype=np.int64)
         return np.stack(np.unravel_index(flat, [1] + sizes), axis=1)[:, 1:]
 
-    # candidates per prefix: a query per x_{n-1} and raw target, a query,
-    # or a tuple per last-slot point
+    # candidates per prefix: a query per x_{n-1} and raw target (one query
+    # at f(prefix) for a surface relation), or a tuple per last-slot point
     if translational:
-        a, period = pattern.a_float, 1.0 / pattern.period_m
-        K = np.asarray(pattern.T(_gather(heads, prefixes(0, 1))), dtype=float).size
-        per = len(slots[n - 2]) * K
-    else:
-        period, span = 1.0, 2.0
-        per = 1 if probe else len(slots[-1])
+        a, period, targets = pattern.a_float, 1.0 / pattern.period_m, pattern.T
+        ax = a * slots[n - 2][:, 0]
+        K = np.asarray(targets(_gather(heads, prefixes(0, 1))), dtype=float).size
+    elif probe:
+        a, period, targets, ax, K = 0.0, 1.0, pattern.f, np.zeros(1), 1
+    per = len(ax) * K if probe else len(slots[-1])
     if float(np.prod([float(v) for v in sizes])) * per > budget:
         raise BudgetError(
             f"{pattern.kind} search needs {' x '.join(map(str, sizes))} prefixes "
             f"x {per} candidates; over budget {budget}"
         )
-    if probe:
-        xlast = wrap(slots[-1][:, 0]) % period if translational else wrap(slots[-1][:, 0])
-        order = np.argsort(xlast, kind="stable")
-        xs = xlast[order]
     chunk = BRUTE_CHUNK
     if pattern.kind == "rough":
         # one residual call probes its whole window for every tuple
         chunk = max(1, min(chunk, int(ROUGH_RESIDUAL_BUDGET // pattern._window(eps)[1])))
     total, step = int(np.prod(sizes)), max(1, chunk // max(per, 1))
-    if translational:
-        fold = _FoldProbe(xs, a * slots[n - 2][:, 0], period, step * per)
+    if probe:
+        fold = _FoldProbe(slots[-1][:, 0], ax, period, step * per)
     for start in range(0, total, step):
         pre = prefixes(start, min(start + step, total))
-        if translational:
-            raw = np.asarray(pattern.T(_gather(heads, pre)), dtype=float).reshape(len(pre), K)
-            span = 1.0 + abs(a) + float(np.abs(raw).max(initial=0.0))
-            windows = fold.windows(raw, eps + tol + _fold_slack(span))
-        elif probe:
-            q = wrap(np.asarray(pattern.f(_gather(heads, pre)), dtype=float))
-            windows = window_probe(xs, q, eps + tol + _fold_slack(span), period)
         if probe:
-            batches = ((qi, order[pos]) for qi, pos in _window_candidates(windows, BRUTE_CHUNK))
+            t = np.asarray(targets(_gather(heads, pre)), dtype=float).reshape(len(pre), K)
+            span = 1.0 + abs(a) + float(np.abs(t).max(initial=0.0))
+            if not math.isfinite(span):
+                raise ValueError(f"{pattern.kind} pattern gave a non-finite target")
+            batches = fold.candidates(t, eps + tol + _fold_slack(span))
         else:
             qi = np.arange(len(pre) * per, dtype=np.int64)
             batches = [(qi, qi % per)]

@@ -29,7 +29,7 @@ def oracle_box_count(points, scale, thicken=0.0):
                     b = p[j] - (hi[j] + shift)
                     best = min(best, max(a, b, 0.0))
                 gap2 += best * best
-            if math.sqrt(gap2) <= thicken + 1e-12:
+            if math.sqrt(gap2) <= thicken * (1 + 1e-9):
                 hit.add(c)
                 break
     return len(hit)
@@ -124,6 +124,22 @@ def test_box_dimension_thickened_count_saturates_below_radius():
     r = 1 / 16
     fine = box_dimension(pts, scales=[1 / 8, 1 / 16, 1 / 32, 1 / 64], thicken=r)
     assert fine.value == pytest.approx(1.0, abs=0.1)  # balls cover the circle
+
+
+def test_box_count_slack_stays_below_a_tiny_radius():
+    # r = M^(-1/lam) = 9.0e-14 at lam = 0.3, M = 8192: an absolute slack of
+    # 1e-12 would grow each ball to about 12 r and read a dimension of 0.05
+    from salemkit.dimension import _count_boxes
+
+    M, lam = 8192, 0.3
+    r = M ** (-1 / lam)
+    assert r < 1e-13
+    assert _count_boxes(np.array([[0.5]]), r, r) <= 3
+    pts = np.random.default_rng(0).random((M, 1))
+    box = box_dimension(pts, scales=[16 * r, 8 * r, 4 * r, 2 * r, r], thicken=r)
+    # a ball of radius r meets about 1 + 2/k boxes of side k r
+    assert box.table[-1]["count"] <= 3 * M
+    assert box.value == pytest.approx(math.log(8 / 3) / math.log(16), abs=0.01)
 
 
 # ------------------------------------------------------------------ fourier

@@ -346,6 +346,14 @@ def test_split_sum_empty_incidence_set():
     assert res["reconstruction_ok"]
     assert all(abs(v) == 0.0 for v in res["mean_H"])
     assert res["tail_pass_rate"] == 1.0
+    assert res["sup_dev_max"] == res["sup_dev_reach"] == 0.0
+
+
+def test_split_sum_deviations_stay_below_their_reach():
+    res = split_sum_check(
+        ap3_pattern(m=16), ConstructionParams(M=96, lam=0.3, seed=5), trials=50, n_xi=4
+    )
+    assert 0.0 < res["sup_dev_max"] <= res["sup_dev_reach"]
 
 
 def test_split_sum_builds_keep_every_construction_knob(monkeypatch):

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemkit.errors import BudgetError, LayoutError
@@ -16,7 +16,6 @@ from salemkit.patterns import (
     SurfacePattern,
     TranslationalPattern,
     violation_scan,
-    window_probe,
 )
 from salemkit.sampler import incidence_index_set
 from salemkit.torus import Cube, double_cube, tdist, wrap
@@ -148,17 +147,6 @@ def test_rough_residual_is_the_box_distance_within_its_reach():
         assert (got[~near] > upto).all()
     with pytest.raises(BudgetError):
         pat.residual(pts, math.inf)
-
-
-def test_rough_save_load_roundtrip(tmp_path):
-    pat = RoughPattern(n=2, d=2, g=5, cells=[[0, 1, 2, 3], [4, 4, 4, 4]])
-    path = str(tmp_path / "rough.cells")
-    pat.save(path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "4 5"
-    back = RoughPattern.load(path, n=2)
-    assert back.d == 2 and back.g == 5
-    np.testing.assert_array_equal(back.cells, pat.cells)
 
 
 def test_rough_validation():
@@ -702,102 +690,27 @@ def unfiltered_probe(xs, q, tau, period):
 
 
 @st.composite
-def probe_case(draw):
-    period = draw(st.sampled_from([1.0, 1.0 / 16, 1.0 / 3, 0.1]))
-    below = float(np.nextafter(period, 0.0))
-    point = st.one_of(
-        st.floats(0.0, period, exclude_max=True),
-        st.sampled_from([0.0, below, period / 2]),
-    )
-    xs = draw(st.lists(point, max_size=12))
-    # duplicate points
-    xs += draw(st.lists(st.sampled_from(xs), max_size=3)) if xs else []
-    xs = np.sort(np.array(xs, dtype=float))
-    nb_cap = min(1024 * len(xs), 2**24)
-    tau = draw(
-        st.one_of(
-            st.just(0.0),
-            st.floats(0.0, period),
-            # bucket width exactly 2*tau, or the bucket cap binding
-            st.integers(1, 64).map(lambda k: period / (2 * k)),
-            st.just(period / (2 * max(nb_cap, 1))),
-            st.sampled_from([1e-12, 1e-10, period / 2]),
-        )
-    )
-    # queries at the fold edges, at the window ends around a point (one
-    # ulp either side, with and without a period shift) and at random
-    edges = [0.0, period, below, period / 2]
-    if period == 1.0:
-        edges.append(-1e-20 % 1.0)  # tiny negatives fold to 1.0
-    q = draw(st.lists(st.floats(0.0, period), max_size=10))
-    q += draw(st.lists(st.sampled_from(edges), max_size=4))
-    for x in xs[: draw(st.integers(0, len(xs)))]:
-        for shift in (0.0, -period, period):
-            for side in (-1.0, 1.0):
-                v = x + shift + side * tau
-                step = draw(st.sampled_from([0.0, -np.inf, np.inf]))
-                v = float(np.nextafter(v, step)) if step else v
-                if 0.0 <= v <= period:
-                    q.append(v)
-    return xs, np.array(q, dtype=float), tau, period
-
-
-@settings(max_examples=400, deadline=None)
-@given(probe_case())
-def test_window_probe_matches_unfiltered_lookup(case):
-    xs, q, tau, period = case
-    got = window_probe(xs, q, tau, period)
-    want = unfiltered_probe(xs, q, tau, period)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-def test_window_probe_wraps_across_the_fold():
-    period = 1.0 / 16
-    xs = np.array([0.0, period / 2, float(np.nextafter(period, 0.0))])
-    # a query at the period meets the point at 0 through the -period shift
-    qi, lo, hi = window_probe(xs, np.array([period, 1e-3]), 1e-12, period)
-    assert {(int(i), int(a), int(b)) for i, a, b in zip(qi, lo, hi)} == {
-        (0, 2, 3),
-        (0, 0, 1),
-    }
-    for part in window_probe(np.empty(0), np.ones(3), 0.1, 1.0):
-        assert part.dtype == np.int64 and len(part) == 0
-
-
-def test_window_probe_subnormal_tau_does_not_overflow():
-    # a halfwidth of one subnormal, as margin / |m3| gives for a tiny margin
-    xs = np.array([0.0, 0.25, 0.25, 0.5, float(np.nextafter(1.0, 0.0))])
-    q = np.array([0.0, 0.25, 0.3, 1.0, 0.5])
-    tau = np.float64(5e-324)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = window_probe(xs, q, tau, 1.0)
-    want = unfiltered_probe(xs, q, tau, 1.0)
-    assert len(want[0]) > 0
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-@st.composite
 def fold_probe_case(draw):
-    """``(a, m, t, xprev, xs, eps, tol)`` for the translational d = 1
-    prefilter: raw targets t (B, K), x_{n-1} and folded last-slot points,
-    with keys on and one ulp beside bucket edges and queries that fold to
-    the period's ends."""
-    from salemkit.patterns import _fold_slack, _occupancy
+    """``(a, m, t, xprev, xs, eps, tol)`` for the d = 1 window probe: raw
+    targets t (B, K), x_{n-1} and folded last-slot points, with keys on and
+    one ulp beside bucket edges and queries that fold to the period's ends.
+    a = 0 is a surface relation x2 = f(x1): K = 1, m = 1 and x_{n-1} = 0."""
+    from salemkit.patterns import _FoldProbe, _fold_slack
 
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["linear", "dilation", "surface"]))
+    if kind == "linear":
         # a and period of the equation m1 x1 + m2 x2 + m3 x3 = s, as in
         # harness._linear_pattern: -m2/m3 and 1/|m3|
         m2, m3 = draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.sampled_from([-3, -2, 2, 3]))
         a, m = Fraction(-m2, m3), abs(m3)
-    else:
+    elif kind == "dilation":
         a = draw(st.sampled_from([1, -1, 2, -3, 8, -8, Fraction(1, 2), Fraction(-5, 3),
                                   Fraction(15, 2)]))
         m = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    else:
+        a, m = 0, 1
     period, af = 1.0 / m, float(a)
-    K = draw(st.sampled_from([1, 2]))
+    K = draw(st.sampled_from([1, 2])) if a else 1
     ulps = st.sampled_from([-1, 0, 1])
 
     def nudge(v, k):
@@ -805,7 +718,7 @@ def fold_probe_case(draw):
 
     unit = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                      st.sampled_from([0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53]))
-    xprev = draw(st.lists(unit, min_size=1, max_size=4))
+    xprev = draw(st.lists(unit, min_size=1, max_size=4)) if a else [0.0]
     p0 = af * xprev[0]
     # generic targets, and targets whose query p0 + t folds to 0 exactly, to
     # just below 0 (the wrap gives 1.0) or onto a grid multiple
@@ -818,11 +731,12 @@ def fold_probe_case(draw):
     tau = eps + tol + _fold_slack(1.0 + abs(af) + tmax)
     xs = [wrap(v) % period for v in draw(st.lists(unit, max_size=6))]
     n_edge, n_window = draw(st.integers(0, 3)), draw(st.integers(0, 4))
-    nb = _occupancy(np.zeros(len(xs) + n_edge + n_window), tau, period, np.arange(0))[0]
-    s = nb / period
+    sizing = _FoldProbe(np.zeros(len(xs) + n_edge + n_window), np.zeros(1), period, 0)
+    sizing._occupancy(tau)
+    s = sizing.s
     # keys on and one ulp beside bucket edges: of fl(a x_{n-1}) s, t s and x s
     bucket = st.integers(-int(tmax * s), int(tmax * s))
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if a else 0):
         v = nudge(draw(bucket) / s / af, draw(ulps))
         if 0.0 <= v < 1.0:
             xprev.append(v)
@@ -831,7 +745,7 @@ def fold_probe_case(draw):
         if abs(v) <= tmax:
             t.append(v)
     for _ in range(n_edge):
-        v = nudge(draw(st.integers(0, nb)) / s, draw(ulps))
+        v = nudge(draw(st.integers(0, sizing.nb)) / s, draw(ulps))
         xs.append(v if 0.0 <= v < period else 0.0)
     # points at the window ends of queries, one ulp either side, and across
     # the fold
@@ -845,8 +759,20 @@ def fold_probe_case(draw):
     return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol
 
 
+_BELOW_16TH, _BELOW_1 = float(np.nextafter(1 / 16, 0.0)), float(np.nextafter(1.0, 0.0))
+
+
 @settings(max_examples=400, deadline=None)
 @given(fold_probe_case())
+# a query that folds to 0 from just below it meets the point just below the
+# period through the +period shift, for a dilation and for a surface
+@example((1, 16, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 1 / 32, _BELOW_16TH]),
+          1e-12, 0.0))
+@example((0, 1, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 0.5, _BELOW_1]),
+          1e-12, 0.0))
+# a margin of one subnormal, as margin / |m3| gives for a tiny margin
+@example((0, 1, np.array([[0.0], [0.25], [0.3], [1.0], [0.5]]), np.array([0.0]),
+          np.array([0.0, 0.25, 0.25, 0.5, _BELOW_1]), 5e-324, 0.0))
 def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
     from salemkit.patterns import _FoldProbe, _fold_slack, _tuple_hits
 
@@ -854,28 +780,56 @@ def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
     period, ax = 1.0 / m, float(a) * xprev
     tau = eps + tol + _fold_slack(1.0 + abs(float(a)) + float(np.abs(t).max()))
     # the prefilter keeps every query the unfiltered lookup finds a window for
-    got = _FoldProbe(xs, ax, period, t.size * len(ax)).windows(t, tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _FoldProbe(xs, ax, period, t.size * len(ax)).windows(t, tau)
     q = wrap(ax[None, :, None] + t[:, None, :]) % period
     want = unfiltered_probe(xs, q.reshape(-1), tau, period)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     # the tuple search equals enumeration, for a pattern whose prefix x1 =
-    # i / B has the raw targets t[i]
+    # c + i / 1024 has the raw targets t[i]
     B = len(t)
 
-    def T(x):
-        return t[np.rint(np.asarray(x)[..., 0] * B).astype(np.int64) % B][..., None]
+    def table(x, c):
+        return t[np.rint((np.asarray(x)[..., 0] - c) * 1024).astype(np.int64) % B]
 
-    pat = TranslationalPattern(d=1, n=3, a=a, period_m=m, T=T, lipschitz=1.0)
-    pools = [(np.arange(B) / B)[:, None], xprev[:, None], xs[:, None]]
+    if a:
+        pat = TranslationalPattern(d=1, n=3, a=a, period_m=m, lipschitz=1.0,
+                                   T=lambda x: table(x, 0.0)[..., None])
+        pools = [(np.arange(B) / 1024)[:, None], xprev[:, None], xs[:, None]]
+    else:
+        # x2 = f(x1) on the doubled cubes around 1/2 and around 0, where the
+        # fold's wrap-around lies
+        side = 1 / 24
+        cubes = [Cube([0.5 - side / 2], side), Cube([-side / 2], side)]
+        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: table(x, 0.5), lipschitz=1.0)
+        pools = [(0.5 + np.arange(B) / 1024)[:, None], xs[:, None]]
     idx, pts = _all_tuples(pools, distinct=False)
     resid = pat.residual(pts)
-    hits = list(_tuple_hits(pools, pat, eps, tol, 10**9))
-    found = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [h for h, _ in hits])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hits = list(_tuple_hits(pools, pat, eps, tol, 10**9))
+    n = pat.n
+    found = np.concatenate([np.empty((0, n), dtype=np.int64)] + [h for h, _ in hits])
     found_r = np.concatenate([np.empty(0)] + [r for _, r in hits])
     found, first = np.unique(found, axis=0, return_index=True)
     np.testing.assert_array_equal(found, idx[resid <= eps + tol])
     np.testing.assert_array_equal(found_r[first], resid[resid <= eps + tol])
+
+
+@pytest.mark.parametrize("kind", ["surface", "translational"])
+def test_probe_refuses_a_non_finite_target(kind):
+    # a NaN target would match no window and hide every tuple of its prefix
+    side = 1 / 24
+    cubes = [Cube([c - side / 2], side) for c in (0.0, 0.5)]
+    if kind == "surface":
+        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: x * np.nan, lipschitz=1.0)
+    else:
+        pat = TranslationalPattern(d=1, n=2, a=1, period_m=1, lipschitz=1.0,
+                                   T=lambda x: np.full(x.shape[:-1] + (1, 1), np.inf))
+    with pytest.raises(ValueError, match="non-finite target"):
+        violation_scan(np.array([[0.0], [0.5]]), pat, 1e-3)
 
 
 # ------------------------------------------------- batched 1-D scan recheck
