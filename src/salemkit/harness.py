@@ -687,7 +687,9 @@ def isosceles_functional(t1, t2, t3):
 
 
 _THIRD_LEG_STEPS = 80  # bisection cap for a bracket that never settles
-_PILOT_BRACKET_STEPS = 11  # steps behind the surface floor's bracket (measured)
+# rows per block of :func:`_third_leg_newton_bracket`: its dozen temporaries
+# stay near 3 MB on a pilot of 200k rows
+_LEG_BRACKET_ROWS = 2**15
 
 
 def _third_leg_bracket(t1, t2, lo, hi, steps):
@@ -732,6 +734,86 @@ def _solve_third_leg(t1, t2, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _third_leg_newton_bracket(t1, t2, top):
+    """Bracket ``(lo, hi)`` with lo <= ``_solve_third_leg(t1, t2, t2, top)``
+    <= hi per entry, for float arrays ``t1``, ``t2`` and 0 < top < 1.
+
+    Write u = 2^-53, L for the float leg ``_sq_chord(t1, t2, t2_sq)``,
+    c(x) = (x - t2)^2 + (x^2 - t2^2)^2 for the exact squared chord and
+    F(x) = L - c(x), strictly decreasing on [t2, top] when t2 >= 0.  The
+    solver's sign test at x is the sign of fl(F(x)) = fl(L - fl(c(x))).
+    For t2 <= x <= top, term by term: x - t2 rounds by u top, so its
+    square is within 3.01 u top^2 of (x - t2)^2; x^2 and t2^2 round by
+    u top^2 each and their difference by u (1 + u) top^2 more, so the
+    square of that difference is within 2 (3.01 u top^2) top^2 + its own
+    rounding, under 7.1 u top^2 (top < 1), of (x^2 - t2^2)^2; the sum of
+    the two squares, at most 2.01 top^2, rounds by 2.01 u top^2; and the
+    subtraction rounds by u max(L, 2.01 top^2).  So |fl(F(x)) - F(x)| <=
+    u (L + 14.2 top^2) < E = 2^-52 (L + 16 top^2): E's two roundings
+    lose under 2u of it, and an underflow adds at most 2^-1075 a step.
+
+    If fl(F(a)) >= 2E, then F(a) > E, and every x in [t2, a] has
+    F(x) >= F(a), so fl(F(x)) > 0; likewise fl(F(b)) <= -2E gives
+    fl(F(x)) < 0 on [b, top].  The solver bisects [t2, top]: fl(F(t2)) = L
+    (the chord of t2 to itself is 0 exactly), and L = F(t2) > F(a) > 0
+    here, so a step sets lo = mid where fl(F(mid)) > 0 and hi = mid where
+    fl(F(mid)) <= 0, and fl(F(top)) < 0 passes its bracket check.  Every
+    mid lies between lo and hi, inside [t2, top], so no mid <= a becomes
+    hi and no mid >= b becomes lo: lo < b and hi > a at every step.  A
+    row then ends in one of two ways.  At a fixed point, mid in {lo, hi}:
+    lo and hi are adjacent floats (a float strictly between them would
+    put fl(lo + hi) in [2 next(lo), 2 prev(hi)]), so lo >= a, hi <= b and
+    f = fl((lo + hi) / 2) is in [a, b].  Or at the cap of k =
+    ``_THIRD_LEG_STEPS`` steps: a step keeps at most half the width plus
+    u (lo + hi) / 2 <= u top (fl(lo + hi) rounds, the halving is exact),
+    so hi - lo <= top (2^-k + 2^-52) and f is in [lo, hi], within that of
+    [a, b].  The bracket returned is fl(a - w), fl(b + w) with
+    w = fl(top (2^-k + 2^-51)), which covers both cases: w loses at most
+    u w to its rounding and each end at most u top to its own, and the
+    spare top 2^-52 pays for both.
+
+    The points a, b = fl(r -+ delta) come from D = t3 - t2, the root of
+    D^2 (1 + (D + 2 t2)^2) = L: the closed-form start
+    sqrt(L / (1 + (sqrt(L) + 2 t2)^2)) (sqrt(L) >= D in place of D) and
+    two Newton steps give D, r = t2 + D, and delta = 2E / D, so that
+    F(r -+ delta) is about -+2 D delta = -+4E, clear of -+2E by the error
+    of r (under 1.4e-17 on the seed 0-3 isosceles pilots, against a delta
+    near 7e-15).  None of this needs proof: the sign tests certify.  A row
+    with t2 < 0, a <= t2, b >= top, anything non-finite or a failed test
+    gets lo = hi = f, from one solve of all such rows, so a root the
+    solver cannot bracket raises its ``RuntimeError``.  Rows are taken
+    ``_LEG_BRACKET_ROWS`` at a time.
+    """
+    lo, hi = np.empty_like(t2), np.empty_like(t2)
+    fall = np.empty(t2.shape, dtype=bool)
+    err_top = 16.0 * top * top
+    widen = top * (2.0**-_THIRD_LEG_STEPS + 2.0**-51)
+    for start in range(0, len(t2), _LEG_BRACKET_ROWS):
+        rows = slice(start, start + _LEG_BRACKET_ROWS)
+        x1, x2 = t1[rows], t2[rows]
+        with np.errstate(all="ignore"):  # non-finite rows fall back below
+            x2_sq = x2 * x2
+            leg = _sq_chord(x1, x2, x2_sq)
+            err = 2.0**-52 * (leg + err_top)
+            two = 2.0 * x2
+            root = np.sqrt(leg)
+            d = root / np.sqrt(1.0 + (root + two) ** 2)
+            for _ in range(2):
+                w = d + two
+                q = 1.0 + w * w
+                d -= (d * d * q - leg) / (2.0 * d * (q + d * w))
+            delta = 2.0 * err / d
+            r = x2 + d
+            a, b = r - delta, r + delta
+            ok = (x2 >= 0.0) & (a > x2) & (b < top)
+            ok &= leg - _sq_chord(a, x2, x2_sq) >= 2.0 * err
+            ok &= leg - _sq_chord(b, x2, x2_sq) <= -2.0 * err
+        lo[rows], hi[rows], fall[rows] = a - widen, b + widen, ~ok
+    if fall.any():
+        lo[fall] = hi[fall] = _solve_third_leg(t1[fall], t2[fall], t2[fall], top)
+    return lo, hi
+
+
 def isosceles_surface_pattern():
     """Surface pattern t3 = f(t1, t2) for isosceles triples on the parabola.
 
@@ -750,13 +832,11 @@ def isosceles_surface_pattern():
         return _solve_third_leg(t1, t2, t2, 3.0 * eps)[..., None]
 
     def bracket(prefix):
-        # f's value lies in this bracket, a few steps into its bisection;
-        # SurfacePattern.residual_floor screens the pilot with it
+        # f's value lies in this bracket; the pilot's residual floor and
+        # the window probe screen with it
         prefix = np.asarray(prefix, dtype=float)
-        t1 = prefix[..., 0]
-        t2 = prefix[..., 1]
-        lo, hi = _third_leg_bracket(t1, t2, t2, 3.0 * eps, _PILOT_BRACKET_STEPS)
-        return lo[..., None], hi[..., None]
+        lo, hi = _third_leg_newton_bracket(prefix[:, 0], prefix[:, 1], 3.0 * eps)
+        return lo[:, None], hi[:, None]
 
     f.bracket = bracket
 

@@ -214,7 +214,9 @@ class SurfacePattern:
     ``f`` must be vectorized: it maps an array of shape (..., d*(n-1)) to
     target points of shape (..., d).  It may carry ``f.bracket``, a cheap
     map of the same prefixes to ``(lo, hi)`` with f between them, which
-    :meth:`residual_floor` screens with.  ``cubes`` are the n pairwise
+    :meth:`residual_floor` screens the pilot with and the d = 1 window probe
+    screens the removal and the scan with: f then runs only on the tuples
+    they keep.  ``cubes`` are the n pairwise
     separated construction cubes R_1..R_n (separation >= 10 * sidelength).
     """
 
@@ -443,6 +445,15 @@ class _FoldProbe:
     The window ends fl(q + shift -+ tau) add at most 2 ulps of 2 + tau
     (a tau of 2 or more reaches every point), so both sums stay well
     inside the 16 ulps of span.
+
+    A surface f that carries ``f.bracket`` is queried at the midpoints
+    t = fl((lo + hi) / 2) of its brackets instead, with tau and span grown
+    by the chunk's largest h = fl(|hi - lo| / 2).  f(prefix) lies in
+    [lo, hi], so it is within h of t plus 1.5 ulps of span (an ulp for the
+    rounded sum, half an ulp for h's rounding).  A tuple whose residual
+    is at most tau less h and :func:`_fold_slack` of span then has its
+    last point within tau of t less that slack plus 2 + 1.5 ulps, and the
+    window ends take 2 more: 5.5 of the 16 ulps of span.
     """
 
     def __init__(self, last, ax, period, size):
@@ -528,7 +539,8 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     than ``eps + tol`` in the sorted last slot, so the result equals a full
     enumeration: a translational prefix x_1..x_{n-2} queries the fold of
     a x_{n-1} + t for each x_{n-1} and raw target t, a surface prefix
-    x_1..x_{n-1} the one target f(prefix) (a = 0).  Every other relation
+    x_1..x_{n-1} the one target f(prefix) (a = 0), or the midpoint of
+    ``f.bracket(prefix)`` when f carries one.  Every other relation
     pairs each prefix with the whole last slot.  Yields ``(idx,
     residuals)`` chunks, indices into the uncut slots; the probe may yield
     a tuple twice.
@@ -559,6 +571,7 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         K = np.asarray(targets(_gather(heads, prefixes(0, 1))), dtype=float).size
     elif probe:
         a, period, targets, ax, K = 0.0, 1.0, pattern.f, np.zeros(1), 1
+    bracket = getattr(targets, "bracket", None) if probe and not translational else None
     per = len(ax) * K if probe else len(slots[-1])
     if float(np.prod([float(v) for v in sizes])) * per > budget:
         raise BudgetError(
@@ -575,11 +588,17 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     for start in range(0, total, step):
         pre = prefixes(start, min(start + step, total))
         if probe:
-            t = np.asarray(targets(_gather(heads, pre)), dtype=float).reshape(len(pre), K)
-            span = 1.0 + abs(a) + float(np.abs(t).max(initial=0.0))
+            x, half = _gather(heads, pre), 0.0
+            if bracket is None:
+                t = targets(x)
+            else:
+                lo, hi = (np.asarray(v, dtype=float) for v in bracket(x))
+                t, half = 0.5 * (lo + hi), 0.5 * float(np.abs(hi - lo).max(initial=0.0))
+            t = np.asarray(t, dtype=float).reshape(len(pre), K)
+            span = 1.0 + abs(a) + half + float(np.abs(t).max(initial=0.0))
             if not math.isfinite(span):
                 raise ValueError(f"{pattern.kind} pattern gave a non-finite target")
-            batches = fold.candidates(t, eps + tol + _fold_slack(span))
+            batches = fold.candidates(t, eps + tol + half + _fold_slack(span))
         else:
             qi = np.arange(len(pre) * per, dtype=np.int64)
             batches = [(qi, qi % per)]

@@ -14,7 +14,7 @@ class _Enumerated:
         return getattr(self._pattern, name)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def enumerated():
     """Wrap a pattern so the scan and the incidence set take the product
     enumeration instead of the probe: a reference that is not the probe."""

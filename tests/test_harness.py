@@ -715,7 +715,7 @@ def test_solve_third_leg_bit_equal_on_edge_brackets():
 
 def test_third_leg_brackets_nest_and_hold_the_solution():
     # the bracket of every step count 0..80 lies in the one before, and the
-    # solver's value lies in every one: the surface floor's screen rests on it
+    # solver's value lies in every one
     from salemkit.harness import ISO_EPSILON, _solve_third_leg, _third_leg_bracket
     from salemkit.torus import double_cube
 
@@ -738,6 +738,68 @@ def test_third_leg_brackets_nest_and_hold_the_solution():
             assert np.all(prev_lo <= b_lo) and np.all(b_lo <= b_hi) and np.all(b_hi <= prev_hi)
             assert np.all(b_lo <= t3) and np.all(t3 <= b_hi)
             prev_lo, prev_hi = b_lo, b_hi
+
+
+def _iso_pilot(seed, rows=200_000):
+    # the first rows of the isosceles build's threshold pilot
+    from salemkit.torus import double_cube
+
+    prng = sampler._stream(seed, 10_000)
+    cubes = hm.isosceles_surface_pattern().cubes
+    return np.concatenate([double_cube(c).sample(prng, 200_000) for c in cubes], axis=1)[:rows]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_newton_bracket_holds_the_solver_on_pilots(seed):
+    # every pilot prefix gets a certified bracket under 1e-13 wide, and the
+    # solver's value lies in it
+    pat = hm.isosceles_surface_pattern()
+    prefix = _iso_pilot(seed)[:, :2]
+    lo, hi = pat.f.bracket(prefix)
+    t3 = pat.f(prefix)
+    assert np.all(lo <= t3) and np.all(t3 <= hi)
+    assert np.all(lo < hi) and np.all(hi - lo < 1e-13)
+
+
+def test_newton_bracket_on_edge_rows():
+    # cube-edge prefixes are certified like any other; rows with t1 == t2
+    # (a leg of 0), t2 = 0 or a NaN hold the solver's value too, and a row
+    # the bracket does not certify gets exactly the solver's value
+    from salemkit.torus import double_cube
+
+    pat = hm.isosceles_surface_pattern()
+    edges = []
+    for cube in pat.cubes[:2]:
+        q = double_cube(cube)
+        lo, hi = q.corner[0], q.corner[0] + q.side
+        edges.append([lo, float(np.nextafter(lo, 1.0)), float(np.nextafter(hi, 0.0)), hi])
+    corners = np.array([[x1, x2] for x1 in edges[0] for x2 in edges[1]])
+    nan = np.nan
+    rows = np.array([[0.02, 0.02], [0.0, 0.0], [0.004, 0.0], [1e-30, 0.0], [0.02, 0.0],
+                     [nan, 0.02], [0.004, nan], [nan, nan]])
+    prefix = np.concatenate([corners, rows])
+    lo, hi = pat.f.bracket(prefix)
+    t3 = pat.f(prefix)
+    kept = lo < hi
+    assert np.all(kept[: len(corners)]) and not np.any(kept[len(corners):][[0, 1, 5, 6, 7]])
+    assert np.all(lo[kept] <= t3[kept]) and np.all(t3[kept] <= hi[kept])
+    _assert_same_bits(lo[~kept], t3[~kept])
+    _assert_same_bits(hi[~kept], t3[~kept])
+    # a root beyond the solver's range raises as the solver does
+    with pytest.raises(RuntimeError, match="not bracketed"):
+        pat.f.bracket(np.array([[0.004, 0.02], [0.0, 0.1]]))
+
+
+@pytest.mark.parametrize("steps", [20, 40])
+def test_newton_bracket_holds_the_solver_at_a_binding_cap(monkeypatch, steps):
+    # the bracket's widening covers a bisection that the step cap stops
+    # before it settles
+    monkeypatch.setattr(hm, "_THIRD_LEG_STEPS", steps)
+    pat = hm.isosceles_surface_pattern()
+    prefix = _iso_pilot(0, 20_000)[:, :2]
+    lo, hi = pat.f.bracket(prefix)
+    t3 = pat.f(prefix)
+    assert np.all(lo < hi) and np.all(lo <= t3) and np.all(t3 <= hi)
 
 
 def test_demo_isosceles_surface_route():

@@ -313,26 +313,26 @@ _WRAP_EDGES = [0.0, 2.0**-60, 1e-17, 1.0 - 2.0**-53, 1.0 - 1e-12]
 
 @st.composite
 def surface_floor_case(draw):
-    """``(kind, knob, tuples)``: isosceles tuples and the bracket's step
-    count; a shifted-sum surface whose target sits at an end of a bracket
-    0 to 2^20 ulps wide, and that signed width; or a surface without
-    ``f.bracket``."""
-    from salemkit.harness import ISO_EPSILON, _third_leg_bracket, isosceles_surface_pattern
+    """``(kind, knob, tuples)``: isosceles tuples with the last slot at or
+    beside the ends of the pattern's own bracket; a shifted-sum surface
+    whose target sits at an end of a bracket 0 to 2^20 ulps wide, and that
+    signed width; or a surface without ``f.bracket``."""
+    from salemkit.harness import isosceles_surface_pattern
 
     kind = draw(st.sampled_from(["isosceles", "bracket-end", "no-bracket"]))
-    rows = []
+    rows, knob = [], None
     if kind == "isosceles":
-        knob = draw(st.sampled_from([0, 1, 5, 11, 12, 20, 40, 80]))
-        q1, q2, q3 = (double_cube(c) for c in isosceles_surface_pattern().cubes)
+        pat = isosceles_surface_pattern()
+        q1, q2, q3 = (double_cube(c) for c in pat.cubes)
         for _ in range(draw(st.integers(1, 8))):
             x1 = draw(_near(q1.corner[0], q1.corner[0] + q1.side))
             x2 = draw(_near(q2.corner[0], q2.corner[0] + q2.side))
-            lo, hi = (float(b) for b in _third_leg_bracket(x1, x2, x2, 3.0 * ISO_EPSILON, knob))
-            delta = draw(st.sampled_from([0.0, 1e-17, 1e-12, 1e-6]))
+            lo, hi = (float(b[0, 0]) for b in pat.f.bracket(np.array([[x1, x2]])))
+            delta = draw(st.sampled_from([0.0, 1e-17, 1e-12]))
             x3 = draw(st.one_of(
                 _near(q3.corner[0], q3.corner[0] + q3.side),
-                st.sampled_from([lo - delta, hi + delta, 0.5 * (lo + hi) + delta,
-                                 0.5 * (lo + hi) - delta]),
+                st.sampled_from([lo - delta, lo + delta, hi - delta, hi + delta,
+                                 0.5 * (lo + hi) - delta, 0.5 * (lo + hi) + delta]),
                 st.sampled_from(_WRAP_EDGES),
             ))
             rows.append([x1, x2, x3])
@@ -357,16 +357,12 @@ def surface_floor_case(draw):
 @given(surface_floor_case())
 def test_surface_residual_floor_brackets_the_residual(case):
     # residual >= floor - slack everywhere, <= floor + slack in the domain
-    from unittest import mock
-
-    from salemkit import harness
     from salemkit.harness import isosceles_surface_pattern
 
     kind, knob, tuples = case
     if kind == "isosceles":
         pat = isosceles_surface_pattern()
-        with mock.patch.object(harness, "_PILOT_BRACKET_STEPS", knob):
-            floor, slack = pat.residual_floor(tuples)
+        floor, slack = pat.residual_floor(tuples)
     else:
         f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
         if kind == "bracket-end":
@@ -691,10 +687,13 @@ def unfiltered_probe(xs, q, tau, period):
 
 @st.composite
 def fold_probe_case(draw):
-    """``(a, m, t, xprev, xs, eps, tol)`` for the d = 1 window probe: raw
-    targets t (B, K), x_{n-1} and folded last-slot points, with keys on and
-    one ulp beside bucket edges and queries that fold to the period's ends.
-    a = 0 is a surface relation x2 = f(x1): K = 1, m = 1 and x_{n-1} = 0."""
+    """``(a, m, t, xprev, xs, eps, tol, width)`` for the d = 1 window probe:
+    raw targets t (B, K), x_{n-1} and folded last-slot points, with keys on
+    and one ulp beside bucket edges and queries that fold to the period's
+    ends.  a = 0 is a surface relation x2 = f(x1): K = 1, m = 1 and
+    x_{n-1} = 0; there ``width`` (else None) may give f a bracket that
+    many ulps wide with the target at its low end (width > 0) or its high
+    end (width < 0)."""
     from salemkit.patterns import _FoldProbe, _fold_slack
 
     kind = draw(st.sampled_from(["linear", "dilation", "surface"]))
@@ -756,7 +755,8 @@ def fold_probe_case(draw):
         v = nudge(v, draw(ulps))
         xs.append(v if 0.0 <= v < period else q)
     t += t[: (-len(t)) % K]
-    return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol
+    width = None if a else draw(st.sampled_from([None, 0, 1, -1, 3, -3, 2**20, -(2**20)]))
+    return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol, width
 
 
 _BELOW_16TH, _BELOW_1 = float(np.nextafter(1 / 16, 0.0)), float(np.nextafter(1.0, 0.0))
@@ -767,16 +767,20 @@ _BELOW_16TH, _BELOW_1 = float(np.nextafter(1 / 16, 0.0)), float(np.nextafter(1.0
 # a query that folds to 0 from just below it meets the point just below the
 # period through the +period shift, for a dilation and for a surface
 @example((1, 16, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 1 / 32, _BELOW_16TH]),
-          1e-12, 0.0))
+          1e-12, 0.0, None))
 @example((0, 1, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 0.5, _BELOW_1]),
-          1e-12, 0.0))
+          1e-12, 0.0, None))
 # a margin of one subnormal, as margin / |m3| gives for a tiny margin
 @example((0, 1, np.array([[0.0], [0.25], [0.3], [1.0], [0.5]]), np.array([0.0]),
-          np.array([0.0, 0.25, 0.25, 0.5, _BELOW_1]), 5e-324, 0.0))
-def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
+          np.array([0.0, 0.25, 0.25, 0.5, _BELOW_1]), 5e-324, 0.0, None))
+# a point on the target at either end of a bracket 2^20 ulps wide: the
+# probe looks around the midpoint, 2^19 ulps away
+@example((0, 1, np.array([[0.01]]), np.array([0.0]), np.array([0.01]), 0.0, 0.0, 2**20))
+@example((0, 1, np.array([[0.01]]), np.array([0.0]), np.array([0.01]), 0.0, 0.0, -(2**20)))
+def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(enumerated, case):
     from salemkit.patterns import _FoldProbe, _fold_slack, _tuple_hits
 
-    a, m, t, xprev, xs, eps, tol = case
+    a, m, t, xprev, xs, eps, tol, width = case
     period, ax = 1.0 / m, float(a) * xprev
     tau = eps + tol + _fold_slack(1.0 + abs(float(a)) + float(np.abs(t).max()))
     # the prefilter keeps every query the unfiltered lookup finds a window for
@@ -803,7 +807,16 @@ def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
         # fold's wrap-around lies
         side = 1 / 24
         cubes = [Cube([0.5 - side / 2], side), Cube([-side / 2], side)]
-        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: table(x, 0.5), lipschitz=1.0)
+        f = lambda x: table(x, 0.5)  # noqa: E731
+        if width is not None:
+
+            def bracket(x):
+                v = f(x)
+                w = width * np.spacing(v)
+                return np.minimum(v, v + w), np.maximum(v, v + w)
+
+            f.bracket = bracket
+        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=f, lipschitz=1.0)
         pools = [(0.5 + np.arange(B) / 1024)[:, None], xs[:, None]]
     idx, pts = _all_tuples(pools, distinct=False)
     resid = pat.residual(pts)
@@ -816,15 +829,27 @@ def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(case):
     found, first = np.unique(found, axis=0, return_index=True)
     np.testing.assert_array_equal(found, idx[resid <= eps + tol])
     np.testing.assert_array_equal(found_r[first], resid[resid <= eps + tol])
+    # the removal and the scan take the probe's tuples: the enumeration's
+    np.testing.assert_array_equal(incidence_index_set(pools, pat, eps),
+                                  incidence_index_set(pools, enumerated(pat), eps))
+    points = np.concatenate(pools)
+    scan = violation_scan(points, enumerated(pat), eps)
+    for got_part, want_part in zip(violation_scan(points, pat, eps), scan):
+        np.testing.assert_array_equal(got_part, want_part)
 
 
-@pytest.mark.parametrize("kind", ["surface", "translational"])
+@pytest.mark.parametrize("kind", ["surface", "bracket", "translational"])
 def test_probe_refuses_a_non_finite_target(kind):
-    # a NaN target would match no window and hide every tuple of its prefix
+    # a NaN target would match no window and hide every tuple of its prefix;
+    # so would a NaN or infinite bracket
     side = 1 / 24
     cubes = [Cube([c - side / 2], side) for c in (0.0, 0.5)]
     if kind == "surface":
         pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: x * np.nan, lipschitz=1.0)
+    elif kind == "bracket":
+        f = lambda x: x  # noqa: E731
+        f.bracket = lambda x: (x * np.nan, x + np.inf)
+        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=f, lipschitz=1.0)
     else:
         pat = TranslationalPattern(d=1, n=2, a=1, period_m=1, lipschitz=1.0,
                                    T=lambda x: np.full(x.shape[:-1] + (1, 1), np.inf))

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -655,15 +656,55 @@ def test_pilot_takes_few_exact_residuals(monkeypatch):
 
 def test_isosceles_pilot_takes_few_exact_residuals(monkeypatch):
     # the bracket screen leaves the exact residual (a full bisection) at
-    # most 5% of the 200k pilot rows of the seed-0 isosceles pilot at
-    # M = 256, in one call: no fallback
-    from salemkit.sampler import _threshold
+    # most 2 kk of the 200k pilot rows of the seed-0 isosceles pilot at
+    # M = 256, in one call: no fallback (kk = 200 rows at seed 0; an
+    # 11-step bisection bracket left 4213)
+    from salemkit.sampler import _cap_rule, _threshold
 
     pattern, kw = _pilot_case("iso-256")
     rows = _count_residual_rows(monkeypatch, pattern)
     params = ConstructionParams(seed=0, **kw)
     _threshold(pattern, params, derive_radius(params.M, params.lam))
-    assert len(rows) == 1 and 0 < rows[0] <= 0.05 * PILOT
+    kk = _cap_rule(PILOT, params.M, pattern.n, math.sqrt(params.M))[2]
+    assert len(rows) == 1 and 0 < rows[0] <= 2 * kk
+
+
+def test_isosceles_build_solves_only_the_screened_tuples(monkeypatch):
+    # the third-leg solve runs only inside the exact residual, on the rows
+    # the pilot's floor and the filter's probe keep: at seed 0, M = 256,
+    # 200 pilot rows and 22 of the 65 536 filter prefixes (the filter once
+    # solved every prefix)
+    from salemkit import harness
+
+    pattern, kw = _pilot_case("iso-256")
+    rows = _count_residual_rows(monkeypatch, pattern)
+    solved, solve = [], harness._solve_third_leg
+
+    def counted(t1, t2, lo, hi):
+        solved.append(np.size(t1))
+        return solve(t1, t2, lo, hi)
+
+    monkeypatch.setattr(harness, "_solve_third_leg", counted)
+    build_surface(pattern, ConstructionParams(seed=0, **kw))
+    assert solved == rows and len(rows) == 2 and rows[1] <= 100
+
+
+def test_isosceles_pilot_memory():
+    # the bracket runs in row blocks: the seed-0 M = 256 isosceles
+    # threshold peaked at 20.7 MB traced with the bisection bracket, 16.0
+    # MB with the blocked Newton bracket
+    from salemkit.sampler import _threshold
+
+    pattern, kw = _pilot_case("iso-256")
+    params = ConstructionParams(seed=0, **kw)
+    r = derive_radius(params.M, params.lam)
+    tracemalloc.start()
+    try:
+        _threshold(pattern, params, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 # ------------------------------------------------------- refactoring oracle
