@@ -669,6 +669,14 @@ class SweepReport:
         return asdict(self)
 
 
+def _require_finite(**values):
+    """Refuse a NaN or infinite bound parameter: it would make every
+    comparison with the bound false, and the sweep pass."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None):
     """Dyadic-annulus sweep of |S(xi)| against the cancellation bound.
 
@@ -680,6 +688,7 @@ def sweep(points, weights, lam, C, delta=1.0, kappa=0.2, xi_max=None):
     N, d = points.shape
     if N < 2:
         raise ValueError("need at least two points")
+    _require_finite(lam=lam, C=C, delta=delta)
     if xi_max is None:
         xi_max = int(math.ceil(N ** (1.0 + kappa)))
     constant = C * N**-0.5 * math.log(N)
@@ -760,6 +769,7 @@ def calibrate_constant(
         raise ValueError("N must be at least 2: the statistic divides by log(N)")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _require_finite(lam=lam, delta=delta)
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if len(weights) != N:

@@ -686,132 +686,48 @@ def isosceles_functional(t1, t2, t3):
     return _sq_chord(t1, t2) - _sq_chord(t3, t2)
 
 
-_THIRD_LEG_STEPS = 80  # bisection cap for a bracket that never settles
-# rows per block of :func:`_third_leg_newton_bracket`: its dozen temporaries
-# stay near 3 MB on a pilot of 200k rows
-_LEG_BRACKET_ROWS = 2**15
+# rows per block of :func:`_third_leg`: its temporaries stay near 3 MB on
+# a pilot of 200k rows
+_LEG_ROWS = 2**15
 
 
-def _third_leg_bracket(t1, t2, lo, hi, steps):
-    """Bracket ``(lo, hi)`` of the third leg after at most ``steps`` bisection
-    steps: t3 in [lo, hi] with |gamma(t3)-gamma(t2)| = |gamma(t1)-gamma(t2)|.
+def _third_leg(t1, t2, top):
+    """t3 >= t2 with |gamma(t3) - gamma(t2)| = |gamma(t1) - gamma(t2)|, per
+    entry of the broadcast float arrays ``t1`` and ``t2``, for a scalar
+    ``top`` the root may not reach.
 
-    The squared chord length from gamma(t2) is strictly increasing in t3
-    on t3 > t2 >= 0, so the root is unique when bracketed.  The fixed leg
-    and t2 * t2 are computed once.  A step depends on (lo, hi) alone (the
-    sign of F(lo) never changes), so after a step that moves no lo and no
-    hi every later step repeats it: stopping there gives the bracket of
-    ``steps`` steps.  A float midpoint 0.5 * (lo + hi) lies between lo and
-    hi (rounding is monotone: fl(lo + hi) lies between 2 lo and 2 hi, and
-    its half between lo and hi), so the brackets of 0, 1, 2, ... steps nest.
+    D = t3 - t2 solves D^2 (1 + (D + 2 t2)^2) = L, L the float leg
+    ``_sq_chord(t1, t2)``, since t3^2 - t2^2 = D (D + 2 t2).  For t2 >= 0
+    the left side is increasing and convex in D >= 0.  The closed-form
+    start sqrt(L / (1 + (sqrt(L) + 2 t2)^2)) puts sqrt(L) >= D in place
+    of D, so it lies below the root; the first Newton step lands above it
+    and the later ones fall to it quadratically.  On the isosceles box
+    [0, 3 eps]^2 the start is within a few percent, and three steps reach
+    the float rounding floor: within about 2 ulps of the exact root.  A
+    leg of 0 gives t2 itself.  Rows are taken ``_LEG_ROWS`` at a time.
+    A row with t2 < 0 or fl(L - |gamma(top) - gamma(t2)|^2) >= 0 has no
+    root in [t2, top) and raises ``RuntimeError``; a NaN gives NaN.
     """
-    t1, t2, lo, hi = np.broadcast_arrays(*(np.asarray(x, float) for x in (t1, t2, lo, hi)))
-    t2_sq = t2 * t2
-    leg = _sq_chord(t1, t2, t2_sq)
-    sign_lo = np.sign(leg - _sq_chord(lo, t2, t2_sq))
-    if np.any(sign_lo == np.sign(leg - _sq_chord(hi, t2, t2_sq))):
-        raise RuntimeError("isosceles solver: root not bracketed on a probe")
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        neg = np.sign(leg - _sq_chord(mid, t2, t2_sq)) == sign_lo
-        new_lo = np.where(neg, mid, lo)
-        new_hi = np.where(neg, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
-
-
-def _solve_third_leg(t1, t2, lo, hi):
-    """Midpoint of :func:`_third_leg_bracket` after the full bisection: the
-    bracket settles at its float fixed point (about 55 steps on the
-    isosceles pilot), or a bracket that never settles (a NaN, which never
-    equals itself, or a root far below the bracket's width) stops at the
-    ``_THIRD_LEG_STEPS`` cap.  Either way the midpoint lies in the bracket
-    of every step count.
-    """
-    lo, hi = _third_leg_bracket(t1, t2, lo, hi, _THIRD_LEG_STEPS)
-    return 0.5 * (lo + hi)
-
-
-def _third_leg_newton_bracket(t1, t2, top):
-    """Bracket ``(lo, hi)`` with lo <= ``_solve_third_leg(t1, t2, t2, top)``
-    <= hi per entry, for float arrays ``t1``, ``t2`` and 0 < top < 1.
-
-    Write u = 2^-53, L for the float leg ``_sq_chord(t1, t2, t2_sq)``,
-    c(x) = (x - t2)^2 + (x^2 - t2^2)^2 for the exact squared chord and
-    F(x) = L - c(x), strictly decreasing on [t2, top] when t2 >= 0.  The
-    solver's sign test at x is the sign of fl(F(x)) = fl(L - fl(c(x))).
-    For t2 <= x <= top, term by term: x - t2 rounds by u top, so its
-    square is within 3.01 u top^2 of (x - t2)^2; x^2 and t2^2 round by
-    u top^2 each and their difference by u (1 + u) top^2 more, so the
-    square of that difference is within 2 (3.01 u top^2) top^2 + its own
-    rounding, under 7.1 u top^2 (top < 1), of (x^2 - t2^2)^2; the sum of
-    the two squares, at most 2.01 top^2, rounds by 2.01 u top^2; and the
-    subtraction rounds by u max(L, 2.01 top^2).  So |fl(F(x)) - F(x)| <=
-    u (L + 14.2 top^2) < E = 2^-52 (L + 16 top^2): E's two roundings
-    lose under 2u of it, and an underflow adds at most 2^-1075 a step.
-
-    If fl(F(a)) >= 2E, then F(a) > E, and every x in [t2, a] has
-    F(x) >= F(a), so fl(F(x)) > 0; likewise fl(F(b)) <= -2E gives
-    fl(F(x)) < 0 on [b, top].  The solver bisects [t2, top]: fl(F(t2)) = L
-    (the chord of t2 to itself is 0 exactly), and L = F(t2) > F(a) > 0
-    here, so a step sets lo = mid where fl(F(mid)) > 0 and hi = mid where
-    fl(F(mid)) <= 0, and fl(F(top)) < 0 passes its bracket check.  Every
-    mid lies between lo and hi, inside [t2, top], so no mid <= a becomes
-    hi and no mid >= b becomes lo: lo < b and hi > a at every step.  A
-    row then ends in one of two ways.  At a fixed point, mid in {lo, hi}:
-    lo and hi are adjacent floats (a float strictly between them would
-    put fl(lo + hi) in [2 next(lo), 2 prev(hi)]), so lo >= a, hi <= b and
-    f = fl((lo + hi) / 2) is in [a, b].  Or at the cap of k =
-    ``_THIRD_LEG_STEPS`` steps: a step keeps at most half the width plus
-    u (lo + hi) / 2 <= u top (fl(lo + hi) rounds, the halving is exact),
-    so hi - lo <= top (2^-k + 2^-52) and f is in [lo, hi], within that of
-    [a, b].  The bracket returned is fl(a - w), fl(b + w) with
-    w = fl(top (2^-k + 2^-51)), which covers both cases: w loses at most
-    u w to its rounding and each end at most u top to its own, and the
-    spare top 2^-52 pays for both.
-
-    The points a, b = fl(r -+ delta) come from D = t3 - t2, the root of
-    D^2 (1 + (D + 2 t2)^2) = L: the closed-form start
-    sqrt(L / (1 + (sqrt(L) + 2 t2)^2)) (sqrt(L) >= D in place of D) and
-    two Newton steps give D, r = t2 + D, and delta = 2E / D, so that
-    F(r -+ delta) is about -+2 D delta = -+4E, clear of -+2E by the error
-    of r (under 1.4e-17 on the seed 0-3 isosceles pilots, against a delta
-    near 7e-15).  None of this needs proof: the sign tests certify.  A row
-    with t2 < 0, a <= t2, b >= top, anything non-finite or a failed test
-    gets lo = hi = f, from one solve of all such rows, so a root the
-    solver cannot bracket raises its ``RuntimeError``.  Rows are taken
-    ``_LEG_BRACKET_ROWS`` at a time.
-    """
-    lo, hi = np.empty_like(t2), np.empty_like(t2)
-    fall = np.empty(t2.shape, dtype=bool)
-    err_top = 16.0 * top * top
-    widen = top * (2.0**-_THIRD_LEG_STEPS + 2.0**-51)
-    for start in range(0, len(t2), _LEG_BRACKET_ROWS):
-        rows = slice(start, start + _LEG_BRACKET_ROWS)
-        x1, x2 = t1[rows], t2[rows]
-        with np.errstate(all="ignore"):  # non-finite rows fall back below
-            x2_sq = x2 * x2
-            leg = _sq_chord(x1, x2, x2_sq)
-            err = 2.0**-52 * (leg + err_top)
-            two = 2.0 * x2
-            root = np.sqrt(leg)
-            d = root / np.sqrt(1.0 + (root + two) ** 2)
-            for _ in range(2):
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    out = np.empty(t2.shape)
+    t1, t2, flat = t1.reshape(-1), t2.reshape(-1), out.reshape(-1)
+    for start in range(0, len(t2), _LEG_ROWS):
+        rows = slice(start, start + _LEG_ROWS)
+        x2 = t2[rows]
+        x2_sq = x2 * x2
+        leg = _sq_chord(t1[rows], x2, x2_sq)
+        if np.any((x2 < 0.0) | (leg - _sq_chord(top, x2, x2_sq) >= 0.0)):
+            raise RuntimeError("isosceles solver: root not bracketed on a probe")
+        two = 2.0 * x2
+        root = np.sqrt(leg)
+        d = root / np.sqrt(1.0 + (root + two) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a leg of 0
+            for _ in range(3):
                 w = d + two
                 q = 1.0 + w * w
                 d -= (d * d * q - leg) / (2.0 * d * (q + d * w))
-            delta = 2.0 * err / d
-            r = x2 + d
-            a, b = r - delta, r + delta
-            ok = (x2 >= 0.0) & (a > x2) & (b < top)
-            ok &= leg - _sq_chord(a, x2, x2_sq) >= 2.0 * err
-            ok &= leg - _sq_chord(b, x2, x2_sq) <= -2.0 * err
-        lo[rows], hi[rows], fall[rows] = a - widen, b + widen, ~ok
-    if fall.any():
-        lo[fall] = hi[fall] = _solve_third_leg(t1[fall], t2[fall], t2[fall], top)
-    return lo, hi
+        flat[rows] = x2 + np.where(leg == 0.0, 0.0, d)
+    return out
 
 
 def isosceles_surface_pattern():
@@ -829,16 +745,7 @@ def isosceles_surface_pattern():
         prefix = np.asarray(prefix, dtype=float)
         t1 = prefix[..., 0]
         t2 = prefix[..., 1]
-        return _solve_third_leg(t1, t2, t2, 3.0 * eps)[..., None]
-
-    def bracket(prefix):
-        # f's value lies in this bracket; the pilot's residual floor and
-        # the window probe screen with it
-        prefix = np.asarray(prefix, dtype=float)
-        lo, hi = _third_leg_newton_bracket(prefix[:, 0], prefix[:, 1], 3.0 * eps)
-        return lo[:, None], hi[:, None]
-
-    f.bracket = bracket
+        return _third_leg(t1, t2, 3.0 * eps)[..., None]
 
     cubes = [Cube([c - side / 2], side) for c in centers]
     # |f'| along the surface: chord ratios on the short parabola arc stay
@@ -851,17 +758,20 @@ def min_isosceles_gap(points):
 
     Sorted-row-gap trick: for each apex the minimum difference of squared
     leg lengths is attained between neighbors in sorted order, so the scan
-    is O(N^2 log N) instead of O(N^3).
+    is O(N^2 log N) instead of O(N^3).  Apexes are taken in blocks of
+    about 2^18 legs, one row each, with the apex's own entry set to +inf:
+    it sorts last, and its gap of +inf never wins.
     """
     pts = np.asarray(points, dtype=float).reshape(-1)
     N = len(pts)
     best = math.inf
-    for j in range(N):
-        d2 = _sq_chord(pts, pts[j])
-        vals = np.sort(d2[np.arange(N) != j])
-        if len(vals) >= 2:
-            gaps = np.diff(vals)
-            best = min(best, float(gaps.min()))
+    rows = max(1, 2**18 // max(N, 1))
+    for start in range(0, N, rows):
+        apex = np.arange(start, min(start + rows, N))
+        d2 = _sq_chord(pts[None, :], pts[apex, None])
+        d2[np.arange(len(apex)), apex] = np.inf
+        d2.sort(axis=1)
+        best = min(best, float(np.diff(d2, axis=1).min(initial=math.inf)))
     return best
 
 

@@ -54,8 +54,7 @@ def _fold_slack(span):
     [0, 1), a grid shift t + b/m, a scaling by m) moves a per-coordinate
     gap by at most half an ulp of ``span``, and a handful of them leave
     each way within 4 ulps of the real gap.  16 ulps bounds the difference
-    of two ways with room to spare.  :meth:`SurfacePattern.residual_floor`
-    takes it as its rounding allowance, with its own argument.
+    of two ways with room to spare.
     """
     return 16.0 * np.spacing(span)
 
@@ -212,11 +211,7 @@ class SurfacePattern:
     """Graph relation x_n = f(x_1, ..., x_{n-1}) with Lipschitz bound L.
 
     ``f`` must be vectorized: it maps an array of shape (..., d*(n-1)) to
-    target points of shape (..., d).  It may carry ``f.bracket``, a cheap
-    map of the same prefixes to ``(lo, hi)`` with f between them, which
-    :meth:`residual_floor` screens the pilot with and the d = 1 window probe
-    screens the removal and the scan with: f then runs only on the tuples
-    they keep.  ``cubes`` are the n pairwise
+    target points of shape (..., d).  ``cubes`` are the n pairwise
     separated construction cubes R_1..R_n (separation >= 10 * sidelength).
     """
 
@@ -252,34 +247,9 @@ class SurfacePattern:
         return np.where(mask, res, np.inf)
 
     def residual_floor(self, tuples):
-        """``(floor, slack)`` as in :meth:`TranslationalPattern.residual_floor`,
-        with a slack per tuple.
-
-        Without ``f.bracket`` this is the residual itself, with slack 0.
-        With it, ``f.bracket(prefix)`` gives ``(lo, hi)`` of shape (B, d)
-        with the target f(prefix) between lo and hi per coordinate.  The
-        floor is the torus distance from x_n to the float midpoint
-        m = 0.5 (lo + hi).  By the triangle inequality the residual is
-        within |f(prefix) - m| of it, which is at most h = |hi - lo| / 2
-        (half the bracket's diagonal) plus the midpoint's rounding.  The
-        slack is h plus d times :func:`_fold_slack` of
-        span = 1 + max(|lo|, |hi|), the rounding allowance: every value
-        either way forms (a wrapped coordinate, a gap, the midpoint, h) is
-        at most ``span`` in size, and the midpoint (half an ulp per
-        coordinate), h and the two torus distances (each a few ulps per
-        coordinate through the wrap, the gap, the square, the sum and the
-        root) round it by well under 16 d ulps of span in all.  The domain
-        mask is skipped: it can only raise a residual to +inf.
-        """
-        bracket = getattr(self.f, "bracket", None)
-        if bracket is None:
-            return self.residual(tuples), 0.0
-        split = self.d * (self.n - 1)
-        lo, hi = (np.asarray(b, dtype=float) for b in bracket(tuples[:, :split]))
-        floor = tdist(tuples[:, split:], 0.5 * (lo + hi))
-        half = 0.5 * np.sqrt(((hi - lo) ** 2).sum(axis=-1))
-        span = 1.0 + float(np.maximum(np.abs(lo), np.abs(hi)).max(initial=0.0))
-        return floor, half + self.d * _fold_slack(span)
+        """``(floor, slack)`` as in :meth:`TranslationalPattern.residual_floor`:
+        the exact residual, with slack 0."""
+        return self.residual(tuples), 0.0
 
 
 class TranslationalPattern:
@@ -445,15 +415,6 @@ class _FoldProbe:
     The window ends fl(q + shift -+ tau) add at most 2 ulps of 2 + tau
     (a tau of 2 or more reaches every point), so both sums stay well
     inside the 16 ulps of span.
-
-    A surface f that carries ``f.bracket`` is queried at the midpoints
-    t = fl((lo + hi) / 2) of its brackets instead, with tau and span grown
-    by the chunk's largest h = fl(|hi - lo| / 2).  f(prefix) lies in
-    [lo, hi], so it is within h of t plus 1.5 ulps of span (an ulp for the
-    rounded sum, half an ulp for h's rounding).  A tuple whose residual
-    is at most tau less h and :func:`_fold_slack` of span then has its
-    last point within tau of t less that slack plus 2 + 1.5 ulps, and the
-    window ends take 2 more: 5.5 of the 16 ulps of span.
     """
 
     def __init__(self, last, ax, period, size):
@@ -539,8 +500,7 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     than ``eps + tol`` in the sorted last slot, so the result equals a full
     enumeration: a translational prefix x_1..x_{n-2} queries the fold of
     a x_{n-1} + t for each x_{n-1} and raw target t, a surface prefix
-    x_1..x_{n-1} the one target f(prefix) (a = 0), or the midpoint of
-    ``f.bracket(prefix)`` when f carries one.  Every other relation
+    x_1..x_{n-1} the one target f(prefix) (a = 0).  Every other relation
     pairs each prefix with the whole last slot.  Yields ``(idx,
     residuals)`` chunks, indices into the uncut slots; the probe may yield
     a tuple twice.
@@ -571,7 +531,6 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
         K = np.asarray(targets(_gather(heads, prefixes(0, 1))), dtype=float).size
     elif probe:
         a, period, targets, ax, K = 0.0, 1.0, pattern.f, np.zeros(1), 1
-    bracket = getattr(targets, "bracket", None) if probe and not translational else None
     per = len(ax) * K if probe else len(slots[-1])
     if float(np.prod([float(v) for v in sizes])) * per > budget:
         raise BudgetError(
@@ -588,17 +547,11 @@ def _tuple_hits(slots, pattern, eps, tol, budget):
     for start in range(0, total, step):
         pre = prefixes(start, min(start + step, total))
         if probe:
-            x, half = _gather(heads, pre), 0.0
-            if bracket is None:
-                t = targets(x)
-            else:
-                lo, hi = (np.asarray(v, dtype=float) for v in bracket(x))
-                t, half = 0.5 * (lo + hi), 0.5 * float(np.abs(hi - lo).max(initial=0.0))
-            t = np.asarray(t, dtype=float).reshape(len(pre), K)
-            span = 1.0 + abs(a) + half + float(np.abs(t).max(initial=0.0))
+            t = np.asarray(targets(_gather(heads, pre)), dtype=float).reshape(len(pre), K)
+            span = 1.0 + abs(a) + float(np.abs(t).max(initial=0.0))
             if not math.isfinite(span):
                 raise ValueError(f"{pattern.kind} pattern gave a non-finite target")
-            batches = fold.candidates(t, eps + tol + half + _fold_slack(span))
+            batches = fold.candidates(t, eps + tol + _fold_slack(span))
         else:
             qi = np.arange(len(pre) * per, dtype=np.int64)
             batches = [(qi, qi % per)]
@@ -627,8 +580,8 @@ def violation_scan(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != pattern.d:
         raise ValueError("points dimension does not match pattern")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    if not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     n = pattern.n
     tuples, resid = [np.empty((0, n), dtype=np.int64)], [np.empty(0)]
     for idx, r in _tuple_hits([points] * n, pattern, margin, SCAN_TOL, budget):

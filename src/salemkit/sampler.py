@@ -71,6 +71,10 @@ class ConstructionParams:
             raise ValueError("M must be >= 2")
         if not 0.0 < self.lam:
             raise ValueError("lambda must be positive")
+        for name in ("filter_scale", "removal_budget"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be None or finite and >= 0, got {value}")
 
 
 def derive_radius(M, lam):
@@ -241,8 +245,8 @@ def incidence_index_set(strata, pattern, threshold, budget=INCIDENCE_BUDGET):
     Returns the index set I as a sorted integer array; exact — fast paths
     must agree with full enumeration.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     strata = [np.atleast_2d(np.asarray(s, dtype=float)) for s in strata]
     if len(strata) == 1:
         tuples, _ = violation_scan(strata[0], pattern, threshold, 0.0, budget)
@@ -272,7 +276,7 @@ def build_rough(pattern, params):
     if params.filter_scale is not None:
         tau, rule = params.filter_scale * r, "explicit"
     else:
-        budget = params.removal_budget or math.sqrt(M)
+        budget = math.sqrt(M) if params.removal_budget is None else params.removal_budget
         B = 200_000
         tup = _stream(params.seed, 10_000).random((B, n * d))
         # the residual is exact only below tau_theory + 1/g, so fit the removal
@@ -350,9 +354,8 @@ def _threshold(pattern, params, r):
     wins; otherwise a pilot of B = 200k tuples, drawn slot by slot from the
     doubled cubes on the pilot stream, caps it (:func:`_cap_threshold`).
     The cap reads only the kk smallest pilot residuals (:func:`_cap_rule`),
-    so the pilot screens its tuples with the pattern's residual floor (for
-    a surface, the distance to the midpoint of ``f.bracket``) and takes the
-    exact residual only where it can reach them
+    so the pilot screens its tuples with the pattern's residual floor and
+    takes the exact residual only where it can reach them
     (:func:`_smallest_residuals`); the threshold is the one a full sort of
     every residual gives, bit for bit.
     """
@@ -368,7 +371,7 @@ def _threshold(pattern, params, r):
         u = _stream(params.seed, 10_000).random((n, B, pattern.d))
         pilot = np.concatenate([double_cube(c).place(x) for c, x in zip(pattern.cubes, u)], axis=1)
         del u
-        budget = params.removal_budget or math.sqrt(M)
+        budget = math.sqrt(M) if params.removal_budget is None else params.removal_budget
         smallest = _smallest_residuals(pattern, pilot, _cap_rule(B, M, n, budget)[2])
         tau, rule = _cap_threshold(tau_theory, smallest, B, M, n, budget)
     return {"tau_theory": tau_theory, "tau_used": float(tau), "tau_rule": rule}

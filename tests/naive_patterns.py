@@ -2,7 +2,8 @@
 
 The pattern references materialize what the library computes in closed
 form or through a probe window, so a test can compare the two; the support
-distance compares a perturbed measure's support with its parent's.
+distance compares a perturbed measure's support with its parent's; the
+isosceles gap loops over the apexes one at a time.
 """
 
 from itertools import product
@@ -105,3 +106,16 @@ def support_distance(mu, mu0, threshold):
     if len(a) == 0 or len(b) == 0:
         raise ValueError("support is empty at this threshold")
     return hausdorff_distance(a, b)
+
+
+def min_isosceles_gap_per_apex(points):
+    """min over apexes j and legs i != k of | |g_i - g_j|^2 - |g_k - g_j|^2 |
+    on the parabola g(t) = (t, t^2): one sort of the N - 1 squared legs per
+    apex, the minimum gap of neighbours in sorted order."""
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    best = np.inf
+    for j in range(len(pts)):
+        d2 = np.delete((pts - pts[j]) ** 2 + (pts * pts - pts[j] * pts[j]) ** 2, j)
+        if len(d2) >= 2:
+            best = min(best, float(np.diff(np.sort(d2)).min()))
+    return best

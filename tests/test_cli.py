@@ -54,6 +54,8 @@ def test_sweep_with_tiny_C_fails_with_code_1(build_config, tmp_path):
     csv = str(out / "configuration.csv")
     # C = -10^3 makes the bound negative everywhere, so every frequency violates
     assert main(["sweep", "--config", csv, "--C", "-1000.0"]) == 1
+    # a NaN C would pass every frequency: an input error
+    assert main(["sweep", "--config", csv, "--C", "nan"]) == 2
 
 
 def test_montecarlo_runs_small_battery(tmp_path):

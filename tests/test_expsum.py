@@ -748,6 +748,22 @@ def test_calibrate_refuses_degenerate_arguments():
         calibrate_constant(1, 1, lam=0.45, trials=2)
     with pytest.raises(ValueError, match="trials must"):
         calibrate_constant(64, 1, lam=0.45, trials=0)
+    for bad in (dict(lam=math.nan), dict(lam=0.45, delta=math.nan), dict(lam=math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            calibrate_constant(64, 1, trials=2, **bad)
+
+
+@pytest.mark.parametrize("name", ["C", "delta", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_refuses_a_non_finite_bound(name, value):
+    # 50 of 200 points at 0.5 give 53 violations at C = 0.1; a NaN C,
+    # delta or lam would compare false with every magnitude and pass
+    pts = np.random.default_rng(3).random((200, 1))
+    pts[:50] = 0.5
+    kw = dict(lam=0.45, C=0.1, delta=1.0)
+    assert sweep(pts, None, **kw).n_violations > 0
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sweep(pts, None, **{**kw, name: value})
 
 
 def test_screen_memory_is_bounded():

@@ -617,20 +617,36 @@ def test_demo_linear_equations_monotone_in_coeff_bound():
 def test_isosceles_functional_and_solver():
     # symmetric triple on the parabola is isosceles in the chord metric
     assert isosceles_functional(0.01, 0.02, 0.03) != 0.0  # parabola bends
-    from salemkit.harness import _solve_third_leg
+    from salemkit.harness import _third_leg
 
-    t3 = _solve_third_leg(np.array([0.01]), np.array([0.02]), 0.02, 0.1)[0]
+    t3 = _third_leg(np.array([0.01]), np.array([0.02]), 0.1)[0]
     assert isosceles_functional(0.01, 0.02, t3) == pytest.approx(0.0, abs=1e-15)
     assert t3 > 0.02
 
 
 def test_min_isosceles_gap_detects_exact_triple():
-    from salemkit.harness import _solve_third_leg
+    from salemkit.harness import _third_leg
 
     t1, t2 = 0.01, 0.02
-    t3 = float(_solve_third_leg(np.array([t1]), np.array([t2]), t2, 0.1)[0])
+    t3 = float(_third_leg(np.array([t1]), np.array([t2]), 0.1)[0])
     assert min_isosceles_gap([t1, t2, t3]) == pytest.approx(0.0, abs=1e-12)
     assert min_isosceles_gap([0.01, 0.024, 0.09]) > 0
+
+
+def test_min_isosceles_gap_equals_the_per_apex_loop():
+    from naive_patterns import min_isosceles_gap_per_apex
+
+    # no pair of legs below three points
+    for pts in ([], [0.02], [0.01, 0.03]):
+        assert min_isosceles_gap(pts) == math.inf == min_isosceles_gap_per_apex(pts)
+    rng = np.random.default_rng(8)
+    cases = [rng.random(N) * hm.ISO_EPSILON for N in (3, 4, 10, 257, 1002)]
+    # repeated points: equal legs give a gap of 0
+    cases += [np.array([0.01, 0.01, 0.02, 0.03]), np.repeat(rng.random(40) * 0.04, 3)]
+    for pts in cases:
+        got = min_isosceles_gap(pts)
+        assert got == min_isosceles_gap_per_apex(pts)
+    assert min_isosceles_gap(cases[-1]) == 0.0
 
 
 def _third_leg_80_steps(t1, t2, lo, hi):
@@ -666,80 +682,6 @@ def _assert_same_bits(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_solve_third_leg_bit_equal_on_pilots(seed):
-    # the first 20k tuples of the isosceles build's threshold pilot, solved
-    # exactly as the surface pattern's f solves them
-    from salemkit.harness import ISO_EPSILON, _solve_third_leg
-    from salemkit.torus import double_cube
-
-    cubes = hm.isosceles_surface_pattern().cubes
-    prng = sampler._stream(seed, 10_000)
-    pilot = np.concatenate(
-        [double_cube(c).sample(prng, 200_000) for c in cubes], axis=1
-    )[:20_000]
-    t1, t2 = pilot[:, 0], pilot[:, 1]
-    hi = 3.0 * ISO_EPSILON
-    _assert_same_bits(
-        _solve_third_leg(t1, t2, t2, hi), _third_leg_80_steps(t1, t2, t2, hi)
-    )
-    # an array hi gives the same bits as well
-    hi_arr = np.full_like(t2, hi)
-    _assert_same_bits(
-        _solve_third_leg(t1, t2, t2, hi_arr), _third_leg_80_steps(t1, t2, t2, hi_arr)
-    )
-
-
-def test_solve_third_leg_bit_equal_on_edge_brackets():
-    from salemkit.harness import _solve_third_leg
-
-    cases = [
-        # one-element bracket, scalar lo and hi
-        (np.array([0.01]), np.array([0.02]), 0.02, 0.1),
-        # a NaN t1 next to ordinary entries: its hi walks down to lo
-        (np.array([np.nan, 0.01, 0.03]), np.array([0.02, 0.02, 0.04]),
-         np.array([0.02, 0.02, 0.04]), 1.0),
-        # a NaN t2 makes lo NaN: that entry never settles, the cap ends it
-        (np.array([0.01, 0.01]), np.array([np.nan, 0.02]),
-         np.array([np.nan, 0.02]), np.array([0.5, 0.5])),
-        # a root 1e-30 inside [0, 1] is still open after 80 halvings
-        (np.array([1e-30, 0.3]), np.array([0.0, 0.1]), 0.0, 1.0),
-    ]
-    for t1, t2, lo, hi in cases:
-        _assert_same_bits(
-            _solve_third_leg(t1, t2, lo, hi), _third_leg_80_steps(t1, t2, lo, hi)
-        )
-    with pytest.raises(RuntimeError, match="not bracketed"):
-        _solve_third_leg(np.array([0.01, 0.01]), np.array([0.02, 0.02]), 0.5, 0.9)
-
-
-def test_third_leg_brackets_nest_and_hold_the_solution():
-    # the bracket of every step count 0..80 lies in the one before, and the
-    # solver's value lies in every one
-    from salemkit.harness import ISO_EPSILON, _solve_third_leg, _third_leg_bracket
-    from salemkit.torus import double_cube
-
-    cubes = hm.isosceles_surface_pattern().cubes
-    prng = sampler._stream(0, 10_000)
-    pilot = np.concatenate(
-        [double_cube(c).sample(prng, 200_000) for c in cubes], axis=1
-    )[:2_000]
-    cases = [
-        (pilot[:, 0], pilot[:, 1], pilot[:, 1], 3.0 * ISO_EPSILON),
-        (np.array([0.01]), np.array([0.02]), 0.02, 0.1),
-        # a root 1e-30 inside [0, 1] is still open after 80 halvings
-        (np.array([1e-30, 0.3]), np.array([0.0, 0.1]), 0.0, 1.0),
-    ]
-    for t1, t2, lo, hi in cases:
-        t3 = _solve_third_leg(t1, t2, lo, hi)
-        prev_lo, prev_hi = np.broadcast_arrays(lo, hi, t3)[:2]
-        for steps in range(81):
-            b_lo, b_hi = _third_leg_bracket(t1, t2, lo, hi, steps)
-            assert np.all(prev_lo <= b_lo) and np.all(b_lo <= b_hi) and np.all(b_hi <= prev_hi)
-            assert np.all(b_lo <= t3) and np.all(t3 <= b_hi)
-            prev_lo, prev_hi = b_lo, b_hi
-
-
 def _iso_pilot(seed, rows=200_000):
     # the first rows of the isosceles build's threshold pilot
     from salemkit.torus import double_cube
@@ -749,57 +691,83 @@ def _iso_pilot(seed, rows=200_000):
     return np.concatenate([double_cube(c).sample(prng, 200_000) for c in cubes], axis=1)[:rows]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_newton_bracket_holds_the_solver_on_pilots(seed):
-    # every pilot prefix gets a certified bracket under 1e-13 wide, and the
-    # solver's value lies in it
-    pat = hm.isosceles_surface_pattern()
-    prefix = _iso_pilot(seed)[:, :2]
-    lo, hi = pat.f.bracket(prefix)
-    t3 = pat.f(prefix)
-    assert np.all(lo <= t3) and np.all(t3 <= hi)
-    assert np.all(lo < hi) and np.all(hi - lo < 1e-13)
-
-
-def test_newton_bracket_on_edge_rows():
-    # cube-edge prefixes are certified like any other; rows with t1 == t2
-    # (a leg of 0), t2 = 0 or a NaN hold the solver's value too, and a row
-    # the bracket does not certify gets exactly the solver's value
+def _iso_edge_prefixes():
+    # (t1, t2) at the ends of the first two doubled cubes and one float inside
     from salemkit.torus import double_cube
 
-    pat = hm.isosceles_surface_pattern()
     edges = []
-    for cube in pat.cubes[:2]:
+    for cube in hm.isosceles_surface_pattern().cubes[:2]:
         q = double_cube(cube)
         lo, hi = q.corner[0], q.corner[0] + q.side
         edges.append([lo, float(np.nextafter(lo, 1.0)), float(np.nextafter(hi, 0.0)), hi])
-    corners = np.array([[x1, x2] for x1 in edges[0] for x2 in edges[1]])
-    nan = np.nan
-    rows = np.array([[0.02, 0.02], [0.0, 0.0], [0.004, 0.0], [1e-30, 0.0], [0.02, 0.0],
-                     [nan, 0.02], [0.004, nan], [nan, nan]])
-    prefix = np.concatenate([corners, rows])
-    lo, hi = pat.f.bracket(prefix)
-    t3 = pat.f(prefix)
-    kept = lo < hi
-    assert np.all(kept[: len(corners)]) and not np.any(kept[len(corners):][[0, 1, 5, 6, 7]])
-    assert np.all(lo[kept] <= t3[kept]) and np.all(t3[kept] <= hi[kept])
-    _assert_same_bits(lo[~kept], t3[~kept])
-    _assert_same_bits(hi[~kept], t3[~kept])
-    # a root beyond the solver's range raises as the solver does
-    with pytest.raises(RuntimeError, match="not bracketed"):
-        pat.f.bracket(np.array([[0.004, 0.02], [0.0, 0.1]]))
+    return np.array([[x1, x2] for x1 in edges[0] for x2 in edges[1]])
 
 
-@pytest.mark.parametrize("steps", [20, 40])
-def test_newton_bracket_holds_the_solver_at_a_binding_cap(monkeypatch, steps):
-    # the bracket's widening covers a bisection that the step cap stops
-    # before it settles
-    monkeypatch.setattr(hm, "_THIRD_LEG_STEPS", steps)
-    pat = hm.isosceles_surface_pattern()
-    prefix = _iso_pilot(0, 20_000)[:, :2]
-    lo, hi = pat.f.bracket(prefix)
-    t3 = pat.f(prefix)
-    assert np.all(lo < hi) and np.all(lo <= t3) and np.all(t3 <= hi)
+def _exact_third_leg_ulps(t1, t2, t3):
+    """Largest distance of t3 from the exact third leg of the float (t1, t2),
+    in ulps of that root: a 40-digit Newton solve of
+    D^2 (1 + (D + 2 t2)^2) = L on the exact leg L."""
+    from decimal import Decimal, localcontext
+
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for a, b, got in zip(t1.tolist(), t2.tolist(), t3.tolist()):
+            a, b = Decimal(a), Decimal(b)
+            leg = (a - b) ** 2 + (a * a - b * b) ** 2
+            d = leg.sqrt()
+            while d > 0:
+                w = d + 2 * b
+                q = 1 + w * w
+                step = (d * d * q - leg) / (2 * d * (q + d * w))
+                d -= step
+                if abs(step) <= d * Decimal(10) ** -36:
+                    break
+            root = b + d
+            worst = max(worst, float(abs(Decimal(got) - root)) / float(np.spacing(float(root))))
+    return worst
+
+
+def test_third_leg_is_near_the_exact_root():
+    # grid rows over the prefix box [0, 3 eps]^2 that have a root below
+    # 3 eps, cube-edge rows and seed-0 pilot rows
+    top = 3.0 * hm.ISO_EPSILON
+    g = np.linspace(0.0, top, 41)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    grid = grid[hm._sq_chord(grid[:, 0], grid[:, 1]) < hm._sq_chord(top, grid[:, 1])]
+    for prefix in (grid, _iso_edge_prefixes(), _iso_pilot(0, 1500)[:, :2]):
+        t1, t2 = prefix[:, 0], prefix[:, 1]
+        assert _exact_third_leg_ulps(t1, t2, hm._third_leg(t1, t2, top)) < 2.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_third_leg_is_near_the_80_step_bisection_on_pilots(seed):
+    # the bisection it replaced is itself up to 1.63 ulps from the root
+    prefix = _iso_pilot(seed)[:, :2]
+    t1, t2, top = prefix[:, 0], prefix[:, 1], 3.0 * hm.ISO_EPSILON
+    got, want = hm._third_leg(t1, t2, top), _third_leg_80_steps(t1, t2, t2, top)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+
+def test_third_leg_blocks_equal_one_pass(monkeypatch):
+    top = 3.0 * hm.ISO_EPSILON
+    prefix = np.concatenate([_iso_pilot(1, 1000)[:, :2], _iso_edge_prefixes()])
+    # a leg of 0 gives t2 itself, a NaN gives NaN
+    prefix = np.concatenate([prefix, [[0.02, 0.02], [0.0, 0.0], [np.nan, 0.02], [0.004, np.nan]]])
+    monkeypatch.setattr(hm, "_LEG_ROWS", 2**30)
+    whole = hm._third_leg(prefix[:, 0], prefix[:, 1], top)
+    monkeypatch.setattr(hm, "_LEG_ROWS", 7)
+    _assert_same_bits(hm._third_leg(prefix[:, 0], prefix[:, 1], top), whole)
+    # the f of the pattern takes any leading shape
+    f = hm.isosceles_surface_pattern().f
+    _assert_same_bits(f(prefix.reshape(2, -1, 2))[..., 0], whole.reshape(2, -1))
+    _assert_same_bits(whole[-4:-2], [0.02, 0.0])
+    assert np.isnan(whole[-2:]).all()
+    # a row with t2 < 0 or no root below top raises, in any block
+    for bad in ([0.01, -1e-300], [0.0, 0.1], [0.3, 0.1]):
+        rows = np.concatenate([prefix, [bad]])
+        with pytest.raises(RuntimeError, match="not bracketed"):
+            hm._third_leg(rows[:, 0], rows[:, 1], top)
 
 
 def test_demo_isosceles_surface_route():

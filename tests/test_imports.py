@@ -48,3 +48,11 @@ def test_pyproject_declares_numpy_only():
     with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
+
+
+def test_pyproject_names_the_distribution_after_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "salemkit"
+    assert project["scripts"] == {"salemkit": "salemkit.cli:main"}

@@ -313,32 +313,28 @@ _WRAP_EDGES = [0.0, 2.0**-60, 1e-17, 1.0 - 2.0**-53, 1.0 - 1e-12]
 
 @st.composite
 def surface_floor_case(draw):
-    """``(kind, knob, tuples)``: isosceles tuples with the last slot at or
-    beside the ends of the pattern's own bracket; a shifted-sum surface
-    whose target sits at an end of a bracket 0 to 2^20 ulps wide, and that
-    signed width; or a surface without ``f.bracket``."""
+    """``(kind, tuples)``: isosceles tuples with the last slot at or beside
+    the pattern's own target, or tuples of a shifted-sum surface."""
     from salemkit.harness import isosceles_surface_pattern
 
-    kind = draw(st.sampled_from(["isosceles", "bracket-end", "no-bracket"]))
-    rows, knob = [], None
+    kind = draw(st.sampled_from(["isosceles", "shifted-sum"]))
+    rows = []
     if kind == "isosceles":
         pat = isosceles_surface_pattern()
         q1, q2, q3 = (double_cube(c) for c in pat.cubes)
         for _ in range(draw(st.integers(1, 8))):
             x1 = draw(_near(q1.corner[0], q1.corner[0] + q1.side))
             x2 = draw(_near(q2.corner[0], q2.corner[0] + q2.side))
-            lo, hi = (float(b[0, 0]) for b in pat.f.bracket(np.array([[x1, x2]])))
+            v = float(pat.f(np.array([[x1, x2]]))[0, 0])
             delta = draw(st.sampled_from([0.0, 1e-17, 1e-12]))
             x3 = draw(st.one_of(
                 _near(q3.corner[0], q3.corner[0] + q3.side),
-                st.sampled_from([lo - delta, lo + delta, hi - delta, hi + delta,
-                                 0.5 * (lo + hi) - delta, 0.5 * (lo + hi) + delta]),
+                st.sampled_from([v - delta, v + delta]),
                 st.sampled_from(_WRAP_EDGES),
             ))
             rows.append([x1, x2, x3])
     else:
         # graph x3 = x1 + x2 + 0.3 mod 1, which meets Q1 x Q2 x Q3
-        knob = draw(st.sampled_from([-3, -1, 0, 1, 2, 2**20]))
         for _ in range(draw(st.integers(1, 8))):
             x1 = draw(_near(0.0, 0.03))
             x2 = draw(_near(0.29, 0.33))
@@ -350,40 +346,24 @@ def surface_floor_case(draw):
                 st.sampled_from(_WRAP_EDGES),
             ))
             rows.append([x1, x2, x3])
-    return kind, knob, np.array(rows, dtype=float)
+    return kind, np.array(rows, dtype=float)
 
 
 @settings(max_examples=300, deadline=None)
 @given(surface_floor_case())
 def test_surface_residual_floor_brackets_the_residual(case):
-    # residual >= floor - slack everywhere, <= floor + slack in the domain
+    # a surface floor is the exact residual, with slack 0
     from salemkit.harness import isosceles_surface_pattern
 
-    kind, knob, tuples = case
+    kind, tuples = case
     if kind == "isosceles":
         pat = isosceles_surface_pattern()
-        floor, slack = pat.residual_floor(tuples)
     else:
         f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
-        if kind == "bracket-end":
-            # knob ulps wide, the target at the low end (knob > 0) or the
-            # high end (knob < 0)
-            def bracket(p):
-                v = f(p)
-                w = knob * np.spacing(v)
-                return np.minimum(v, v + w), np.maximum(v, v + w)
-
-            f.bracket = bracket
         cubes = [Cube([0.0], 0.02), Cube([0.3], 0.02), Cube([0.6], 0.02)]
         pat = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
-        floor, slack = pat.residual_floor(tuples)
-    got = pat.residual(tuples)
-    if kind == "no-bracket":
-        assert slack == 0.0 and np.array_equal(floor, got)
-    assert floor.shape == got.shape and np.all((0.0 <= slack) & (slack < 0.1))
-    assert np.all(got >= floor - slack)
-    fin = np.isfinite(got)
-    assert np.all(got[fin] <= (floor + slack)[fin])
+    floor, slack = pat.residual_floor(tuples)
+    assert slack == 0.0 and np.array_equal(floor, pat.residual(tuples))
 
 
 def test_translational_residual_memory_is_per_raw_target():
@@ -687,13 +667,11 @@ def unfiltered_probe(xs, q, tau, period):
 
 @st.composite
 def fold_probe_case(draw):
-    """``(a, m, t, xprev, xs, eps, tol, width)`` for the d = 1 window probe:
+    """``(a, m, t, xprev, xs, eps, tol)`` for the d = 1 window probe:
     raw targets t (B, K), x_{n-1} and folded last-slot points, with keys on
     and one ulp beside bucket edges and queries that fold to the period's
     ends.  a = 0 is a surface relation x2 = f(x1): K = 1, m = 1 and
-    x_{n-1} = 0; there ``width`` (else None) may give f a bracket that
-    many ulps wide with the target at its low end (width > 0) or its high
-    end (width < 0)."""
+    x_{n-1} = 0."""
     from salemkit.patterns import _FoldProbe, _fold_slack
 
     kind = draw(st.sampled_from(["linear", "dilation", "surface"]))
@@ -755,8 +733,7 @@ def fold_probe_case(draw):
         v = nudge(v, draw(ulps))
         xs.append(v if 0.0 <= v < period else q)
     t += t[: (-len(t)) % K]
-    width = None if a else draw(st.sampled_from([None, 0, 1, -1, 3, -3, 2**20, -(2**20)]))
-    return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol, width
+    return a, m, np.array(t).reshape(-1, K), np.array(xprev), np.sort(xs), eps, tol
 
 
 _BELOW_16TH, _BELOW_1 = float(np.nextafter(1 / 16, 0.0)), float(np.nextafter(1.0, 0.0))
@@ -767,20 +744,16 @@ _BELOW_16TH, _BELOW_1 = float(np.nextafter(1 / 16, 0.0)), float(np.nextafter(1.0
 # a query that folds to 0 from just below it meets the point just below the
 # period through the +period shift, for a dilation and for a surface
 @example((1, 16, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 1 / 32, _BELOW_16TH]),
-          1e-12, 0.0, None))
+          1e-12, 0.0))
 @example((0, 1, np.array([[-1e-17]]), np.array([0.0]), np.array([0.0, 0.5, _BELOW_1]),
-          1e-12, 0.0, None))
+          1e-12, 0.0))
 # a margin of one subnormal, as margin / |m3| gives for a tiny margin
 @example((0, 1, np.array([[0.0], [0.25], [0.3], [1.0], [0.5]]), np.array([0.0]),
-          np.array([0.0, 0.25, 0.25, 0.5, _BELOW_1]), 5e-324, 0.0, None))
-# a point on the target at either end of a bracket 2^20 ulps wide: the
-# probe looks around the midpoint, 2^19 ulps away
-@example((0, 1, np.array([[0.01]]), np.array([0.0]), np.array([0.01]), 0.0, 0.0, 2**20))
-@example((0, 1, np.array([[0.01]]), np.array([0.0]), np.array([0.01]), 0.0, 0.0, -(2**20)))
+          np.array([0.0, 0.25, 0.25, 0.5, _BELOW_1]), 5e-324, 0.0))
 def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(enumerated, case):
     from salemkit.patterns import _FoldProbe, _fold_slack, _tuple_hits
 
-    a, m, t, xprev, xs, eps, tol, width = case
+    a, m, t, xprev, xs, eps, tol = case
     period, ax = 1.0 / m, float(a) * xprev
     tau = eps + tol + _fold_slack(1.0 + abs(float(a)) + float(np.abs(t).max()))
     # the prefilter keeps every query the unfiltered lookup finds a window for
@@ -807,16 +780,7 @@ def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(enumerated, c
         # fold's wrap-around lies
         side = 1 / 24
         cubes = [Cube([0.5 - side / 2], side), Cube([-side / 2], side)]
-        f = lambda x: table(x, 0.5)  # noqa: E731
-        if width is not None:
-
-            def bracket(x):
-                v = f(x)
-                w = width * np.spacing(v)
-                return np.minimum(v, v + w), np.maximum(v, v + w)
-
-            f.bracket = bracket
-        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=f, lipschitz=1.0)
+        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: table(x, 0.5), lipschitz=1.0)
         pools = [(0.5 + np.arange(B) / 1024)[:, None], xs[:, None]]
     idx, pts = _all_tuples(pools, distinct=False)
     resid = pat.residual(pts)
@@ -838,23 +802,74 @@ def test_fold_prefilter_keeps_every_window_and_the_search_is_exact(enumerated, c
         np.testing.assert_array_equal(got_part, want_part)
 
 
-@pytest.mark.parametrize("kind", ["surface", "bracket", "translational"])
+@pytest.mark.parametrize("kind", ["surface", "translational"])
 def test_probe_refuses_a_non_finite_target(kind):
-    # a NaN target would match no window and hide every tuple of its prefix;
-    # so would a NaN or infinite bracket
+    # a NaN target would match no window and hide every tuple of its prefix
     side = 1 / 24
     cubes = [Cube([c - side / 2], side) for c in (0.0, 0.5)]
     if kind == "surface":
         pat = SurfacePattern(d=1, n=2, cubes=cubes, f=lambda x: x * np.nan, lipschitz=1.0)
-    elif kind == "bracket":
-        f = lambda x: x  # noqa: E731
-        f.bracket = lambda x: (x * np.nan, x + np.inf)
-        pat = SurfacePattern(d=1, n=2, cubes=cubes, f=f, lipschitz=1.0)
     else:
         pat = TranslationalPattern(d=1, n=2, a=1, period_m=1, lipschitz=1.0,
                                    T=lambda x: np.full(x.shape[:-1] + (1, 1), np.inf))
     with pytest.raises(ValueError, match="non-finite target"):
         violation_scan(np.array([[0.0], [0.5]]), pat, 1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_isosceles_probe_equals_enumeration_on_builds(enumerated, seed):
+    # the removal of an M = 64 build and the scan of an M = 32 build take
+    # the probe's tuples at f(prefix): the enumeration's
+    from salemkit.harness import isosceles_surface_pattern
+    from salemkit.sampler import ConstructionParams, build_surface
+
+    iso = isosceles_surface_pattern()
+    cfg = build_surface(iso, ConstructionParams(M=64, lam=4 / 9, seed=seed))
+    pools, tau = cfg._build_record[0], cfg.provenance["tau_used"]
+    for threshold in (tau, 16 * tau):
+        got = incidence_index_set(pools, iso, threshold)
+        assert len(got) > 0
+        np.testing.assert_array_equal(got, incidence_index_set(pools, enumerated(iso), threshold))
+    points = build_surface(iso, ConstructionParams(M=32, lam=4 / 9, seed=seed)).points
+    for margin in (1e-5, 1e-3):
+        got = violation_scan(points, iso, margin)
+        assert len(got[0]) > 0
+        for got_part, want_part in zip(got, violation_scan(points, enumerated(iso), margin)):
+            np.testing.assert_array_equal(got_part, want_part)
+
+
+def _nan_margin_case(kind):
+    # a pattern, points and slot pools with violations at margin 0.05
+    from salemkit.harness import isosceles_surface_pattern
+
+    rng = np.random.default_rng(5)
+    if kind == "rough":
+        pat = RoughPattern(n=2, d=1, g=8, cells=[[1, 6], [4, 4]])
+        return pat, rng.random((30, 1)), [rng.random((30, 1))]
+    if kind == "surface":
+        pat = isosceles_surface_pattern()
+    elif kind == "translational":
+        pat = ap3_pattern(m=16)
+    else:
+        # the d = 2 3-AP layout: cubes of side 1/(4m) on the diagonal
+        side = 1.0 / 32
+        cubes = [Cube([c - side / 2] * 2, side) for c in (1 / 6, 1 / 2, 5 / 6)]
+        pat = TranslationalPattern(d=2, n=3, a=2, period_m=8, lipschitz=1.0, cubes=cubes,
+                                   T=lambda x: (-np.asarray(x))[..., None, :])
+    pools = [double_cube(c).sample(rng, 20) for c in pat.cubes]
+    return pat, np.concatenate(pools), pools
+
+
+@pytest.mark.parametrize("kind", ["rough", "surface", "translational", "translational-d2"])
+def test_nan_margin_and_threshold_are_refused(kind):
+    # a NaN compares false with every residual, so it would find no tuple
+    pat, points, pools = _nan_margin_case(kind)
+    assert len(violation_scan(points, pat, 0.05)[0]) > 0
+    assert len(incidence_index_set(pools, pat, 0.05)) > 0
+    with pytest.raises(ValueError, match="margin"):
+        violation_scan(points, pat, math.nan)
+    with pytest.raises(ValueError, match="threshold"):
+        incidence_index_set(pools, pat, math.nan)
 
 
 # ------------------------------------------------- batched 1-D scan recheck

@@ -57,6 +57,27 @@ def test_derive_radius_rejects_bad_input():
         derive_radius(0, 0.5)
 
 
+@pytest.mark.parametrize("name", ["filter_scale", "removal_budget"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, -1e-300])
+def test_params_refuse_a_bad_scale_or_budget(name, value):
+    with pytest.raises(ValueError, match=name):
+        ConstructionParams(M=32, lam=0.9, **{name: value})
+
+
+def test_zero_removal_budget_caps_at_the_floor():
+    # a budget of 0.0 is a budget, not the default sqrt(M)
+    from salemkit.harness import ap3_pattern as harness_ap3
+
+    cells = np.array([[0, 0], [5, 17]])
+    builds = [
+        (build_translational, harness_ap3(16), dict(M=256, lam=0.45)),
+        (build_rough, RoughPattern(n=2, d=1, g=32, cells=cells), dict(M=80, lam=0.5)),
+    ]
+    for build, pat, kw in builds:
+        prov = build(pat, ConstructionParams(seed=0, removal_budget=0.0, **kw)).provenance
+        assert prov["tau_rule"] == "budget-capped(floor)" and prov["tau_used"] == 0.0
+
+
 # ---------------------------------------------------------------- invariants
 
 
@@ -596,18 +617,24 @@ def test_screened_pilot_falls_back_when_a_tuple_outside_the_domain_hides(monkeyp
     assert len(rows) == 2 and rows[0] < PILOT == rows[1]
 
 
+class _DomainBlindSurface(SurfacePattern):
+    """A surface whose floor is the distance to f(prefix) with the domain
+    mask skipped, as a cheap floor may skip it."""
+
+    def residual_floor(self, tuples):
+        split = self.d * (self.n - 1)
+        return tdist(tuples[:, split:], self.f(tuples[:, :split])), 0.0
+
+
 def test_screened_surface_pilot_falls_back_when_a_tuple_outside_the_domain_hides(monkeypatch):
-    # the graph x3 = x1 + x2 + 0.3 with a bracket 2^-30 wide around it;
+    # the graph x3 = x1 + x2 + 0.3 under a floor blind to the domain;
     # moving x1 up and x2 down by 0.1 keeps the floor of the tuple of least
-    # residual and takes it out of Q1 x Q2.  (On the isosceles layout the
-    # bracket's half-width leaves thousands of rows below the cut, so one
-    # hidden tuple cannot starve it.)
+    # residual and takes it out of Q1 x Q2
     from salemkit.sampler import _threshold
 
     f = lambda p: (p[..., :1] + p[..., 1:2] + 0.3) % 1.0  # noqa: E731
-    f.bracket = lambda p: (f(p) - 2.0**-30, f(p) + 2.0**-30)
     cubes = [Cube([0.0], 0.01), Cube([0.3], 0.01), Cube([0.6], 0.01)]
-    pattern = SurfacePattern(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
+    pattern = _DomainBlindSurface(d=1, n=3, cubes=cubes, f=f, lipschitz=2.0)
     residual = pattern.residual
 
     def hide(slots):
@@ -654,45 +681,9 @@ def test_pilot_takes_few_exact_residuals(monkeypatch):
     assert 0 < sum(rows) <= 0.02 * PILOT
 
 
-def test_isosceles_pilot_takes_few_exact_residuals(monkeypatch):
-    # the bracket screen leaves the exact residual (a full bisection) at
-    # most 2 kk of the 200k pilot rows of the seed-0 isosceles pilot at
-    # M = 256, in one call: no fallback (kk = 200 rows at seed 0; an
-    # 11-step bisection bracket left 4213)
-    from salemkit.sampler import _cap_rule, _threshold
-
-    pattern, kw = _pilot_case("iso-256")
-    rows = _count_residual_rows(monkeypatch, pattern)
-    params = ConstructionParams(seed=0, **kw)
-    _threshold(pattern, params, derive_radius(params.M, params.lam))
-    kk = _cap_rule(PILOT, params.M, pattern.n, math.sqrt(params.M))[2]
-    assert len(rows) == 1 and 0 < rows[0] <= 2 * kk
-
-
-def test_isosceles_build_solves_only_the_screened_tuples(monkeypatch):
-    # the third-leg solve runs only inside the exact residual, on the rows
-    # the pilot's floor and the filter's probe keep: at seed 0, M = 256,
-    # 200 pilot rows and 22 of the 65 536 filter prefixes (the filter once
-    # solved every prefix)
-    from salemkit import harness
-
-    pattern, kw = _pilot_case("iso-256")
-    rows = _count_residual_rows(monkeypatch, pattern)
-    solved, solve = [], harness._solve_third_leg
-
-    def counted(t1, t2, lo, hi):
-        solved.append(np.size(t1))
-        return solve(t1, t2, lo, hi)
-
-    monkeypatch.setattr(harness, "_solve_third_leg", counted)
-    build_surface(pattern, ConstructionParams(seed=0, **kw))
-    assert solved == rows and len(rows) == 2 and rows[1] <= 100
-
-
 def test_isosceles_pilot_memory():
-    # the bracket runs in row blocks: the seed-0 M = 256 isosceles
-    # threshold peaked at 20.7 MB traced with the bisection bracket, 16.0
-    # MB with the blocked Newton bracket
+    # the third leg runs in row blocks: the seed-0 M = 256 isosceles
+    # threshold peaked at 20.7 MB traced with an unblocked bisection
     from salemkit.sampler import _threshold
 
     pattern, kw = _pilot_case("iso-256")
